@@ -708,17 +708,33 @@ TEST(CommTrainer, AllHonestUplinksRejectedSkipsTheRound) {
   cfg.uplink_tamper = [](std::size_t, std::vector<std::uint8_t>& buf) {
     buf.resize(buf.size() / 2);  // truncate every uplink
   };
-  std::size_t skipped = 0;
+  std::vector<fl::RoundObservation> seen;
   fl::Trainer trainer(data, comm_model(), cfg);
   auto attack = fl::make_attack("NoAttack");
   const auto result = trainer.run(*attack, fl::make_aggregator("Mean"),
                                   [&](const fl::RoundObservation& obs) {
-                                    skipped += obs.skipped ? 1 : 0;
+                                    seen.push_back(obs);
                                   });
-  EXPECT_EQ(skipped, cfg.rounds);
+  ASSERT_EQ(seen.size(), cfg.rounds);
   // Only the benign uplinks were spent (Byzantine rows are never
   // transported once the round has no honest survivor): 8 per round.
+  const std::uint64_t d = comm_model()(0).parameter_count();
+  const std::uint64_t wire = comm::encoded_size(
+      *comm::make_codec(cfg.compression), d);
+  for (const fl::RoundObservation& obs : seen) {
+    EXPECT_TRUE(obs.skipped);
+    EXPECT_EQ(obs.outcome, fl::RoundOutcome::kSkippedNoHonest);
+    EXPECT_EQ(obs.participants, 0u);
+    EXPECT_EQ(obs.decode_rejects, 8u);
+    EXPECT_EQ(obs.uplink_bytes, 8 * wire);
+    EXPECT_EQ(obs.uplink_dense_bytes, 8 * d * 4);
+    EXPECT_EQ(obs.uplink_decoded_bytes, 0u);
+    EXPECT_TRUE(obs.aggregate.empty());
+  }
+  EXPECT_EQ(result.skipped_rounds, cfg.rounds);
   EXPECT_EQ(result.decode_rejects, cfg.rounds * 8);
+  EXPECT_EQ(result.uplink_bytes, cfg.rounds * 8 * wire);
+  EXPECT_EQ(result.uplink_dense_bytes, cfg.rounds * 8 * d * 4);
 }
 
 TEST(CommTrainer, DegenerateCompressionSpecThrowsAtConstruction) {
