@@ -45,20 +45,13 @@ Aggregator& ShardedAggregator::shard_rule(std::size_t s) {
 
 void ShardedAggregator::serialize_state(common::ByteWriter& w) const {
   w.u64(rules_.size());
-  for (const auto& rule : rules_) {
-    common::ByteWriter inner;
-    rule->serialize_state(inner);
-    w.str(inner.bytes());
-  }
+  for (const auto& rule : rules_) common::ByteIo(w).blob(*rule);
 }
 
 void ShardedAggregator::restore_state(common::ByteReader& r) {
   const std::uint64_t count = r.u64();
-  for (std::uint64_t s = 0; s < count; ++s) {
-    const std::string blob = r.str();
-    common::ByteReader inner(blob);
-    shard_rule(s).restore_state(inner);
-  }
+  for (std::uint64_t s = 0; s < count; ++s)
+    common::ByteIo(r).blob(shard_rule(s));
 }
 
 std::string ShardedAggregator::name() const {

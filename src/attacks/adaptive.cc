@@ -26,18 +26,6 @@ std::vector<double> benign_average(std::span<const GradientView> benign) {
 
 }  // namespace
 
-void write_nested_state(common::ByteWriter& w, const Attack& inner) {
-  common::ByteWriter sub;
-  inner.serialize_state(sub);
-  w.str(sub.bytes());
-}
-
-void read_nested_state(common::ByteReader& r, Attack& inner) {
-  const std::string blob = r.str();
-  common::ByteReader sub(blob);
-  inner.restore_state(sub);
-}
-
 // ---- AdaptiveAttack --------------------------------------------------------
 
 AdaptiveAttack::AdaptiveAttack(std::unique_ptr<Attack> inner,
@@ -199,7 +187,7 @@ void AdaptiveAttack::serialize_state(common::ByteWriter& w) const {
   w.u8(crafted_this_round_ ? 1 : 0);
   w.u64(since_probe_);
   w.floats(last_dir_);
-  write_nested_state(w, *inner_);
+  common::ByteIo(w).blob(*inner_);
 }
 
 void AdaptiveAttack::restore_state(common::ByteReader& r) {
@@ -214,7 +202,7 @@ void AdaptiveAttack::restore_state(common::ByteReader& r) {
   crafted_this_round_ = r.u8() != 0;
   since_probe_ = r.u64();
   last_dir_ = r.floats();
-  read_nested_state(r, *inner_);
+  common::ByteIo(r).blob(*inner_);
 }
 
 // ---- ChaosColludeAttack ----------------------------------------------------
@@ -309,12 +297,12 @@ void ChaosColludeAttack::observe_round(const RoundFeedback& fb) {
 
 void ChaosColludeAttack::serialize_state(common::ByteWriter& w) const {
   w.u64(burst_left_);
-  write_nested_state(w, *inner_);
+  common::ByteIo(w).blob(*inner_);
 }
 
 void ChaosColludeAttack::restore_state(common::ByteReader& r) {
   burst_left_ = r.u64();
-  read_nested_state(r, *inner_);
+  common::ByteIo(r).blob(*inner_);
 }
 
 }  // namespace signguard::attacks

@@ -137,10 +137,4 @@ class ChaosColludeAttack : public Attack {
   std::size_t burst_left_ = 0;  // checkpointed
 };
 
-// Serialization helpers shared by the wrapper attacks: a nested attack's
-// state travels as one length-prefixed blob so the wrapper's own fields
-// and the inner state stay independently versioned.
-void write_nested_state(common::ByteWriter& w, const Attack& inner);
-void read_nested_state(common::ByteReader& r, Attack& inner);
-
 }  // namespace signguard::attacks

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "attacks/adaptive.h"  // write_nested_state / read_nested_state
-
 namespace signguard::attacks {
 
 namespace {
@@ -137,11 +135,11 @@ void WirecraftAttack::observe_round(const RoundFeedback& fb) {
 }
 
 void WirecraftAttack::serialize_state(common::ByteWriter& w) const {
-  write_nested_state(w, *inner_);
+  common::ByteIo(w).blob(*inner_);
 }
 
 void WirecraftAttack::restore_state(common::ByteReader& r) {
-  read_nested_state(r, *inner_);
+  common::ByteIo(r).blob(*inner_);
 }
 
 }  // namespace signguard::attacks

@@ -12,12 +12,15 @@
 // underflow throws std::runtime_error (a truncated or corrupted
 // checkpoint must fail loudly, never read out of bounds).
 
+#include <concepts>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace signguard::common {
@@ -118,6 +121,85 @@ class ByteReader {
 
   std::string_view bytes_;
   std::size_t pos_ = 0;
+};
+
+// Direction-agnostic field codec over a ByteWriter or a ByteReader: one
+// field list drives both a save and a load, so the two cannot drift
+// apart. Each field is written when saving and overwritten when loading,
+// in call order: unsigned integers as u64, bools and enums as u8, doubles
+// as f64, an optional<double> as a presence byte plus the value. A
+// component with serialize_state/restore_state nests inline, one with a
+// string state()/set_state() (Rng) as a length-prefixed string.
+class ByteIo {
+ public:
+  explicit ByteIo(ByteWriter& w) : w_(&w) {}
+  explicit ByteIo(ByteReader& r) : r_(&r) {}
+  bool saving() const { return w_ != nullptr; }
+  ByteWriter& writer() { return *w_; }  // saving only
+  ByteReader& reader() { return *r_; }  // loading only
+
+  template <class... T>
+  void operator()(T&... fields) {
+    (field(fields), ...);
+  }
+
+  // A component's serialize_state/restore_state, nested as a
+  // length-prefixed blob.
+  template <class T>
+  void blob(T& component) {
+    if (w_ != nullptr) {
+      ByteWriter b;
+      component.serialize_state(b);
+      w_->str(b.bytes());
+    } else {
+      const std::string bytes = r_->str();
+      ByteReader b(bytes);
+      component.restore_state(b);
+    }
+  }
+
+ private:
+  template <std::unsigned_integral T>
+    requires(!std::same_as<T, bool>)
+  void field(T& v) {
+    if (w_ != nullptr) w_->u64(v);
+    else v = static_cast<T>(r_->u64());
+  }
+  template <class T>
+    requires std::is_enum_v<T> || std::same_as<T, bool>
+  void field(T& v) {
+    if (w_ != nullptr) w_->u8(static_cast<std::uint8_t>(v));
+    else v = static_cast<T>(r_->u8());
+  }
+  void field(double& v) {
+    if (w_ != nullptr) w_->f64(v);
+    else v = r_->f64();
+  }
+  void field(std::optional<double>& v) {
+    bool has = v.has_value();
+    field(has);
+    double x = v.value_or(0.0);
+    if (has) field(x);
+    v = has ? std::optional<double>(x) : std::nullopt;
+  }
+  template <class T>
+    requires requires(T& t, ByteWriter& w, ByteReader& r) {
+      t.serialize_state(w);
+      t.restore_state(r);
+    }
+  void field(T& component) {
+    if (w_ != nullptr) component.serialize_state(*w_);
+    else component.restore_state(*r_);
+  }
+  template <class T>
+    requires requires(T& t) { t.set_state(t.state()); }
+  void field(T& component) {
+    if (w_ != nullptr) w_->str(component.state());
+    else component.set_state(r_->str());
+  }
+
+  ByteWriter* w_ = nullptr;
+  ByteReader* r_ = nullptr;
 };
 
 }  // namespace signguard::common

@@ -229,56 +229,16 @@ std::uint64_t fold_round(std::uint64_t state, const RoundTrace& t) {
   return state;
 }
 
-// RoundTrace round-trip for the sweep checkpoint's extra blob: a resumed
-// scenario must re-emit the already-traced rounds byte-identically, so
-// the captured traces ride inside the trainer checkpoint.
-void write_trace(common::ByteWriter& w, const RoundTrace& t) {
-  w.u64(t.round);
-  w.u64(t.aggregate_checksum);
-  w.u64(t.participants);
-  w.u64(t.byzantine);
-  w.u64(t.dropped);
-  w.u64(t.stragglers);
-  w.u64(t.selected);
-  w.u64(t.decode_rejects);
-  w.u64(t.shards);
-  w.u64(t.shard_survivor_sum);
-  w.u64(t.churned);
-  w.u64(t.deadline_misses);
-  w.u64(t.lost_uplinks);
-  w.u64(t.uplink_attempts);
-  w.f64(t.sim_round_ms);
-  w.u8(static_cast<std::uint8_t>(t.outcome));
-  w.u8(t.chaos ? 1 : 0);
-  w.u8(t.quorum ? 1 : 0);
-  w.u8(t.test_accuracy.has_value() ? 1 : 0);
-  if (t.test_accuracy) w.f64(*t.test_accuracy);
-  w.u8(t.skipped ? 1 : 0);
-}
-
-RoundTrace read_trace(common::ByteReader& r) {
-  RoundTrace t;
-  t.round = r.u64();
-  t.aggregate_checksum = r.u64();
-  t.participants = r.u64();
-  t.byzantine = r.u64();
-  t.dropped = r.u64();
-  t.stragglers = r.u64();
-  t.selected = r.u64();
-  t.decode_rejects = r.u64();
-  t.shards = r.u64();
-  t.shard_survivor_sum = r.u64();
-  t.churned = r.u64();
-  t.deadline_misses = r.u64();
-  t.lost_uplinks = r.u64();
-  t.uplink_attempts = r.u64();
-  t.sim_round_ms = r.f64();
-  t.outcome = static_cast<RoundOutcome>(r.u8());
-  t.chaos = r.u8() != 0;
-  t.quorum = r.u8() != 0;
-  if (r.u8() != 0) t.test_accuracy = r.f64();
-  t.skipped = r.u8() != 0;
-  return t;
+// RoundTrace fields for the sweep checkpoint's extra blob, one list for
+// save and load (common::ByteIo): a resumed scenario must re-emit the
+// already-traced rounds byte-identically, so the captured traces ride
+// inside the trainer checkpoint.
+void trace_fields(common::ByteIo& io, RoundTrace& t) {
+  io(t.round, t.aggregate_checksum, t.participants, t.byzantine, t.dropped,
+     t.stragglers, t.selected, t.decode_rejects, t.shards,
+     t.shard_survivor_sum, t.churned, t.deadline_misses, t.lost_uplinks,
+     t.uplink_attempts, t.sim_round_ms, t.outcome, t.chaos, t.quorum,
+     t.test_accuracy, t.skipped);
 }
 
 ScenarioResult run_scenario(const ScenarioSpec& spec, const Workload& w,
@@ -343,36 +303,35 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const Workload& w,
       // The observer's fold state and captured traces ride in the
       // checkpoint's extra blob, so a resumed scenario replays its JSONL
       // byte-identically. &r / &fold outlive trainer.run below.
-      cfg.checkpoint.save_extra = [&r, &fold, &reg](common::ByteWriter& w) {
-        w.u64(fold);
-        w.u64(r.skipped_rounds);
-        w.u64(r.dropped_total);
-        w.u64(r.straggler_total);
-        w.u64(r.rounds.size());
-        for (const RoundTrace& t : r.rounds) write_trace(w, t);
+      const auto extra = [&r, &fold, &reg](common::ByteIo& io) {
+        std::size_t n_traces = r.rounds.size();
+        io(fold, r.skipped_rounds, r.dropped_total, r.straggler_total,
+           n_traces);
+        r.rounds.resize(n_traces);
+        for (RoundTrace& t : r.rounds) trace_fields(io, t);
         // The registry serializes the still-open round as a snapshot
         // identical to the record end_round will push (nothing counts
         // between a round's save and its end_round), so a kill+resume
-        // reconstructs bitwise-identical counter records.
-        w.u8(reg ? 1 : 0);
-        if (reg) reg->serialize(w);
-      };
-      cfg.checkpoint.load_extra = [&r, &fold, &reg](common::ByteReader& rd) {
-        fold = rd.u64();
-        r.skipped_rounds = rd.u64();
-        r.dropped_total = rd.u64();
-        r.straggler_total = rd.u64();
-        const std::uint64_t n_traces = rd.u64();
-        r.rounds.clear();
-        for (std::uint64_t i = 0; i < n_traces; ++i)
-          r.rounds.push_back(read_trace(rd));
-        if (rd.u8() != 0) {
-          // The checkpoint carries counter state; restore it, or drain
-          // it into a throwaway registry when this run has obs off (the
-          // blob must be consumed either way).
+        // reconstructs bitwise-identical counter records. A checkpoint
+        // carrying counter state restores it — or drains it into a
+        // throwaway registry when this run has obs off (the blob must be
+        // consumed either way).
+        bool has_reg = reg.has_value();
+        io(has_reg);
+        if (io.saving()) {
+          if (reg) reg->serialize(io.writer());
+        } else if (has_reg) {
           obs::MetricsRegistry scratch(false);
-          (reg ? *reg : scratch).restore(rd);
+          (reg ? *reg : scratch).restore(io.reader());
         }
+      };
+      cfg.checkpoint.save_extra = [extra](common::ByteWriter& w) {
+        common::ByteIo io(w);
+        extra(io);
+      };
+      cfg.checkpoint.load_extra = [extra](common::ByteReader& rd) {
+        common::ByteIo io(rd);
+        extra(io);
       };
     }
     if (reg) cfg.metrics = &*reg;

@@ -175,9 +175,9 @@ class Trainer {
   // Throws std::invalid_argument for degenerate configurations: zero
   // clients, byzantine_frac outside [0, 0.5) (a Byzantine majority — in
   // particular m == n — is unsupported), participation outside (0, 1],
-  // failure probabilities outside [0, 1], or a compression spec that
-  // comm::make_codec rejects (chunk outside [1, kMaxChunk], topk
-  // k_fraction outside (0, 1]).
+  // failure probabilities outside [0, 1], zero rounds, eval_every == 0,
+  // or a compression spec that comm::make_codec rejects (chunk outside
+  // [1, kMaxChunk], topk k_fraction outside (0, 1]).
   Trainer(const data::TrainTest& data, ModelFactory model_factory,
           TrainerConfig cfg);
 

@@ -474,25 +474,38 @@ TEST(Checkpoint, KillAndResumeIsBitwiseIdentical) {
 TEST(Checkpoint, ConfigMismatchRefusesToResume) {
   const auto tt = tiny_data();
   const std::string path = tmp_path("mismatch.ckpt");
-  std::remove(path.c_str());
-  TrainerConfig cfg = tiny_config();
-  cfg.checkpoint.path = path;
-  cfg.checkpoint.every = 2;
-  cfg.checkpoint.halt_after_round = 4;
-  {
-    Trainer trainer(tt, tiny_model(), cfg);
+  // Writes a checkpoint under `written`, then resumes it under `resumed`:
+  // the config hash must refuse the file.
+  const auto expect_refused = [&](TrainerConfig written,
+                                  TrainerConfig resumed) {
+    std::remove(path.c_str());
+    written.checkpoint.path = path;
+    written.checkpoint.every = 2;
+    written.checkpoint.halt_after_round = 4;
+    {
+      Trainer trainer(tt, tiny_model(), written);
+      auto attack = make_attack("NoAttack");
+      trainer.run(*attack, make_aggregator("Mean", 1), nullptr);
+    }
+    ASSERT_TRUE(checkpoint_exists(path));
+    resumed.checkpoint.path = path;
+    resumed.checkpoint.every = 2;
+    resumed.checkpoint.resume = true;
+    Trainer trainer(tt, tiny_model(), resumed);
     auto attack = make_attack("NoAttack");
-    trainer.run(*attack, make_aggregator("Mean", 1), nullptr);
-  }
-  ASSERT_TRUE(checkpoint_exists(path));
-  cfg.checkpoint.halt_after_round = 0;
-  cfg.checkpoint.resume = true;
-  cfg.seed = 4;  // different run — the config hash must refuse the file
-  Trainer trainer(tt, tiny_model(), cfg);
-  auto attack = make_attack("NoAttack");
-  EXPECT_THROW(trainer.run(*attack, make_aggregator("Mean", 1), nullptr),
-               std::runtime_error);
-  std::remove(path.c_str());
+    EXPECT_THROW(trainer.run(*attack, make_aggregator("Mean", 1), nullptr),
+                 std::runtime_error);
+    std::remove(path.c_str());
+  };
+  TrainerConfig cfg = tiny_config();
+  TrainerConfig other = cfg;
+  other.seed = 4;  // different run
+  expect_refused(cfg, other);
+  // Doubles that agree to six decimals are still different runs.
+  cfg.lr = 1e-6;
+  other = cfg;
+  other.lr = 1.4e-6;
+  expect_refused(cfg, other);
 }
 
 TEST(Checkpoint, SweepResumeEmitsByteIdenticalJsonl) {

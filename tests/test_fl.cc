@@ -300,6 +300,10 @@ TEST(Trainer, DegenerateConfigsThrowAtConstruction) {
   cfg = tiny_config();
   cfg.rounds = 0;
   expect_throws(cfg);
+
+  cfg = tiny_config();
+  cfg.eval_every = 0;  // would divide by zero at the first eval check
+  expect_throws(cfg);
 }
 
 TEST(Trainer, ByzantineFracRoundingToZeroStillRuns) {
