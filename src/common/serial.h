@@ -97,6 +97,7 @@ class ByteReader {
   }
   void raw(void* out, std::size_t len) {
     need(len);
+    if (len == 0) return;  // `out` may be null (an empty vector's data())
     std::memcpy(out, bytes_.data() + pos_, len);
     pos_ += len;
   }

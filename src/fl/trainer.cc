@@ -303,8 +303,8 @@ class RoundPipeline {
     // The server closes the round at the deadline when anyone is still
     // missing, else at the slowest arrival.
     s.sim_round_ms = (cfg_.chaos.deadline_ms > 0.0 && uplink_missing)
-                   ? cfg_.chaos.deadline_ms
-                   : slowest_ms;
+                         ? cfg_.chaos.deadline_ms
+                         : slowest_ms;
   }
 
   // Local training: every participating client writes its gradient
@@ -482,7 +482,7 @@ class RoundPipeline {
   // that applied an aggregate.
   bool eval_due(const RoundState& s) const {
     return s.applied != nullptr && ((s.round + 1) % cfg_.eval_every == 0 ||
-                                      s.round + 1 == cfg_.rounds);
+                                    s.round + 1 == cfg_.rounds);
   }
   void evaluate(RoundState& s) {
     nn::Model& model = worker_models_.front();

@@ -506,6 +506,10 @@ TEST(Checkpoint, ConfigMismatchRefusesToResume) {
   other = cfg;
   other.lr = 1.4e-6;
   expect_refused(cfg, other);
+  cfg.weight_decay = 5e-7;
+  other = cfg;
+  other.weight_decay = 0.0;
+  expect_refused(cfg, other);
 }
 
 TEST(Checkpoint, SweepResumeEmitsByteIdenticalJsonl) {
