@@ -1,26 +1,29 @@
 // sweep_runner: declarative scenario-sweep CLI over the fl::run_sweep
 // engine. Expands a cartesian grid (workload × attack × GAR × partition
-// skew × Byzantine fraction × participation × failure injection), runs
+// skew × Byzantine fraction × participation × failure injection, plus
+// the optional codec, shard, chaos, quorum and adversary axes), runs
 // every scenario concurrently on the SIGNGUARD_THREADS pool, and streams
 // one JSONL line per scenario to stdout (or --out=FILE) in canonical
 // order — bit-identical for any thread count. Progress, the banner and
 // the Table-I-style summary go to stderr so `sweep_runner > run.jsonl`
 // stays clean.
 //
-// Usage (all list args comma-separated; defaults form a 24-scenario
-// smoke grid):
-// Run `sweep_runner --help` for the full axis set with defaults; --list
-// prints the expanded scenario ids without running anything.
+// Flags are "--name=VALUE" (lists comma-separated) or bare "--name"; the
+// defaults form a 24-scenario smoke grid. `sweep_runner --help` lists
+// every flag with its default, generated from the grid's axis registry
+// (fl::grid_flags) and the run flags below. A malformed value or an
+// unknown flag prints "--flag=value: reason" and exits 1 before anything
+// runs. --list prints the expanded scenario ids without running them.
 // Scale via SIGNGUARD_SCALE=smoke|default|full (rounds=0 resolves to it).
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "bench_common.h"
 #include "common/parallel.h"
-#include "fl/chaos.h"
 #include "fl/sweep.h"
 #include "obs/trace.h"
 
@@ -28,115 +31,58 @@ namespace {
 
 using namespace signguard;
 
-// The full axis set with defaults (satisfying `--help` and the header
-// comment above in one place). Kept in sync with the parsing below — a
-// new axis lands in both or the help is lying.
-void print_usage() {
-  std::string profiles;
-  for (const auto& p : fl::fault_profile_names())
-    (profiles += profiles.empty() ? "" : "|") += p;
-  std::fprintf(stderr, R"(sweep_runner: scenario-sweep CLI over fl::run_sweep.
+// Everything sweep_runner reads from argv besides the grid.
+struct RunArgs {
+  fl::SweepOptions opts;
+  std::string out, trace_dir;
+  bool list = false, summary = false, obs = false, stage_profile = false,
+       help = false;
+};
 
-Grid axes (comma-separated lists; one scenario per combination):
-  --workloads=LIST      workloads                    [MNIST-like]
-  --attacks=LIST        attack names                 [NoAttack,SignFlip,LIE,ByzMean]
-  --gars=LIST           aggregation rules            [Mean,Median,SignGuard]
-                        ("table1" expands to every Table-I defense)
-  --skews=LIST          "iid" or non-IID s in [0,1]  [iid,0.5]
-  --byz=LIST            Byzantine fractions          [0.2]
-  --participation=LIST  sampled client fractions     [1.0]
-  --dropout=LIST        per-round dropout probs      [0.0]
-  --straggler=LIST      per-round straggler probs    [0.0]
-  --codecs=LIST         none|sign1|int8|topk         [none]
-  --shards=LIST         shard counts (1 = flat)      [1]
-  --faults=LIST         %s  [none]
-  --deadline=LIST       uplink deadlines, ms (0 = unbounded)  [0]
-  --churn=LIST          churn leave probability      [0.0]
-  --adaptive=LIST       0|1: feedback-driven amplitude adaptation  [0]
-  --wirecraft=LIST      0|1: codec-aware wire crafting             [0]
-  --collude=LIST        chaos-colluding base fraction (0 = off)    [0]
-
-Grid-wide scalars:
-  --profile=grid|paper  model profile                [grid]
-  --codec-chunk=N       coords per wire chunk        [4096]
-  --codec-k=F           top-k keep fraction          [0.05]
-  --shard-merge=NAME    wmean|momed                  [wmean]
-  --churn-absence=F     mean churn absence, rounds   [2.0]
-  --quorum-min=N        min gradients at aggregator  [0 = policy off]
-  --quorum-survivors=N  min post-filter survivors    [0]
-  --quorum-action=NAME  cmean|prev|skip              [cmean]
-  --rounds=N            rounds (0 = scale default)   [0]
-  --clients=N           clients (0 = scale default)  [0]
-  --seed=N              sweep seed                   [7]
-
-Checkpoint / crash recovery (fl/checkpoint.h):
-  --checkpoint-dir=DIR  per-scenario checkpoint files in DIR  [off]
-  --checkpoint-every=N  save cadence, rounds         [1]
-  --resume              continue from existing checkpoints
-  --halt-after-round=N  simulated kill after N rounds (0 = off)
-
-Output:
-  --out=FILE            JSONL to FILE instead of stdout
-  --timing              include wall/cpu seconds in the JSONL
-  --no-round-checksums  omit the per-round checksum arrays
-  --summary             Table-I-style text summary on stderr
-  --list                print expanded scenario ids, run nothing
-  --help                this text
-
-Observability (src/obs; see ARCHITECTURE.md "Observability"):
-  --obs                 per-round deterministic work counters in the
-                        JSONL ("obs" block; bit-identical across
-                        SIGNGUARD_THREADS)
-  --profile             per-scenario per-stage cost table on stderr
-                        (implies --obs, plus coordinator stage timing
-                        in the JSONL; --stage-profile is an alias —
-                        note --profile=VALUE still selects the model
-                        profile above)
-  --trace-out=DIR       enable timing spans (as if SIGNGUARD_TRACE=1)
-                        and write DIR/trace.json (Chrome trace_event,
-                        Perfetto-loadable) + DIR/metrics.prom
-
-Scale via SIGNGUARD_SCALE=smoke|default|full. JSONL streams to stdout in
-canonical id order, bit-identical for any SIGNGUARD_THREADS.
-)",
-               profiles.c_str());
-}
-
-std::vector<double> parse_skews(const std::vector<std::string>& items) {
-  std::vector<double> out;
-  for (const auto& s : items)
-    out.push_back(s == "iid" ? fl::kIidSkew : std::atof(s.c_str()));
-  return out;
-}
-
-std::vector<double> parse_doubles(const std::vector<std::string>& items) {
-  std::vector<double> out;
-  for (const auto& s : items) out.push_back(std::atof(s.c_str()));
-  return out;
-}
-
-std::vector<bool> parse_bools(const std::vector<std::string>& items) {
-  std::vector<bool> out;
-  for (const auto& s : items) out.push_back(s != "0" && s != "false");
-  return out;
-}
-
-// Every defense from the paper's Table I, in its row order — the
-// "--gars=table1" shorthand. Names are fl::make_aggregator names.
-std::vector<std::string> expand_gars(const std::vector<std::string>& items) {
-  static const char* kTable1[] = {
-      "Mean",      "TrMean", "Median",  "GeoMed",        "Multi-Krum",
-      "Bulyan",    "DnC",    "SignSGD", "SignGuard-Sim", "SignGuard-Dist",
-      "SignGuard",
+// The run and output flags, in the same shape as the grid's registry.
+std::vector<fl::CliFlag> run_flags(RunArgs& a) {
+  const auto on = [](bool& b) { return [&b](const std::string&) { b = true; }; };
+  const auto count = [](std::size_t& n) {
+    return [&n](const std::string& v) { n = fl::parse_count(v); };
   };
-  std::vector<std::string> out;
-  for (const auto& g : items) {
-    if (g == "table1")
-      out.insert(out.end(), std::begin(kTable1), std::end(kTable1));
-    else
-      out.push_back(g);
-  }
-  return out;
+  const auto text = [](std::string& s) {
+    return [&s](const std::string& v) { s = v; };
+  };
+  return {
+      {"checkpoint-dir", "DIR", "", "per-scenario checkpoint files in DIR",
+       text(a.opts.checkpoint_dir)},
+      {"checkpoint-every", "N", "1", "checkpoint cadence, rounds",
+       count(a.opts.checkpoint_every)},
+      {"resume", "", "", "continue from existing checkpoints",
+       on(a.opts.resume)},
+      {"halt-after-round", "N", "0", "simulated kill after N rounds (0 = off)",
+       count(a.opts.halt_after_round)},
+      {"out", "FILE", "", "JSONL to FILE instead of stdout", text(a.out)},
+      {"timing", "", "", "include wall/cpu seconds in the JSONL",
+       on(a.opts.include_timing)},
+      {"no-round-checksums", "", "", "omit the per-round checksum arrays",
+       [&a](const std::string&) { a.opts.capture_rounds = false; }},
+      {"summary", "", "", "Table-I-style text summary on stderr",
+       on(a.summary)},
+      {"list", "", "", "print expanded scenario ids, run nothing",
+       on(a.list)},
+      {"obs", "", "",
+       "per-round deterministic work counters in the JSONL\n"
+       "(\"obs\" block; bit-identical across SIGNGUARD_THREADS)",
+       on(a.obs)},
+      {"profile", "", "",
+       "per-scenario per-stage cost table on stderr (implies\n"
+       "--obs, plus coordinator stage timing in the JSONL;\n"
+       "--profile=VALUE is the model profile above)",
+       on(a.stage_profile)},
+      {"stage-profile", "", "", "alias of bare --profile",
+       on(a.stage_profile)},
+      {"trace-out", "DIR", "",
+       "timing spans (as if SIGNGUARD_TRACE=1) to DIR/trace.json\n"
+       "(Perfetto-loadable) + DIR/metrics.prom",
+       text(a.trace_dir)},
+      {"help", "", "", "this text", on(a.help)},
+  };
 }
 
 // --profile: one text table per scenario, stages down, summed over the
@@ -177,135 +123,56 @@ void print_stage_profile(const fl::ScenarioResult& r) {
 
 int main(int argc, char** argv) {
   using namespace signguard;
-  if (bench::has_flag(argc, argv, "help")) {
-    print_usage();
-    return 0;
-  }
-  const auto scale = fl::scale_from_env();
-
   fl::SweepGrid grid;
-  grid.workloads.clear();
+  RunArgs run;
+  const std::vector<fl::CliFlag> grid_flags = fl::grid_flags(grid);
+  const std::vector<fl::CliFlag> own_flags = run_flags(run);
+  std::vector<fl::CliFlag> flags = grid_flags;
+  flags.insert(flags.end(), own_flags.begin(), own_flags.end());
   try {
-    for (const auto& name : bench::split_csv(
-             bench::arg_value(argc, argv, "workloads", "MNIST-like")))
-      grid.workloads.push_back(fl::workload_kind_from_name(name));
-  } catch (const std::exception& e) {
-    // Unknown attack/GAR names surface per scenario in the results; a
-    // workload typo must fail up front with a usable message.
-    std::string known;
-    for (const auto kind : fl::all_workloads())
-      (known += known.empty() ? "" : ", ") += fl::workload_name(kind);
-    std::fprintf(stderr, "%s (known workloads: %s)\n", e.what(),
-                 known.c_str());
+    fl::apply_flags(flags, std::vector<std::string>(argv + 1, argv + argc));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
-  grid.profile = bench::arg_value(argc, argv, "profile", "grid") == "paper"
-                     ? fl::ModelProfile::kPaper
-                     : fl::ModelProfile::kGrid;
-  grid.attacks = bench::split_csv(
-      bench::arg_value(argc, argv, "attacks", "NoAttack,SignFlip,LIE,ByzMean"));
-  grid.gars = expand_gars(bench::split_csv(
-      bench::arg_value(argc, argv, "gars", "Mean,Median,SignGuard")));
-  grid.skews =
-      parse_skews(bench::split_csv(bench::arg_value(argc, argv, "skews",
-                                                    "iid,0.5")));
-  grid.byzantine_fracs =
-      parse_doubles(bench::split_csv(bench::arg_value(argc, argv, "byz",
-                                                      "0.2")));
-  grid.participations = parse_doubles(
-      bench::split_csv(bench::arg_value(argc, argv, "participation", "1.0")));
-  grid.dropout_probs = parse_doubles(
-      bench::split_csv(bench::arg_value(argc, argv, "dropout", "0.0")));
-  grid.straggler_probs = parse_doubles(
-      bench::split_csv(bench::arg_value(argc, argv, "straggler", "0.0")));
-  // Compression axis: unknown codec names surface per scenario in the
-  // results (like attack/GAR typos), so no up-front validation here.
-  grid.codecs =
-      bench::split_csv(bench::arg_value(argc, argv, "codecs", "none"));
-  grid.codec_chunk = std::strtoull(
-      bench::arg_value(argc, argv, "codec-chunk", "4096").c_str(), nullptr,
-      10);
-  grid.codec_k = std::atof(
-      bench::arg_value(argc, argv, "codec-k", "0.05").c_str());
-  // Sharding axis: an unknown merge name surfaces per scenario, like a
-  // codec typo.
-  grid.shard_counts.clear();
-  for (const auto& s :
-       bench::split_csv(bench::arg_value(argc, argv, "shards", "1")))
-    grid.shard_counts.push_back(std::strtoull(s.c_str(), nullptr, 10));
-  grid.shard_merge = bench::arg_value(argc, argv, "shard-merge", "wmean");
-  // Chaos axes: an unknown fault-profile or quorum-action name surfaces
-  // per scenario, like a codec typo.
-  grid.faults =
-      bench::split_csv(bench::arg_value(argc, argv, "faults", "none"));
-  grid.deadlines = parse_doubles(
-      bench::split_csv(bench::arg_value(argc, argv, "deadline", "0")));
-  grid.churns = parse_doubles(
-      bench::split_csv(bench::arg_value(argc, argv, "churn", "0")));
-  // Adversary axes (src/attacks/adaptive.h, wirecraft.h): wrappers
-  // around each scenario's base attack, gated out of ids/JSONL when off.
-  grid.adaptives = parse_bools(
-      bench::split_csv(bench::arg_value(argc, argv, "adaptive", "0")));
-  grid.wirecrafts = parse_bools(
-      bench::split_csv(bench::arg_value(argc, argv, "wirecraft", "0")));
-  grid.colludes = parse_doubles(
-      bench::split_csv(bench::arg_value(argc, argv, "collude", "0")));
-  grid.churn_absence = std::atof(
-      bench::arg_value(argc, argv, "churn-absence", "2.0").c_str());
-  grid.quorum_min = std::strtoull(
-      bench::arg_value(argc, argv, "quorum-min", "0").c_str(), nullptr, 10);
-  grid.quorum_survivors = std::strtoull(
-      bench::arg_value(argc, argv, "quorum-survivors", "0").c_str(), nullptr,
-      10);
-  grid.quorum_action = bench::arg_value(argc, argv, "quorum-action", "cmean");
-  grid.rounds = std::strtoull(
-      bench::arg_value(argc, argv, "rounds", "0").c_str(), nullptr, 10);
-  grid.n_clients = std::strtoull(
-      bench::arg_value(argc, argv, "clients", "0").c_str(), nullptr, 10);
-  grid.seed = std::strtoull(bench::arg_value(argc, argv, "seed", "7").c_str(),
-                            nullptr, 10);
+  if (run.help) {
+    std::fprintf(stderr,
+                 "sweep_runner: scenario-sweep CLI over fl::run_sweep.\n\n"
+                 "Grid (LIST = comma-separated, one scenario per "
+                 "combination):\n%s\nRun and output:\n%s\n"
+                 "Scale via SIGNGUARD_SCALE=smoke|default|full. JSONL "
+                 "streams to stdout in\ncanonical id order, bit-identical "
+                 "for any SIGNGUARD_THREADS.\n",
+                 fl::flags_help(grid_flags).c_str(),
+                 fl::flags_help(own_flags).c_str());
+    return 0;
+  }
+  fl::SweepOptions& opts = run.opts;
+  opts.scale = fl::scale_from_env();
 
   std::vector<fl::ScenarioSpec> specs = grid.expand();
   std::fprintf(stderr, "== sweep_runner: %zu scenarios ==\n%s\n",
-               specs.size(), fl::runtime_summary(scale).c_str());
+               specs.size(), fl::runtime_summary(opts.scale).c_str());
 
-  if (bench::has_flag(argc, argv, "list")) {
+  if (run.list) {
     for (const auto& s : specs) std::printf("%s\n", s.id().c_str());
     return 0;
   }
 
   std::ofstream out_file;
-  const std::string out_path = bench::arg_value(argc, argv, "out");
-  if (!out_path.empty()) {
-    out_file.open(out_path);
+  if (!run.out.empty()) {
+    out_file.open(run.out);
     if (!out_file) {
-      std::fprintf(stderr, "cannot open --out=%s\n", out_path.c_str());
+      std::fprintf(stderr, "cannot open --out=%s\n", run.out.c_str());
       return 1;
     }
   }
 
-  fl::SweepOptions opts;
-  opts.scale = scale;
-  opts.capture_rounds = !bench::has_flag(argc, argv, "no-round-checksums");
-  opts.include_timing = bench::has_flag(argc, argv, "timing");
-  opts.jsonl = out_path.empty() ? &std::cout
-                                : static_cast<std::ostream*>(&out_file);
-  opts.checkpoint_dir = bench::arg_value(argc, argv, "checkpoint-dir");
-  opts.checkpoint_every = std::strtoull(
-      bench::arg_value(argc, argv, "checkpoint-every", "1").c_str(), nullptr,
-      10);
-  opts.resume = bench::has_flag(argc, argv, "resume");
-  opts.halt_after_round = std::strtoull(
-      bench::arg_value(argc, argv, "halt-after-round", "0").c_str(), nullptr,
-      10);
-  // Bare "--profile" (exact match) is the stage-cost table; the valued
-  // "--profile=grid|paper" form above never matches has_flag.
-  const bool stage_profile = bench::has_flag(argc, argv, "profile") ||
-                             bench::has_flag(argc, argv, "stage-profile");
-  opts.obs_counters = bench::has_flag(argc, argv, "obs") || stage_profile;
-  opts.obs_timing = stage_profile;
-  const std::string trace_dir = bench::arg_value(argc, argv, "trace-out");
-  if (!trace_dir.empty()) obs::set_trace_enabled(true);
+  opts.jsonl = run.out.empty() ? &std::cout
+                               : static_cast<std::ostream*>(&out_file);
+  opts.obs_counters = run.obs || run.stage_profile;
+  opts.obs_timing = run.stage_profile;
+  if (!run.trace_dir.empty()) obs::set_trace_enabled(true);
   opts.progress = [](std::size_t done, std::size_t total,
                      const fl::ScenarioResult& r) {
     std::fprintf(stderr, "[%zu/%zu] %s  best=%.2f%%%s%s\n", done, total,
@@ -319,11 +186,12 @@ int main(int argc, char** argv) {
 
   std::size_t failed = 0;
   for (const auto& r : results) failed += r.error.empty() ? 0 : 1;
-  if (bench::has_flag(argc, argv, "summary"))
+  if (run.summary)
     std::fprintf(stderr, "\n%s", fl::summary_table(results).c_str());
-  if (stage_profile)
+  if (run.stage_profile)
     for (const auto& r : results) print_stage_profile(r);
-  if (!trace_dir.empty()) {
+  if (!run.trace_dir.empty()) {
+    const std::string& trace_dir = run.trace_dir;
     std::error_code ec;
     std::filesystem::create_directories(trace_dir, ec);
     std::ofstream tf(trace_dir + "/trace.json");

@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <map>
 #include <mutex>
 #include <ostream>
+#include <stdexcept>
 #include <utility>
 
 #include "aggregators/sharded.h"
@@ -73,54 +77,416 @@ double thread_cpu_seconds() {
   return 0.0;
 }
 
+// One of the three places a scenario is written out: its id, its JSONL
+// line or its summary-group labels. Each call names the value's key at
+// every site (nullptr: not written there; "": the bare value), so one
+// call per value serves all three. Ids are "/key=value" segments (the
+// leading '/' is dropped), JSONL fields ",\"key\":value", labels
+// "key=value".
+struct Out {
+  enum Site { kId, kJson, kLabel } site;
+  std::string text;  // the id or JSONL line under construction
+  std::vector<std::string> labels;
+
+  Out& put(const char* ik, const char* jk, const char* lk,
+           const std::string& v, const std::string& json) {
+    if (site == kId && ik) (text += '/') += *ik ? ik + ("=" + v) : v;
+    if (site == kJson && jk) (((text += ",\"") += jk) += "\":") += json;
+    if (site == kLabel && lk) labels.push_back(*lk ? lk + ("=" + v) : v);
+    return *this;
+  }
+  Out& str(const char* ik, const char* jk, const char* lk,
+           const std::string& v) {
+    return put(ik, jk, lk, v, json_str(v));
+  }
+  Out& real(const char* ik, const char* jk, const char* lk, double v) {
+    return put(ik, jk, lk, num(v), json_num(v));
+  }
+  Out& count(const char* ik, const char* jk, const char* lk,
+             std::uint64_t v) {
+    return put(ik, jk, lk, std::to_string(v), std::to_string(v));
+  }
+  // A JSONL-only field: the run's outcome and result accounting.
+  Out& field(const char* jk, const std::string& json) {
+    return put(nullptr, jk, nullptr, "", json);
+  }
+  // An on/off switch: "/ik=1" and the bare label `lk` only when on, the
+  // JSONL boolean always.
+  Out& flag(const char* ik, const char* jk, const char* lk, bool v) {
+    return put(v ? ik : nullptr, jk, nullptr, "1", v ? "true" : "false")
+        .put(nullptr, nullptr, v ? "" : nullptr, lk, "");
+  }
+};
+
+// ---- Value parsers: each consumes its whole token or throws the reason ----
+
+std::string quoted(const std::string& v) { return "\"" + v + "\""; }
+
+// "a,b,c" -> items; empty items are dropped, so a stray trailing comma
+// adds nothing.
+std::vector<std::string> split_csv(const std::string& s) {
+  std::vector<std::string> out;
+  for (std::size_t begin = 0, end = 0; begin <= s.size(); begin = end + 1) {
+    end = std::min(s.find(',', begin), s.size());
+    if (end > begin) out.push_back(s.substr(begin, end - begin));
+  }
+  return out;
+}
+
+// Whole-token strtod: false unless all of `v` is one finite number.
+bool to_number(const std::string& v, double& x) {
+  char* end = nullptr;
+  x = std::strtod(v.c_str(), &end);
+  return !v.empty() && end == v.c_str() + v.size() && std::isfinite(x);
+}
+
+double parse_number(const std::string& v) {
+  double x = 0.0;
+  if (!to_number(v, x))
+    throw std::invalid_argument(quoted(v) + " is not a number");
+  return x;
+}
+
+double parse_skew(const std::string& v) {
+  double s = kIidSkew;
+  if (v == "iid") return s;
+  if (!to_number(v, s) || s < 0.0 || s > 1.0)
+    throw std::invalid_argument(quoted(v) +
+                                " is neither \"iid\" nor a number in [0, 1]");
+  return s;
+}
+
+bool parse_bool(const std::string& v) {
+  if (v == "1" || v == "true") return true;
+  if (v == "0" || v == "false") return false;
+  throw std::invalid_argument(quoted(v) + " is not 0|1|true|false");
+}
+
+std::string parse_name(const std::string& v) {
+  if (v.empty()) throw std::invalid_argument("empty name");
+  return v;
+}
+
+WorkloadKind parse_workload(const std::string& v) {
+  try {
+    return workload_kind_from_name(v);
+  } catch (const std::invalid_argument& e) {
+    std::string known;
+    for (const auto kind : all_workloads())
+      (known += known.empty() ? "" : ", ") += workload_name(kind);
+    throw std::invalid_argument(std::string(e.what()) + " (known: " + known +
+                                ")");
+  }
+}
+
+ModelProfile parse_profile(const std::string& v) {
+  if (v == "grid") return ModelProfile::kGrid;
+  if (v == "paper") return ModelProfile::kPaper;
+  throw std::invalid_argument(quoted(v) + " is not grid|paper");
+}
+
+// ---- The axis registry ------------------------------------------------------
+
+// One SweepGrid field: its command-line flag and its digit in expand()'s
+// mixed-radix walk. A list field's digit runs over the list; a grid-wide
+// scalar is a digit of size 1, copied into every spec.
+struct Field {
+  const char* flag;
+  const char* value;     // --help placeholder
+  const char* fallback;  // sweep_runner default
+  std::string help;
+  std::function<void(SweepGrid&, const std::string&)> set;
+  std::function<std::size_t(const SweepGrid&)> size;
+  std::function<void(const SweepGrid&, std::size_t, ScenarioSpec&)> assign;
+};
+
+template <class V, class S, class Parse>
+Field list(std::vector<V> SweepGrid::*g, S ScenarioSpec::*s, const char* flag,
+           const char* fallback, std::string help, Parse parse) {
+  return {flag, "LIST", fallback, std::move(help),
+          [g, parse](SweepGrid& grid, const std::string& v) {
+            std::vector<V> items;
+            for (const std::string& item : split_csv(v))
+              items.push_back(parse(item));
+            if (items.empty()) throw std::invalid_argument("empty list");
+            grid.*g = std::move(items);
+          },
+          [g](const SweepGrid& grid) { return (grid.*g).size(); },
+          [g, s](const SweepGrid& grid, std::size_t i, ScenarioSpec& spec) {
+            spec.*s = (grid.*g)[i];
+          }};
+}
+
+template <class V, class Parse>
+Field scalar(V SweepGrid::*g, V ScenarioSpec::*s, const char* flag,
+             const char* value, const char* fallback, std::string help,
+             Parse parse) {
+  return {flag, value, fallback, std::move(help),
+          [g, parse](SweepGrid& grid, const std::string& v) {
+            grid.*g = parse(v);
+          },
+          [](const SweepGrid&) { return std::size_t{1}; },
+          [g, s](const SweepGrid& grid, std::size_t, ScenarioSpec& spec) {
+            spec.*s = grid.*g;
+          }};
+}
+
+// --gars: "table1" expands to every Table-I defense, in row order.
+Field gar_list() {
+  Field f = list(&SweepGrid::gars, &ScenarioSpec::gar, "gars",
+                 "Mean,Median,SignGuard",
+                 "aggregation rules (\"table1\": every Table-I defense)",
+                 parse_name);
+  f.set = [set = f.set](SweepGrid& grid, const std::string& v) {
+    std::string gars;
+    for (const std::string& gar : split_csv(v))
+      (gars += ',') += gar != "table1" ? gar
+                                       : "Mean,TrMean,Median,GeoMed,Multi-Krum,"
+                                         "Bulyan,DnC,SignSGD,SignGuard-Sim,"
+                                         "SignGuard-Dist,SignGuard";
+    set(grid, gars);
+  };
+  return f;
+}
+
+std::string fault_names() {
+  std::string names;
+  for (const auto& p : fault_profile_names())
+    (names += names.empty() ? "" : "|") += p;
+  return names;
+}
+
+// One axis of the grid: its fields, and how a scenario is written out on
+// it. `active` is null for a core axis (always written). A gated axis
+// whose predicate is false for a spec writes nothing anywhere — no id
+// segment, JSONL field or summary label — so scenarios that leave it off
+// keep the ids, RNG streams and golden bytes they had before the axis
+// existed. In the JSONL the core axes' fields come first, then the run's
+// outcome, then each active gated axis's block.
+struct Axis {
+  const char* name;
+  std::vector<Field> fields;
+  bool (*active)(const ScenarioSpec&);
+  void (*write)(const ScenarioSpec&, const ScenarioResult&, Out&);
+};
+
+// Registry order is id-segment order, summary-label order, --help order
+// and expand()'s nesting order (the last list field varies fastest).
+// Attack and GAR have no summary label: they are the table's columns and
+// rows. rounds / n_clients write the spec's value (0 = scale default) to
+// the id and the resolved one to the JSONL and the summary.
+const std::vector<Axis>& axes() {
+  static const std::vector<Axis> kAxes = {
+      {"workload",
+       {list(&SweepGrid::workloads, &ScenarioSpec::workload, "workloads",
+             "MNIST-like", "workloads", parse_workload)},
+       nullptr,
+       [](const auto& s, const auto&, auto& o) {
+         o.str("", "workload", "", workload_name(s.workload));
+       }},
+      {"profile",
+       {scalar(&SweepGrid::profile, &ScenarioSpec::profile, "profile",
+               "grid|paper", "grid", "model profile", parse_profile)},
+       nullptr,
+       [](const auto& s, const auto&, auto& o) {
+         o.str("", "profile", "", to_string(s.profile));
+       }},
+      {"attack",
+       {list(&SweepGrid::attacks, &ScenarioSpec::attack, "attacks",
+             "NoAttack,SignFlip,LIE,ByzMean", "attack names", parse_name)},
+       nullptr,
+       [](const auto& s, const auto&, auto& o) {
+         o.str("a", "attack", nullptr, s.attack);
+       }},
+      {"gar", {gar_list()}, nullptr,
+       [](const auto& s, const auto&, auto& o) {
+         o.str("g", "gar", nullptr, s.gar);
+       }},
+      {"skew",
+       {list(&SweepGrid::skews, &ScenarioSpec::skew, "skews", "iid,0.5",
+             "\"iid\" or non-IID s in [0,1]", parse_skew)},
+       nullptr,
+       [](const auto& s, const auto&, auto& o) {
+         const bool iid = s.skew < 0.0;
+         o.put("part", "partition", nullptr, iid ? "iid" : "s" + num(s.skew),
+               iid ? "\"iid\"" : "\"noniid\"")
+             .put(nullptr, nullptr, "", iid ? "iid" : "noniid s=" + num(s.skew),
+                  "");
+         if (!iid) o.real(nullptr, "skew", nullptr, s.skew);
+       }},
+      {"byzantine_frac",
+       {list(&SweepGrid::byzantine_fracs, &ScenarioSpec::byzantine_frac,
+             "byz", "0.2", "Byzantine fractions", parse_number)},
+       nullptr,
+       [](const auto& s, const auto&, auto& o) {
+         o.real("byz", "byzantine_frac", "byz", s.byzantine_frac);
+       }},
+      {"participation",
+       {list(&SweepGrid::participations, &ScenarioSpec::participation,
+             "participation", "1.0", "sampled client fractions",
+             parse_number)},
+       nullptr,
+       [](const auto& s, const auto&, auto& o) {
+         o.real("p", "participation", s.participation < 1.0 ? "p" : nullptr,
+                s.participation);
+       }},
+      {"dropout",
+       {list(&SweepGrid::dropout_probs, &ScenarioSpec::dropout_prob,
+             "dropout", "0.0", "per-round dropout probs", parse_number)},
+       nullptr,
+       [](const auto& s, const auto&, auto& o) {
+         o.real("drop", "dropout", s.dropout_prob > 0.0 ? "drop" : nullptr,
+                s.dropout_prob);
+       }},
+      {"straggler",
+       {list(&SweepGrid::straggler_probs, &ScenarioSpec::straggler_prob,
+             "straggler", "0.0", "per-round straggler probs", parse_number)},
+       nullptr,
+       [](const auto& s, const auto&, auto& o) {
+         o.real("strag", "straggler", s.straggler_prob > 0.0 ? "strag" : nullptr,
+                s.straggler_prob);
+       }},
+      // compression_ratio is a float32 printed with %.9g: parsing it back
+      // with strtof recovers the stored value bit-exactly.
+      {"codec",
+       {list(&SweepGrid::codecs, &ScenarioSpec::codec, "codecs", "none",
+             "none|sign1|int8|topk", parse_name),
+        scalar(&SweepGrid::codec_chunk, &ScenarioSpec::codec_chunk,
+               "codec-chunk", "N", "4096", "coords per wire chunk",
+               parse_count),
+        scalar(&SweepGrid::codec_k, &ScenarioSpec::codec_k, "codec-k", "F",
+               "0.05", "top-k keep fraction", parse_number)},
+       [](const ScenarioSpec& s) { return s.codec != "none"; },
+       [](const auto& s, const auto& r, auto& o) {
+         o.str("codec", "codec", "codec", s.codec)
+             .count("ck", "codec_chunk", nullptr, s.codec_chunk);
+         if (s.codec == "topk") o.real("k", "codec_k", nullptr, s.codec_k);
+         o.field("uplink_bytes", std::to_string(r.uplink_bytes))
+             .field("uplink_dense_bytes", std::to_string(r.uplink_dense_bytes))
+             .field("compression_ratio", common::fmt_float(r.compression_ratio))
+             .field("decode_rejects", std::to_string(r.decode_rejects))
+             .field("uplink_decoded_bytes",
+                    std::to_string(r.uplink_decoded_bytes));
+       }},
+      {"shards",
+       {list(&SweepGrid::shard_counts, &ScenarioSpec::shards, "shards", "1",
+             "shard counts (1 = flat)", parse_count),
+        scalar(&SweepGrid::shard_merge, &ScenarioSpec::shard_merge,
+               "shard-merge", "NAME", "wmean", "wmean|momed", parse_name)},
+       [](const ScenarioSpec& s) { return s.shards > 1; },
+       [](const auto& s, const auto&, auto& o) {
+         o.count("shards", "shards", "shards", s.shards)
+             .str(s.shard_merge != "wmean" ? "smerge" : nullptr,
+                  "shard_merge", nullptr, s.shard_merge);
+       }},
+      {"chaos",
+       {list(&SweepGrid::faults, &ScenarioSpec::fault, "faults", "none",
+             fault_names(), parse_name),
+        list(&SweepGrid::deadlines, &ScenarioSpec::deadline_ms, "deadline",
+             "0", "uplink deadlines, ms (0 = unbounded)", parse_number),
+        list(&SweepGrid::churns, &ScenarioSpec::churn, "churn", "0",
+             "churn leave probability", parse_number),
+        scalar(&SweepGrid::churn_absence, &ScenarioSpec::churn_absence,
+               "churn-absence", "F", "2.0", "mean churn absence, rounds",
+               parse_number)},
+       [](const ScenarioSpec& s) {
+         return s.fault != "none" || s.deadline_ms > 0.0 || s.churn > 0.0;
+       },
+       [](const auto& s, const auto& r, auto& o) {
+         o.str("fault", "fault", s.fault != "none" ? "fault" : nullptr,
+               s.fault);
+         if (s.deadline_ms > 0.0) o.real("dl", "deadline_ms", "dl", s.deadline_ms);
+         if (s.churn > 0.0)
+           o.real("churn", "churn", "churn", s.churn)
+               .real("abs", "churn_absence", nullptr, s.churn_absence);
+         o.field("churned", std::to_string(r.churned_total))
+             .field("deadline_misses", std::to_string(r.deadline_miss_total))
+             .field("lost_uplinks", std::to_string(r.lost_uplink_total))
+             .field("uplink_attempts", std::to_string(r.uplink_attempts))
+             .field("sim_time_ms", json_num(r.sim_time_ms));
+       }},
+      {"quorum",
+       {scalar(&SweepGrid::quorum_min, &ScenarioSpec::quorum_min,
+               "quorum-min", "N", "0",
+               "min gradients at the aggregator (0 = policy off)",
+               parse_count),
+        scalar(&SweepGrid::quorum_survivors, &ScenarioSpec::quorum_survivors,
+               "quorum-survivors", "N", "0", "min post-filter survivors",
+               parse_count),
+        scalar(&SweepGrid::quorum_action, &ScenarioSpec::quorum_action,
+               "quorum-action", "NAME", "cmean", "cmean|prev|skip",
+               parse_name)},
+       [](const ScenarioSpec& s) {
+         return s.quorum_min > 0 || s.quorum_survivors > 0;
+       },
+       [](const auto& s, const auto& r, auto& o) {
+         o.count("qmin", "quorum_min", "qmin", s.quorum_min)
+             .count(s.quorum_survivors > 0 ? "qsurv" : nullptr,
+                    "quorum_survivors", nullptr, s.quorum_survivors)
+             .str(s.quorum_action != "cmean" ? "qact" : nullptr,
+                  "quorum_action", nullptr, s.quorum_action)
+             .field("fallback_cmean_rounds",
+                    std::to_string(r.fallback_cmean_rounds))
+             .field("fallback_prev_rounds",
+                    std::to_string(r.fallback_prev_rounds));
+       }},
+      {"adversary",
+       {list(&SweepGrid::adaptives, &ScenarioSpec::adaptive, "adaptive", "0",
+             "0|1: feedback-driven amplitude adaptation", parse_bool),
+        list(&SweepGrid::wirecrafts, &ScenarioSpec::wirecraft, "wirecraft",
+             "0", "0|1: codec-aware wire crafting", parse_bool),
+        list(&SweepGrid::colludes, &ScenarioSpec::collude, "collude", "0",
+             "chaos-colluding base fraction (0 = off)", parse_number)},
+       [](const ScenarioSpec& s) {
+         return s.adaptive || s.wirecraft || s.collude > 0.0;
+       },
+       [](const auto& s, const auto&, auto& o) {
+         o.flag("adapt", "adaptive", "adaptive", s.adaptive)
+             .flag("wc", "wirecraft", "wirecraft", s.wirecraft);
+         if (s.collude > 0.0) o.real("collude", "collude", "collude", s.collude);
+       }},
+      {"rounds",
+       {scalar(&SweepGrid::rounds, &ScenarioSpec::rounds, "rounds", "N", "0",
+               "rounds (0 = scale default)", parse_count)},
+       nullptr,
+       [](const auto& s, const auto& r, auto& o) {
+         o.count("r", nullptr, nullptr, s.rounds)
+             .count(nullptr, "rounds", "rounds", r.resolved_rounds);
+       }},
+      {"clients",
+       {scalar(&SweepGrid::n_clients, &ScenarioSpec::n_clients, "clients",
+               "N", "0", "clients (0 = scale default)", parse_count)},
+       nullptr,
+       [](const auto& s, const auto& r, auto& o) {
+         o.count("n", nullptr, nullptr, s.n_clients)
+             .count(nullptr, "n_clients", "n", r.resolved_clients);
+       }},
+      {"seed",
+       {scalar(&SweepGrid::seed, &ScenarioSpec::seed, "seed", "N", "7",
+               "sweep seed", parse_count)},
+       nullptr,
+       [](const auto& s, const auto&, auto& o) {
+         o.count("seed", "seed", "seed", s.seed);
+       }},
+  };
+  return kAxes;
+}
+
+// The gating rule, written once: every core axis, and each gated axis
+// whose predicate holds for `s`, in registry order.
+template <class F>
+void for_active(const ScenarioSpec& s, F&& f) {
+  for (const Axis& a : axes())
+    if (!a.active || a.active(s)) f(a);
+}
+
 }  // namespace
 
 std::string ScenarioSpec::id() const {
-  std::string s = workload_name(workload) + "/" + to_string(profile) +
-                  "/a=" + attack + "/g=" + gar;
-  s += "/part=" + (skew < 0.0 ? std::string("iid") : "s" + num(skew));
-  s += "/byz=" + num(byzantine_frac);
-  s += "/p=" + num(participation);
-  s += "/drop=" + num(dropout_prob);
-  s += "/strag=" + num(straggler_prob);
-  // The transport segment appears only when the layer is on: "none"
-  // scenarios keep their pre-transport ids (and with them their RNG
-  // streams and golden traces) byte-for-byte.
-  if (codec != "none") {
-    s += "/codec=" + codec + "/ck=" + std::to_string(codec_chunk);
-    if (codec == "topk") s += "/k=" + num(codec_k);
-  }
-  // Same gating for the sharding segment: flat scenarios (shards <= 1)
-  // keep their pre-sharding ids and RNG streams.
-  if (shards > 1) {
-    s += "/shards=" + std::to_string(shards);
-    if (shard_merge != "wmean") s += "/smerge=" + shard_merge;
-  }
-  // Chaos and quorum segments join the id only when their axis is on,
-  // like the transport segment: fault-free scenarios keep their bytes.
-  if (chaos_active()) {
-    s += "/fault=" + fault;
-    if (deadline_ms > 0.0) s += "/dl=" + num(deadline_ms);
-    if (churn > 0.0)
-      s += "/churn=" + num(churn) + "/abs=" + num(churn_absence);
-  }
-  if (quorum_active()) {
-    s += "/qmin=" + std::to_string(quorum_min);
-    if (quorum_survivors > 0)
-      s += "/qsurv=" + std::to_string(quorum_survivors);
-    if (quorum_action != "cmean") s += "/qact=" + quorum_action;
-  }
-  // Adversary segments under the same gating: adversary-free scenarios —
-  // every committed golden among them — keep their exact ids.
-  if (adversary_active()) {
-    if (adaptive) s += "/adapt=1";
-    if (wirecraft) s += "/wc=1";
-    if (collude > 0.0) s += "/collude=" + num(collude);
-  }
-  s += "/r=" + std::to_string(rounds);
-  s += "/n=" + std::to_string(n_clients);
-  s += "/seed=" + std::to_string(seed);
-  return s;
+  static const ScenarioResult kNoResult;
+  Out o{Out::kId};
+  for_active(*this, [&](const Axis& a) { a.write(*this, kNoResult, o); });
+  return o.text.substr(1);
 }
 
 std::uint64_t ScenarioSpec::rng_seed() const {
@@ -130,64 +496,96 @@ std::uint64_t ScenarioSpec::rng_seed() const {
 }
 
 std::size_t SweepGrid::size() const {
-  return workloads.size() * attacks.size() * gars.size() * skews.size() *
-         byzantine_fracs.size() * participations.size() *
-         dropout_probs.size() * straggler_probs.size() * codecs.size() *
-         shard_counts.size() * faults.size() * deadlines.size() *
-         churns.size() * adaptives.size() * wirecrafts.size() *
-         colludes.size();
+  std::size_t n = 1;
+  for (const Axis& a : axes())
+    for (const Field& f : a.fields) n *= f.size(*this);
+  return n;
 }
 
 std::vector<ScenarioSpec> SweepGrid::expand() const {
-  std::vector<ScenarioSpec> specs;
-  specs.reserve(size());
-  for (const auto workload : workloads)
-    for (const auto& attack : attacks)
-      for (const auto& gar : gars)
-        for (const double skew : skews)
-          for (const double byz : byzantine_fracs)
-            for (const double part : participations)
-              for (const double drop : dropout_probs)
-                for (const double strag : straggler_probs)
-                  for (const auto& codec : codecs)
-                    for (const auto shards : shard_counts)
-                      for (const auto& fault : faults)
-                        for (const double deadline : deadlines)
-                          for (const double churn : churns)
-                            for (const bool adapt : adaptives)
-                              for (const bool wc : wirecrafts)
-                                for (const double collude : colludes) {
-                                  ScenarioSpec s;
-                                  s.workload = workload;
-                                  s.profile = profile;
-                                  s.attack = attack;
-                                  s.gar = gar;
-                                  s.skew = skew;
-                                  s.byzantine_frac = byz;
-                                  s.participation = part;
-                                  s.dropout_prob = drop;
-                                  s.straggler_prob = strag;
-                                  s.codec = codec;
-                                  s.codec_chunk = codec_chunk;
-                                  s.codec_k = codec_k;
-                                  s.shards = shards;
-                                  s.shard_merge = shard_merge;
-                                  s.fault = fault;
-                                  s.deadline_ms = deadline;
-                                  s.churn = churn;
-                                  s.churn_absence = churn_absence;
-                                  s.quorum_min = quorum_min;
-                                  s.quorum_survivors = quorum_survivors;
-                                  s.quorum_action = quorum_action;
-                                  s.adaptive = adapt;
-                                  s.wirecraft = wc;
-                                  s.collude = collude;
-                                  s.rounds = rounds;
-                                  s.n_clients = n_clients;
-                                  s.seed = seed;
-                                  specs.push_back(std::move(s));
-                                }
+  // Mixed-radix walk: spec k's digit on each field is (k / stride) % n,
+  // where stride is the product of the sizes of every later field.
+  std::vector<ScenarioSpec> specs(size());
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    std::size_t stride = specs.size();
+    for (const Axis& a : axes())
+      for (const Field& f : a.fields) {
+        const std::size_t n = f.size(*this);
+        stride /= n;
+        f.assign(*this, k / stride % n, specs[k]);
+      }
+  }
   return specs;
+}
+
+std::vector<std::string> gated_axes() {
+  std::vector<std::string> names;
+  for (const Axis& a : axes())
+    if (a.active) names.push_back(a.name);
+  return names;
+}
+
+bool axis_active(const std::string& axis, const ScenarioSpec& s) {
+  for (const Axis& a : axes())
+    if (axis == a.name) return !a.active || a.active(s);
+  throw std::invalid_argument("unknown axis: " + axis);
+}
+
+std::vector<CliFlag> grid_flags(SweepGrid& grid) {
+  std::vector<CliFlag> flags;
+  for (const Axis& a : axes())
+    for (const Field& f : a.fields)
+      flags.push_back({f.flag, f.value, f.fallback, f.help,
+                       [&f, &grid](const std::string& v) { f.set(grid, v); }});
+  return flags;
+}
+
+void apply_flags(const std::vector<CliFlag>& flags,
+                 const std::vector<std::string>& args) {
+  const auto apply = [](const CliFlag& f, const std::string& token,
+                        const std::string& value) {
+    try {
+      f.set(value);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(token + ": " + e.what());
+    }
+  };
+  for (const CliFlag& f : flags)
+    if (!f.fallback.empty())
+      apply(f, "--" + f.name + "=" + f.fallback, f.fallback);
+  for (const std::string& token : args) {
+    const std::size_t eq = token.find('=');
+    const bool valued = eq != std::string::npos;
+    const auto it = std::find_if(flags.begin(), flags.end(), [&](const auto& f) {
+      return "--" + f.name == token.substr(0, eq) && valued == !f.value.empty();
+    });
+    if (it == flags.end()) throw std::invalid_argument(token + ": unknown flag");
+    apply(*it, token, valued ? token.substr(eq + 1) : "");
+  }
+}
+
+std::string flags_help(const std::vector<CliFlag>& flags) {
+  constexpr std::size_t kColumn = 24;
+  std::string out;
+  for (const CliFlag& f : flags) {
+    std::string line = "  --" + f.name + (f.value.empty() ? "" : "=" + f.value);
+    line.resize(std::max(line.size() + 2, kColumn), ' ');
+    for (const char c : f.help)
+      (line += c) += c == '\n' ? std::string(kColumn, ' ') : "";
+    if (!f.fallback.empty()) line += "  [" + f.fallback + "]";
+    out += line + "\n";
+  }
+  return out;
+}
+
+std::size_t parse_count(const std::string& v) {
+  if (v.empty() || v.find_first_not_of("0123456789") != std::string::npos)
+    throw std::invalid_argument(quoted(v) + " is not an unsigned count");
+  errno = 0;
+  const unsigned long long n = std::strtoull(v.c_str(), nullptr, 10);
+  if (errno == ERANGE)
+    throw std::invalid_argument(quoted(v) + " is out of range");
+  return n;
 }
 
 namespace {
@@ -514,91 +912,27 @@ std::vector<ScenarioResult> run_sweep(std::vector<ScenarioSpec> specs,
 void write_jsonl_line(std::ostream& os, const ScenarioResult& r,
                       bool include_timing) {
   const ScenarioSpec& s = r.spec;
-  std::string line = "{";
-  line += "\"id\":" + json_str(s.id());
-  line += ",\"workload\":" + json_str(workload_name(s.workload));
-  line += ",\"profile\":" + json_str(to_string(s.profile));
-  line += ",\"attack\":" + json_str(s.attack);
-  line += ",\"gar\":" + json_str(s.gar);
-  line += ",\"partition\":";
-  line += s.skew < 0.0 ? "\"iid\"" : "\"noniid\"";
-  if (s.skew >= 0.0) line += ",\"skew\":" + json_num(s.skew);
-  line += ",\"byzantine_frac\":" + json_num(s.byzantine_frac);
-  line += ",\"participation\":" + json_num(s.participation);
-  line += ",\"dropout\":" + json_num(s.dropout_prob);
-  line += ",\"straggler\":" + json_num(s.straggler_prob);
-  line += ",\"rounds\":" + std::to_string(r.resolved_rounds);
-  line += ",\"n_clients\":" + std::to_string(r.resolved_clients);
-  line += ",\"seed\":" + std::to_string(s.seed);
-  line += ",\"error\":";
-  line += r.error.empty() ? "null" : json_str(r.error);
-  line += ",\"final_accuracy\":" + json_num(r.final_accuracy);
-  line += ",\"best_accuracy\":" + json_num(r.best_accuracy);
-  line += ",\"honest_pass_rate\":";
-  line += r.honest_pass_rate < 0.0 ? "null" : json_num(r.honest_pass_rate);
-  line += ",\"malicious_pass_rate\":";
-  line +=
-      r.malicious_pass_rate < 0.0 ? "null" : json_num(r.malicious_pass_rate);
-  line += ",\"skipped_rounds\":" + std::to_string(r.skipped_rounds);
-  line += ",\"dropped\":" + std::to_string(r.dropped_total);
-  line += ",\"stragglers\":" + std::to_string(r.straggler_total);
-  // Transport fields only when the layer is on, so codec "none" lines —
-  // the committed golden traces among them — keep their exact bytes.
-  // compression_ratio is a float32 printed with %.9g: parsing it back
-  // with strtof recovers the stored value bit-exactly.
-  if (s.codec != "none") {
-    line += ",\"codec\":" + json_str(s.codec);
-    line += ",\"codec_chunk\":" + std::to_string(s.codec_chunk);
-    if (s.codec == "topk") line += ",\"codec_k\":" + json_num(s.codec_k);
-    line += ",\"uplink_bytes\":" + std::to_string(r.uplink_bytes);
-    line += ",\"uplink_dense_bytes\":" + std::to_string(r.uplink_dense_bytes);
-    line += ",\"compression_ratio\":" + common::fmt_float(r.compression_ratio);
-    line += ",\"decode_rejects\":" + std::to_string(r.decode_rejects);
-    line += ",\"uplink_decoded_bytes\":" +
-            std::to_string(r.uplink_decoded_bytes);
-  }
-  // Sharding fields only on sharded scenarios, mirroring the codec
-  // gating: flat lines keep their exact pre-sharding bytes.
-  if (s.shards > 1) {
-    line += ",\"shards\":" + std::to_string(s.shards);
-    line += ",\"shard_merge\":" + json_str(s.shard_merge);
-  }
-  // Chaos / quorum blocks under the same gating: fault-free,
-  // policy-free lines — the goldens — keep their exact bytes.
-  if (s.chaos_active()) {
-    line += ",\"fault\":" + json_str(s.fault);
-    if (s.deadline_ms > 0.0)
-      line += ",\"deadline_ms\":" + json_num(s.deadline_ms);
-    if (s.churn > 0.0) {
-      line += ",\"churn\":" + json_num(s.churn);
-      line += ",\"churn_absence\":" + json_num(s.churn_absence);
-    }
-    line += ",\"churned\":" + std::to_string(r.churned_total);
-    line += ",\"deadline_misses\":" + std::to_string(r.deadline_miss_total);
-    line += ",\"lost_uplinks\":" + std::to_string(r.lost_uplink_total);
-    line += ",\"uplink_attempts\":" + std::to_string(r.uplink_attempts);
-    line += ",\"sim_time_ms\":" + json_num(r.sim_time_ms);
-  }
-  if (s.quorum_active()) {
-    line += ",\"quorum_min\":" + std::to_string(s.quorum_min);
-    line += ",\"quorum_survivors\":" + std::to_string(s.quorum_survivors);
-    line += ",\"quorum_action\":" + json_str(s.quorum_action);
-    line += ",\"fallback_cmean_rounds\":" +
-            std::to_string(r.fallback_cmean_rounds);
-    line += ",\"fallback_prev_rounds\":" +
-            std::to_string(r.fallback_prev_rounds);
-  }
-  // Adversary block under the same gating: adversary-free lines — all
-  // committed goldens — keep their exact bytes.
-  if (s.adversary_active()) {
-    line += ",\"adaptive\":";
-    line += s.adaptive ? "true" : "false";
-    line += ",\"wirecraft\":";
-    line += s.wirecraft ? "true" : "false";
-    if (s.collude > 0.0) line += ",\"collude\":" + json_num(s.collude);
-  }
-  if (r.halted) line += ",\"halted\":true";
-  line += ",\"trace_checksum\":" + json_hex(r.trace_checksum);
+  Out o{Out::kJson, "{\"id\":" + json_str(s.id())};
+  for_active(s, [&](const Axis& a) {
+    if (!a.active) a.write(s, r, o);
+  });
+  o.field("error", r.error.empty() ? "null" : json_str(r.error))
+      .field("final_accuracy", json_num(r.final_accuracy))
+      .field("best_accuracy", json_num(r.best_accuracy))
+      .field("honest_pass_rate",
+             r.honest_pass_rate < 0.0 ? "null" : json_num(r.honest_pass_rate))
+      .field("malicious_pass_rate", r.malicious_pass_rate < 0.0
+                                        ? "null"
+                                        : json_num(r.malicious_pass_rate))
+      .field("skipped_rounds", std::to_string(r.skipped_rounds))
+      .field("dropped", std::to_string(r.dropped_total))
+      .field("stragglers", std::to_string(r.straggler_total));
+  for_active(s, [&](const Axis& a) {
+    if (a.active) a.write(s, r, o);
+  });
+  if (r.halted) o.field("halted", "true");
+  o.field("trace_checksum", json_hex(r.trace_checksum));
+  std::string& line = o.text;
   if (!r.rounds.empty()) {
     line += ",\"round_checksums\":[";
     for (std::size_t i = 0; i < r.rounds.size(); ++i) {
@@ -607,11 +941,12 @@ void write_jsonl_line(std::ostream& os, const ScenarioResult& r,
     }
     line += ']';
   }
-  // Observability block, gated exactly like the codec/shards/fault
-  // blocks: absent with obs off, so existing goldens keep their bytes.
-  // "c" holds the round's nonzero work counters keyed "<stage>.<counter>"
-  // in stage-major canonical order (deterministic — the CI thread-diff
-  // target); "ms" the per-stage wall-clock, only under obs_timing.
+  // Observability block, gated like a registry axis but by the run's
+  // options rather than the spec: absent with obs off, so existing
+  // goldens keep their bytes. "c" holds the round's nonzero work
+  // counters keyed "<stage>.<counter>" in stage-major canonical order
+  // (deterministic — the CI thread-diff target); "ms" the per-stage
+  // wall-clock, only under obs_timing.
   if (r.obs_counters && !r.obs_rounds.empty()) {
     line += ",\"obs\":[";
     for (std::size_t i = 0; i < r.obs_rounds.size(); ++i) {
@@ -648,37 +983,21 @@ void write_jsonl_line(std::ostream& os, const ScenarioResult& r,
     }
     line += ']';
   }
-  if (include_timing) {
-    line += ",\"wall_s\":" + json_num(r.wall_seconds);
-    line += ",\"cpu_s\":" + json_num(r.cpu_seconds);
-  }
+  if (include_timing)
+    o.field("wall_s", json_num(r.wall_seconds))
+        .field("cpu_s", json_num(r.cpu_seconds));
   line += "}\n";
   os << line << std::flush;
 }
 
 std::string summary_table(const std::vector<ScenarioResult>& results) {
-  // Group key: every grid dimension except attack and GAR.
+  // Group key: every registry label (all axes but attack and GAR).
   const auto group_of = [](const ScenarioResult& r) {
-    const ScenarioSpec& s = r.spec;
-    std::string g = workload_name(s.workload) + " (" + to_string(s.profile);
-    g += s.skew < 0.0 ? ", iid" : ", noniid s=" + num(s.skew);
-    g += ", byz=" + num(s.byzantine_frac);
-    if (s.participation < 1.0) g += ", p=" + num(s.participation);
-    if (s.dropout_prob > 0.0) g += ", drop=" + num(s.dropout_prob);
-    if (s.straggler_prob > 0.0) g += ", strag=" + num(s.straggler_prob);
-    if (s.codec != "none") g += ", codec=" + s.codec;
-    if (s.shards > 1) g += ", shards=" + std::to_string(s.shards);
-    if (s.fault != "none") g += ", fault=" + s.fault;
-    if (s.deadline_ms > 0.0) g += ", dl=" + num(s.deadline_ms);
-    if (s.churn > 0.0) g += ", churn=" + num(s.churn);
-    if (s.quorum_active()) g += ", qmin=" + std::to_string(s.quorum_min);
-    if (s.adaptive) g += ", adaptive";
-    if (s.wirecraft) g += ", wirecraft";
-    if (s.collude > 0.0) g += ", collude=" + num(s.collude);
-    g += ", rounds=" + std::to_string(r.resolved_rounds);
-    g += ", n=" + std::to_string(r.resolved_clients);
-    g += ", seed=" + std::to_string(s.seed) + ")";
-    return g;
+    Out o{Out::kLabel};
+    for_active(r.spec, [&](const Axis& a) { a.write(r.spec, r, o); });
+    std::string g = o.labels[0] + " (" + o.labels[1];
+    for (std::size_t i = 2; i < o.labels.size(); ++i) g += ", " + o.labels[i];
+    return g + ")";
   };
 
   // First-appearance orders keep the output aligned with the canonical

@@ -11,6 +11,11 @@
 // nested parallel_chunks calls run inline (common::in_parallel_region) —
 // so every ScenarioResult, and the streamed JSONL, is bit-identical for
 // any SIGNGUARD_THREADS value and any submission or completion order.
+//
+// Every grid axis is one entry of the axis registry in sweep.cc: its
+// fields, command-line flags, gate, id segment, JSONL fields and summary
+// label. ScenarioSpec::id(), SweepGrid::{size,expand}, write_jsonl_line,
+// summary_table and grid_flags all iterate that one table.
 
 #include <cstdint>
 #include <functional>
@@ -88,16 +93,6 @@ struct ScenarioSpec {
   std::size_t n_clients = 0;         // 0 = workload default
   std::uint64_t seed = 7;
 
-  bool chaos_active() const {
-    return fault != "none" || deadline_ms > 0.0 || churn > 0.0;
-  }
-  bool quorum_active() const {
-    return quorum_min > 0 || quorum_survivors > 0;
-  }
-  bool adversary_active() const {
-    return adaptive || wirecraft || collude > 0.0;
-  }
-
   // Canonical key: total order over scenarios and the root of the
   // scenario's RNG stream. Two specs with equal ids are the same
   // experiment.
@@ -151,8 +146,53 @@ struct SweepGrid {
   std::uint64_t seed = 7;
 
   std::size_t size() const;  // product of the dimension sizes
+  // One spec per combination, the last list varying fastest (list order:
+  // the declaration order above).
   std::vector<ScenarioSpec> expand() const;
 };
+
+// ---- Axis registry introspection ------------------------------------------
+
+// Names of the registry's gated axes ("codec", "shards", "chaos",
+// "quorum", "adversary"), in registry order. A gated axis writes no id
+// segment, JSONL field or summary label for a spec it is off for.
+std::vector<std::string> gated_axes();
+
+// Whether registry axis `axis` is on for `s` (always true for a core
+// axis). Throws std::invalid_argument for an unknown name.
+bool axis_active(const std::string& axis, const ScenarioSpec& s);
+
+// ---- Command-line surface (sweep_runner) ------------------------------------
+
+// One command-line flag: "--name=VALUE", or a bare "--name" when `value`
+// is empty. `set` parses the whole value into its target and throws
+// std::invalid_argument with the reason when it is malformed.
+struct CliFlag {
+  std::string name;
+  std::string value;     // placeholder shown in --help; empty: bare flag
+  std::string fallback;  // default, applied before argv when non-empty
+  std::string help;
+  std::function<void(const std::string&)> set;
+};
+
+// The grid's flags in registry order, one per SweepGrid field (lists
+// comma-separated), writing into `grid` — which must outlive them. Their
+// fallbacks form sweep_runner's 24-scenario smoke grid. Unknown attack,
+// GAR, codec, fault, merge and action names are accepted here and
+// surface per scenario in the results.
+std::vector<CliFlag> grid_flags(SweepGrid& grid);
+
+// Applies every flag's fallback, then each token of `args` in order.
+// Throws std::invalid_argument("<token>: <reason>") for a malformed value
+// or a token that names no flag.
+void apply_flags(const std::vector<CliFlag>& flags,
+                 const std::vector<std::string>& args);
+
+// --help text for `flags`: one line per flag with its default.
+std::string flags_help(const std::vector<CliFlag>& flags);
+
+// Strict unsigned count: digits only, in range, or std::invalid_argument.
+std::size_t parse_count(const std::string& v);
 
 // Per-round trace record captured through the trainer's RoundObservation
 // hook.

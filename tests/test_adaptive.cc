@@ -3,26 +3,19 @@
 // it when it moves, the damage hill-climb escalates without a selection
 // signal, every cross-round variable survives serialize/restore bitwise,
 // the chaos-colluding scheduler bursts on degraded rounds from a
-// stateless fraction stream, and the whole feedback loop stays
-// deterministic through the sweep engine: bit-identical JSONL across
-// thread counts and across a kill+resume. The scoreboard test pins the
-// headline: amplitude adaptation breaks Multi-Krum while SignGuard
-// holds.
+// stateless fraction stream. The scoreboard test pins the headline:
+// amplitude adaptation breaks Multi-Krum while SignGuard holds. The
+// loop's sweep-level determinism (thread counts, kill+resume) is part of
+// the registry-wide contract test in tests/test_sweep_engine.cc.
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-
 #include <cmath>
-#include <cstdio>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "attacks/adaptive.h"
-#include "common/hash.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/serial.h"
 #include "fl/sweep.h"
@@ -274,93 +267,8 @@ TEST(ChaosCollude, DegradedRoundsTriggerFullCollusionBursts) {
 }
 
 // ---- the feedback loop through the sweep engine ---------------------------
-
-fl::SweepGrid adversary_grid() {
-  fl::SweepGrid grid;
-  grid.attacks = {"MinMax"};
-  grid.gars = {"Multi-Krum", "SignGuard"};
-  grid.codecs = {"sign1"};
-  grid.adaptives = {true};
-  grid.wirecrafts = {true};
-  grid.colludes = {0.0, 0.4};
-  grid.rounds = 4;
-  grid.n_clients = 8;
-  return grid;
-}
-
-std::string adversary_jsonl(const std::vector<fl::ScenarioSpec>& specs) {
-  std::ostringstream os;
-  fl::SweepOptions opts;
-  opts.scale = fl::Scale::kSmoke;
-  opts.jsonl = &os;
-  fl::run_sweep(specs, opts);
-  return os.str();
-}
-
-TEST(AdaptiveSweep, JsonlBitIdenticalAcrossThreadCounts) {
-  const auto specs = adversary_grid().expand();
-  ASSERT_EQ(specs.size(), 4u);
-  // The adversary axes are gated into ids and JSONL only when active.
-  EXPECT_NE(specs[0].id().find("/adapt=1/wc=1"), std::string::npos);
-  common::set_thread_count(1);
-  const std::string one = adversary_jsonl(specs);
-  common::set_thread_count(4);
-  const std::string four = adversary_jsonl(specs);
-  common::set_thread_count(0);  // restore automatic sizing
-  EXPECT_FALSE(one.empty());
-  EXPECT_EQ(one, four);
-  EXPECT_NE(one.find("\"adaptive\":true"), std::string::npos);
-  EXPECT_NE(one.find("\"wirecraft\":true"), std::string::npos);
-  EXPECT_NE(one.find("\"collude\":0.4"), std::string::npos);
-}
-
-TEST(AdaptiveSweep, KillResumeEmitsByteIdenticalJsonl) {
-  const std::string dir = testing::TempDir() + "signguard_adaptive_ckpt";
-  ::mkdir(dir.c_str(), 0755);
-
-  fl::SweepGrid grid;
-  grid.attacks = {"MinMax"};
-  grid.gars = {"Multi-Krum"};
-  grid.codecs = {"sign1"};
-  grid.adaptives = {true};
-  grid.wirecrafts = {true};
-  grid.rounds = 8;
-  grid.n_clients = 10;
-
-  const std::vector<fl::ScenarioSpec> specs = grid.expand();
-  ASSERT_EQ(specs.size(), 1u);
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(
-                    common::fnv1a64(specs[0].id())));
-  const std::string ckpt = dir + "/" + hex + ".ckpt";
-  std::remove(ckpt.c_str());
-
-  const auto run = [&](bool checkpointed, std::size_t halt, bool resume) {
-    std::ostringstream os;
-    fl::SweepOptions opts;
-    opts.scale = fl::Scale::kSmoke;
-    opts.jsonl = &os;
-    if (checkpointed) {
-      opts.checkpoint_dir = dir;
-      opts.checkpoint_every = 3;
-      opts.halt_after_round = halt;
-      opts.resume = resume;
-    }
-    fl::run_sweep(grid.expand(), opts);
-    return os.str();
-  };
-
-  // The kill lands mid-bisection (round 5 of 8, checkpoints every 3):
-  // the resumed run must replay the adaptive search — gain, bracket,
-  // last deviation direction — bitwise, or the tail diverges.
-  const std::string ref = run(false, 0, false);
-  const std::string halted = run(true, 5, false);
-  EXPECT_NE(halted.find("\"halted\":true"), std::string::npos);
-  const std::string resumed = run(true, 0, true);
-  EXPECT_EQ(resumed, ref);
-  std::remove(ckpt.c_str());
-}
+// Thread-count and kill+resume determinism of the adversary axis live in
+// the registry-wide contract test (tests/test_sweep_engine.cc).
 
 TEST(AdaptiveScoreboard, BreaksMultiKrumWhileSignGuardHolds) {
   // The headline result at unit-test scale (exact values are pinned by

@@ -8,21 +8,16 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
-
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/hash.h"
-#include "common/parallel.h"
 #include "data/synth_image.h"
 #include "fl/chaos.h"
 #include "fl/checkpoint.h"
 #include "fl/experiment.h"
-#include "fl/sweep.h"
 #include "fl/trainer.h"
 #include "nn/models.h"
 
@@ -59,14 +54,6 @@ ModelFactory tiny_model() {
 std::string tmp_path(const std::string& tag) {
   return testing::TempDir() + "signguard_chaos_" + tag;
 }
-
-struct ThreadGuard {
-  explicit ThreadGuard(std::size_t n) : prev(common::thread_count()) {
-    common::set_thread_count(n);
-  }
-  ~ThreadGuard() { common::set_thread_count(prev); }
-  std::size_t prev;
-};
 
 // ---- ChaosEngine determinism ----------------------------------------------
 
@@ -232,43 +219,6 @@ TEST(Churn, AccountedExactlyOncePerAbsentClientRound) {
       trainer.run(*attack, make_aggregator("Mean", 1), observer);
   EXPECT_EQ(res.churned_total, churned_sum);
   EXPECT_GT(res.churned_total, 0u);  // p=0.2 over 240 client-rounds
-}
-
-// ---- Thread-invariance of the full fault pipeline -------------------------
-
-std::string chaos_cell_jsonl() {
-  SweepGrid grid;
-  grid.attacks = {"SignFlip"};
-  grid.gars = {"SignGuard"};
-  grid.faults = {"flaky"};
-  grid.deadlines = {250.0};
-  grid.churns = {0.1};
-  grid.quorum_min = 4;
-  grid.rounds = 6;
-  grid.n_clients = 10;
-  std::ostringstream os;
-  SweepOptions opts;
-  opts.scale = Scale::kSmoke;
-  opts.jsonl = &os;
-  run_sweep(grid.expand(), opts);
-  return os.str();
-}
-
-TEST(ChaosDeterminism, JsonlBitwiseIdenticalAcrossThreadCounts) {
-  std::string one, four;
-  {
-    ThreadGuard g(1);
-    one = chaos_cell_jsonl();
-  }
-  {
-    ThreadGuard g(4);
-    four = chaos_cell_jsonl();
-  }
-  EXPECT_FALSE(one.empty());
-  EXPECT_EQ(one, four);
-  // The chaos axis must actually be on in the emitted line.
-  EXPECT_NE(one.find("\"fault\":\"flaky\""), std::string::npos);
-  EXPECT_NE(one.find("\"uplink_attempts\":"), std::string::npos);
 }
 
 // ---- Quorum degradation ---------------------------------------------------
@@ -510,52 +460,6 @@ TEST(Checkpoint, ConfigMismatchRefusesToResume) {
   other = cfg;
   other.weight_decay = 0.0;
   expect_refused(cfg, other);
-}
-
-TEST(Checkpoint, SweepResumeEmitsByteIdenticalJsonl) {
-  const std::string dir = testing::TempDir() + "signguard_chaos_sweepckpt";
-  ::mkdir(dir.c_str(), 0755);
-
-  SweepGrid grid;
-  grid.attacks = {"SignFlip"};
-  grid.gars = {"SignGuard"};
-  grid.faults = {"flaky"};
-  grid.churns = {0.1};
-  grid.rounds = 8;
-  grid.n_clients = 10;
-
-  // The sweep engine names each scenario's file by its id hash; the grid
-  // has exactly one scenario, so pre-clean that file.
-  const std::vector<ScenarioSpec> specs = grid.expand();
-  ASSERT_EQ(specs.size(), 1u);
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(
-                    common::fnv1a64(specs[0].id())));
-  const std::string ckpt = dir + "/" + hex + ".ckpt";
-  std::remove(ckpt.c_str());
-
-  const auto run = [&](bool checkpointed, std::size_t halt, bool resume) {
-    std::ostringstream os;
-    SweepOptions opts;
-    opts.scale = Scale::kSmoke;
-    opts.jsonl = &os;
-    if (checkpointed) {
-      opts.checkpoint_dir = dir;
-      opts.checkpoint_every = 3;
-      opts.halt_after_round = halt;
-      opts.resume = resume;
-    }
-    run_sweep(grid.expand(), opts);
-    return os.str();
-  };
-
-  const std::string ref = run(false, 0, false);
-  const std::string halted = run(true, 5, false);
-  EXPECT_NE(halted.find("\"halted\":true"), std::string::npos);
-  const std::string resumed = run(true, 0, true);
-  EXPECT_EQ(resumed, ref);
-  std::remove(ckpt.c_str());
 }
 
 // ---- Simulated-time accounting --------------------------------------------

@@ -6,7 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <filesystem>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/parallel.h"
@@ -606,6 +611,191 @@ TEST(SweepPins, ExpandOrderIsTheLoopNest) {
   g.churns.clear();
   EXPECT_EQ(g.size(), 0u);
   EXPECT_TRUE(g.expand().empty());
+}
+
+// ---- The grid's command-line flags ------------------------------------------
+
+std::string flag_error(const std::vector<std::string>& args) {
+  SweepGrid grid;
+  try {
+    apply_flags(grid_flags(grid), args);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(SweepFlags, DefaultsAreTheSmokeGrid) {
+  SweepGrid grid;
+  apply_flags(grid_flags(grid), {});
+  EXPECT_EQ(grid.size(), 24u);
+  EXPECT_EQ(grid.attacks, (std::vector<std::string>{"NoAttack", "SignFlip",
+                                                    "LIE", "ByzMean"}));
+  EXPECT_EQ(grid.gars,
+            (std::vector<std::string>{"Mean", "Median", "SignGuard"}));
+  EXPECT_EQ(grid.skews, (std::vector<double>{kIidSkew, 0.5}));
+}
+
+TEST(SweepFlags, ParsesListsScalarsAndShorthands) {
+  SweepGrid g;
+  apply_flags(grid_flags(g),
+              {"--workloads=MNIST-like,CIFAR-like", "--profile=paper",
+               "--gars=table1", "--skews=iid,0.25,", "--adaptive=0,true",
+               "--shards=1,8", "--seed=18446744073709551615", "--attacks=A",
+               "--attacks=B", "--codecs=bogus"});
+  EXPECT_EQ(g.workloads.size(), 2u);
+  EXPECT_EQ(g.profile, ModelProfile::kPaper);
+  EXPECT_EQ(g.gars.size(), 11u);
+  EXPECT_EQ(g.skews, (std::vector<double>{kIidSkew, 0.25}));
+  EXPECT_EQ(g.adaptives, (std::vector<bool>{false, true}));
+  EXPECT_EQ(g.shard_counts, (std::vector<std::size_t>{1, 8}));
+  EXPECT_EQ(g.seed, 18446744073709551615ull);
+  EXPECT_EQ(g.attacks, std::vector<std::string>{"B"});  // the last one wins
+  // Unknown codec, attack, GAR, fault, merge and action names parse: they
+  // surface per scenario as ScenarioResult::error.
+  EXPECT_EQ(g.codecs, std::vector<std::string>{"bogus"});
+}
+
+TEST(SweepFlags, RejectsMalformedValuesWithFlagAndReason) {
+  EXPECT_EQ(flag_error({"--adaptive=off"}),
+            "--adaptive=off: \"off\" is not 0|1|true|false");
+  EXPECT_EQ(flag_error({"--shards=-1"}),
+            "--shards=-1: \"-1\" is not an unsigned count");
+  EXPECT_EQ(flag_error({"--byz=abc"}), "--byz=abc: \"abc\" is not a number");
+  EXPECT_EQ(flag_error({"--skews=iidx"}),
+            "--skews=iidx: \"iidx\" is neither \"iid\" nor a number in "
+            "[0, 1]");
+  EXPECT_EQ(flag_error({"--profile=bogus"}),
+            "--profile=bogus: \"bogus\" is not grid|paper");
+  EXPECT_EQ(flag_error({"--codec=sign1"}), "--codec=sign1: unknown flag");
+  EXPECT_EQ(flag_error({"--byz=0.2x"}), "--byz=0.2x: \"0.2x\" is not a number");
+  EXPECT_EQ(flag_error({"--collude=nan"}),
+            "--collude=nan: \"nan\" is not a number");
+  EXPECT_EQ(flag_error({"--skews=1.5"}),
+            "--skews=1.5: \"1.5\" is neither \"iid\" nor a number in [0, 1]");
+  EXPECT_EQ(flag_error({"--rounds=1e3"}),
+            "--rounds=1e3: \"1e3\" is not an unsigned count");
+  EXPECT_EQ(flag_error({"--seed=18446744073709551616"}),
+            "--seed=18446744073709551616: \"18446744073709551616\" is out of "
+            "range");
+  EXPECT_EQ(flag_error({"--byz=,"}), "--byz=,: empty list");
+  EXPECT_EQ(flag_error({"--shard-merge="}), "--shard-merge=: empty name");
+  EXPECT_EQ(flag_error({"--clients"}), "--clients: unknown flag");
+  EXPECT_EQ(flag_error({"--workloads=Bogus"}),
+            "--workloads=Bogus: unknown workload: Bogus (known: MNIST-like, "
+            "Fashion-like, CIFAR-like, AGNews-like)");
+  // The first bad token stops the parse, wherever it sits.
+  EXPECT_EQ(flag_error({"--rounds=3", "--wirecraft=yes", "--clients=x"}),
+            "--wirecraft=yes: \"yes\" is not 0|1|true|false");
+  EXPECT_EQ(flag_error({"--rounds=3", "--clients=8"}), "accepted");
+}
+
+// ---- One determinism contract over every gated axis ------------------------
+// Per cell: the JSONL is byte-identical at 1 and 4 pool threads, and a run
+// killed at round 5 of 8 (checkpoints every 3) and then resumed emits the
+// uninterrupted run's bytes. Each gated registry axis has a cell.
+
+struct ContractCell {
+  std::string axis;
+  SweepGrid grid;
+  std::vector<std::string> needles;  // must appear in the JSONL
+};
+
+SweepGrid contract_grid(const char* attack, const char* gar) {
+  SweepGrid g;
+  g.attacks = {attack};
+  g.gars = {gar};
+  g.rounds = 8;
+  g.n_clients = 10;
+  return g;
+}
+
+std::vector<ContractCell> contract_cells() {
+  SweepGrid codec = contract_grid("ByzMean", "SignGuard");
+  codec.codecs = {"sign1"};
+  SweepGrid shards = contract_grid("LIE", "SignGuard");
+  shards.shard_counts = {4};
+  shards.n_clients = 16;
+  SweepGrid chaos = contract_grid("SignFlip", "SignGuard");
+  chaos.faults = {"flaky"};
+  chaos.deadlines = {250.0};
+  chaos.churns = {0.1};
+  SweepGrid quorum = contract_grid("SignFlip", "Median");
+  quorum.dropout_probs = {0.4};
+  quorum.quorum_min = 7;
+  quorum.quorum_action = "prev";
+  // The adversary kill lands mid-bisection: the resumed run must replay
+  // the adaptive search (gain, bracket, last deviation direction)
+  // bitwise, or the tail diverges.
+  SweepGrid adversary = contract_grid("MinMax", "Multi-Krum");
+  adversary.codecs = {"sign1"};
+  adversary.adaptives = {true};
+  adversary.wirecrafts = {true};
+  adversary.colludes = {0.0, 0.4};
+  return {
+      {"codec", codec, {"\"codec\":\"sign1\"", "\"uplink_bytes\":"}},
+      {"shards", shards, {"\"shards\":4"}},
+      {"chaos", chaos, {"\"fault\":\"flaky\"", "\"uplink_attempts\":"}},
+      {"quorum", quorum, {"\"quorum_min\":7", "\"fallback_prev_rounds\":"}},
+      {"adversary",
+       adversary,
+       {"/adapt=1/wc=1", "\"adaptive\":true", "\"wirecraft\":true",
+        "\"collude\":0.4"}},
+  };
+}
+
+std::string contract_jsonl(const SweepGrid& grid, const std::string& dir = "",
+                           std::size_t halt = 0, bool resume = false) {
+  std::ostringstream os;
+  SweepOptions opts = quiet_options();
+  opts.jsonl = &os;
+  opts.checkpoint_dir = dir;
+  opts.checkpoint_every = 3;
+  opts.halt_after_round = halt;
+  opts.resume = resume;
+  run_sweep(grid.expand(), opts);
+  return os.str();
+}
+
+class SweepContract : public ::testing::TestWithParam<ContractCell> {};
+
+TEST_P(SweepContract, ThreadInvariantAndKillResumeByteIdentical) {
+  const ContractCell& cell = GetParam();
+  const auto specs = cell.grid.expand();
+  ASSERT_FALSE(specs.empty());
+  for (const auto& s : specs) EXPECT_TRUE(axis_active(cell.axis, s)) << s.id();
+
+  common::set_thread_count(1);
+  const std::string one = contract_jsonl(cell.grid);
+  common::set_thread_count(4);
+  const std::string four = contract_jsonl(cell.grid);
+  common::set_thread_count(0);  // restore automatic sizing
+  EXPECT_EQ(std::count(one.begin(), one.end(), '\n'),
+            std::ptrdiff_t(specs.size()));
+  EXPECT_EQ(one.find("\"error\":\""), std::string::npos) << one;
+  EXPECT_EQ(one, four);
+  for (const auto& needle : cell.needles)
+    EXPECT_NE(one.find(needle), std::string::npos) << needle;
+
+  const std::string dir = testing::TempDir() + "signguard_contract_" + cell.axis;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string halted = contract_jsonl(cell.grid, dir, 5);
+  EXPECT_NE(halted.find("\"halted\":true"), std::string::npos);
+  EXPECT_EQ(contract_jsonl(cell.grid, dir, 0, /*resume=*/true), one);
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(GatedAxes, SweepContract,
+                         ::testing::ValuesIn(contract_cells()),
+                         [](const auto& info) { return info.param.axis; });
+
+TEST(SweepContractCoverage, EveryGatedAxisHasACell) {
+  std::vector<std::string> covered;
+  for (const auto& cell : contract_cells()) covered.push_back(cell.axis);
+  for (const auto& axis : gated_axes())
+    EXPECT_NE(std::find(covered.begin(), covered.end(), axis), covered.end())
+        << "gated axis without a contract cell: " << axis;
 }
 
 }  // namespace
