@@ -277,34 +277,33 @@ struct Axis {
 // the id and the resolved one to the JSONL and the summary.
 const std::vector<Axis>& axes() {
   static const std::vector<Axis> kAxes = {
-      {"workload",
+      {"scenario",
        {list(&SweepGrid::workloads, &ScenarioSpec::workload, "workloads",
-             "MNIST-like", "workloads", parse_workload)},
+             "MNIST-like", "workloads", parse_workload),
+        scalar(&SweepGrid::profile, &ScenarioSpec::profile, "profile",
+               "grid|paper", "grid", "model profile", parse_profile),
+        list(&SweepGrid::attacks, &ScenarioSpec::attack, "attacks",
+             "NoAttack,SignFlip,LIE,ByzMean", "attack names", parse_name),
+        gar_list()},
        nullptr,
        [](const auto& s, const auto&, auto& o) {
-         o.str("", "workload", "", workload_name(s.workload));
+         o.str("", "workload", "", workload_name(s.workload))
+             .str("", "profile", "", to_string(s.profile))
+             .str("a", "attack", nullptr, s.attack)
+             .str("g", "gar", nullptr, s.gar);
        }},
-      {"profile",
-       {scalar(&SweepGrid::profile, &ScenarioSpec::profile, "profile",
-               "grid|paper", "grid", "model profile", parse_profile)},
-       nullptr,
-       [](const auto& s, const auto&, auto& o) {
-         o.str("", "profile", "", to_string(s.profile));
-       }},
-      {"attack",
-       {list(&SweepGrid::attacks, &ScenarioSpec::attack, "attacks",
-             "NoAttack,SignFlip,LIE,ByzMean", "attack names", parse_name)},
-       nullptr,
-       [](const auto& s, const auto&, auto& o) {
-         o.str("a", "attack", nullptr, s.attack);
-       }},
-      {"gar", {gar_list()}, nullptr,
-       [](const auto& s, const auto&, auto& o) {
-         o.str("g", "gar", nullptr, s.gar);
-       }},
-      {"skew",
+      {"population",
        {list(&SweepGrid::skews, &ScenarioSpec::skew, "skews", "iid,0.5",
-             "\"iid\" or non-IID s in [0,1]", parse_skew)},
+             "\"iid\" or non-IID s in [0,1]", parse_skew),
+        list(&SweepGrid::byzantine_fracs, &ScenarioSpec::byzantine_frac,
+             "byz", "0.2", "Byzantine fractions", parse_number),
+        list(&SweepGrid::participations, &ScenarioSpec::participation,
+             "participation", "1.0", "sampled client fractions",
+             parse_number),
+        list(&SweepGrid::dropout_probs, &ScenarioSpec::dropout_prob,
+             "dropout", "0.0", "per-round dropout probs", parse_number),
+        list(&SweepGrid::straggler_probs, &ScenarioSpec::straggler_prob,
+             "straggler", "0.0", "per-round straggler probs", parse_number)},
        nullptr,
        [](const auto& s, const auto&, auto& o) {
          const bool iid = s.skew < 0.0;
@@ -313,38 +312,14 @@ const std::vector<Axis>& axes() {
              .put(nullptr, nullptr, "", iid ? "iid" : "noniid s=" + num(s.skew),
                   "");
          if (!iid) o.real(nullptr, "skew", nullptr, s.skew);
-       }},
-      {"byzantine_frac",
-       {list(&SweepGrid::byzantine_fracs, &ScenarioSpec::byzantine_frac,
-             "byz", "0.2", "Byzantine fractions", parse_number)},
-       nullptr,
-       [](const auto& s, const auto&, auto& o) {
-         o.real("byz", "byzantine_frac", "byz", s.byzantine_frac);
-       }},
-      {"participation",
-       {list(&SweepGrid::participations, &ScenarioSpec::participation,
-             "participation", "1.0", "sampled client fractions",
-             parse_number)},
-       nullptr,
-       [](const auto& s, const auto&, auto& o) {
-         o.real("p", "participation", s.participation < 1.0 ? "p" : nullptr,
-                s.participation);
-       }},
-      {"dropout",
-       {list(&SweepGrid::dropout_probs, &ScenarioSpec::dropout_prob,
-             "dropout", "0.0", "per-round dropout probs", parse_number)},
-       nullptr,
-       [](const auto& s, const auto&, auto& o) {
-         o.real("drop", "dropout", s.dropout_prob > 0.0 ? "drop" : nullptr,
-                s.dropout_prob);
-       }},
-      {"straggler",
-       {list(&SweepGrid::straggler_probs, &ScenarioSpec::straggler_prob,
-             "straggler", "0.0", "per-round straggler probs", parse_number)},
-       nullptr,
-       [](const auto& s, const auto&, auto& o) {
-         o.real("strag", "straggler", s.straggler_prob > 0.0 ? "strag" : nullptr,
-                s.straggler_prob);
+         o.real("byz", "byzantine_frac", "byz", s.byzantine_frac)
+             .real("p", "participation", s.participation < 1.0 ? "p" : nullptr,
+                   s.participation)
+             .real("drop", "dropout", s.dropout_prob > 0.0 ? "drop" : nullptr,
+                   s.dropout_prob)
+             .real("strag", "straggler",
+                   s.straggler_prob > 0.0 ? "strag" : nullptr,
+                   s.straggler_prob);
        }},
       // compression_ratio is a float32 printed with %.9g: parsing it back
       // with strtof recovers the stored value bit-exactly.
@@ -445,28 +420,20 @@ const std::vector<Axis>& axes() {
              .flag("wc", "wirecraft", "wirecraft", s.wirecraft);
          if (s.collude > 0.0) o.real("collude", "collude", "collude", s.collude);
        }},
-      {"rounds",
+      {"run",
        {scalar(&SweepGrid::rounds, &ScenarioSpec::rounds, "rounds", "N", "0",
-               "rounds (0 = scale default)", parse_count)},
+               "rounds (0 = scale default)", parse_count),
+        scalar(&SweepGrid::n_clients, &ScenarioSpec::n_clients, "clients",
+               "N", "0", "clients (0 = scale default)", parse_count),
+        scalar(&SweepGrid::seed, &ScenarioSpec::seed, "seed", "N", "7",
+               "sweep seed", parse_count)},
        nullptr,
        [](const auto& s, const auto& r, auto& o) {
          o.count("r", nullptr, nullptr, s.rounds)
-             .count(nullptr, "rounds", "rounds", r.resolved_rounds);
-       }},
-      {"clients",
-       {scalar(&SweepGrid::n_clients, &ScenarioSpec::n_clients, "clients",
-               "N", "0", "clients (0 = scale default)", parse_count)},
-       nullptr,
-       [](const auto& s, const auto& r, auto& o) {
-         o.count("n", nullptr, nullptr, s.n_clients)
-             .count(nullptr, "n_clients", "n", r.resolved_clients);
-       }},
-      {"seed",
-       {scalar(&SweepGrid::seed, &ScenarioSpec::seed, "seed", "N", "7",
-               "sweep seed", parse_count)},
-       nullptr,
-       [](const auto& s, const auto&, auto& o) {
-         o.count("seed", "seed", "seed", s.seed);
+             .count(nullptr, "rounds", "rounds", r.resolved_rounds)
+             .count("n", nullptr, nullptr, s.n_clients)
+             .count(nullptr, "n_clients", "n", r.resolved_clients)
+             .count("seed", "seed", "seed", s.seed);
        }},
   };
   return kAxes;
