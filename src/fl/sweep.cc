@@ -88,6 +88,9 @@ struct Out {
   std::string text;  // the id or JSONL line under construction
   std::vector<std::string> labels;
 
+  explicit Out(Site s, std::string start = "")
+      : site(s), text(std::move(start)) {}
+
   Out& put(const char* ik, const char* jk, const char* lk,
            const std::string& v, const std::string& json) {
     if (site == kId && ik) (text += '/') += *ik ? ik + ("=" + v) : v;
