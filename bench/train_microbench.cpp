@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -96,6 +97,14 @@ void bench_layers() {
     bench_layer("linear_32x256x128", lin, x);
   }
   {
+    // The flagship MLP's wide layer at its batch of 8: the forward is the
+    // skinny NT product against a 4 MB weight.
+    nn::Linear lin(768, 1300, rng);
+    nn::Tensor x({8, 768});
+    for (auto& v : x.flat()) v = static_cast<float>(rng.normal());
+    bench_layer("linear_8x768x1300", lin, x);
+  }
+  {
     nn::Conv2d conv(6, 12, rng);
     nn::Tensor x({8, 6, 16, 16});
     for (auto& v : x.flat()) v = static_cast<float>(rng.normal());
@@ -150,9 +159,7 @@ double bench_client_round(fl::Workload& w, nn::GemmBackend backend) {
   return usec;
 }
 
-double bench_workload(const std::string& name, fl::WorkloadKind kind,
-                      fl::ModelProfile profile) {
-  fl::Workload w = fl::make_workload(kind, profile, fl::Scale::kSmoke);
+double bench_workload(const std::string& name, fl::Workload w) {
   const double ref_usec = bench_client_round(w, nn::GemmBackend::kReference);
   record("client_round", name, nn::GemmBackend::kReference, ref_usec);
   const double tiled_usec = bench_client_round(w, nn::GemmBackend::kTiled);
@@ -203,15 +210,28 @@ int main(int argc, char** argv) {
 
   bench_gemm();
   bench_layers();
-  const double mlp = bench_workload("mlp", fl::WorkloadKind::kMnistLike,
-                                    fl::ModelProfile::kGrid);
-  const double cnn = bench_workload("cnn", fl::WorkloadKind::kMnistLike,
-                                    fl::ModelProfile::kPaper);
-  const double rnn = bench_workload("rnn", fl::WorkloadKind::kAgNewsLike,
-                                    fl::ModelProfile::kPaper);
+  const auto workload = [](fl::WorkloadKind kind, fl::ModelProfile profile) {
+    return fl::make_workload(kind, profile, fl::Scale::kSmoke);
+  };
+  const double mlp = bench_workload(
+      "mlp", workload(fl::WorkloadKind::kMnistLike, fl::ModelProfile::kGrid));
+  const double cnn = bench_workload(
+      "cnn", workload(fl::WorkloadKind::kMnistLike, fl::ModelProfile::kPaper));
+  const double rnn = bench_workload(
+      "rnn", workload(fl::WorkloadKind::kAgNewsLike, fl::ModelProfile::kPaper));
+  // The flagship round's client: the d=1,012,710 768-1300-10 MLP on
+  // CIFAR-like data at batch 8.
+  fl::Workload flagship =
+      workload(fl::WorkloadKind::kCifarLike, fl::ModelProfile::kGrid);
+  flagship.model_factory = [](std::uint64_t seed) {
+    return nn::make_mlp(768, 1300, 10, seed);
+  };
+  flagship.config.batch_size = 8;
+  const double flagship_mlp =
+      bench_workload("flagship_mlp", std::move(flagship));
   std::printf("\nend-to-end client-round speedups: mlp %.2fx  cnn %.2fx  "
-              "rnn %.2fx\n",
-              mlp, cnn, rnn);
+              "rnn %.2fx  flagship_mlp %.2fx\n",
+              mlp, cnn, rnn, flagship_mlp);
   write_json(json_path);
 
   if (!assert_arg.empty()) {

@@ -1,9 +1,11 @@
 #include "attacks/byzmean.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "attacks/lie.h"
+#include "common/parallel.h"
 #include "common/vecops.h"
 
 namespace signguard::attacks {
@@ -51,11 +53,25 @@ std::vector<std::vector<float>> ByzMeanAttack::craft(
         "ByzMeanAttack: inner attack produced no gradient for group 1");
   const std::vector<float>& gm1 = inner_out.front();
 
-  // g_m2 per Eq. (8): ((n - m1) * g_m1 - sum(benign)) / m2.
-  std::vector<float> gm2(gm1.size(), 0.0f);
-  for (const auto& g : ctx.benign_grads) vec::axpy(-1.0, g, gm2);
-  vec::axpy(double(n - m1), gm1, gm2);
-  vec::scale(gm2, 1.0 / double(m2));
+  // g_m2 per Eq. (8): ((n - m1) * g_m1 - sum(benign)) / m2. Tiled by
+  // coordinate so the running sum stays cache-resident while the benign
+  // rows stream past; each coordinate still sees the same float
+  // rounding steps in the same order as whole-row axpy passes.
+  const std::size_t d = gm1.size();
+  std::vector<float> gm2(d, 0.0f);
+  common::parallel_chunks(
+      d, [&](std::size_t begin, std::size_t end, std::size_t) {
+        constexpr std::size_t kTile = vec::kAccumulatorTile;
+        for (std::size_t t0 = begin; t0 < end; t0 += kTile) {
+          const std::size_t len = std::min(end, t0 + kTile) - t0;
+          const std::span<float> acc(gm2.data() + t0, len);
+          for (const auto& g : ctx.benign_grads)
+            vec::axpy(-1.0, g.subspan(t0, len), acc);
+          vec::axpy(double(n - m1),
+                    std::span<const float>(gm1).subspan(t0, len), acc);
+          vec::scale(acc, 1.0 / double(m2));
+        }
+      });
 
   std::vector<std::vector<float>> out;
   out.reserve(m);

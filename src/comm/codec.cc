@@ -129,15 +129,20 @@ class Sign1Codec final : public Codec {
     // Branchless sign harvest (the signs of a gradient row are
     // effectively random, so a per-coordinate branch would mispredict
     // half the time): bit = !signbit, straight from the float's bits.
-    for (std::size_t base = 0; base < len; base += 8) {
+    // Full bytes run a fixed 8-wide body the compiler can unroll and
+    // vectorize; only the tail byte has a runtime bound.
+    const auto sign_byte = [](const float* x, std::size_t count) {
       std::uint8_t byte = 0;
-      const std::size_t end = std::min(len, base + 8);
-      for (std::size_t j = base; j < end; ++j)
+      for (std::size_t j = 0; j < count; ++j)
         byte |= static_cast<std::uint8_t>(
-            (~(std::bit_cast<std::uint32_t>(in[j]) >> 31) & 1u)
-            << (j - base));
-      bits[base / 8] = byte;  // unused tail bits stay zero
-    }
+            (~(std::bit_cast<std::uint32_t>(x[j]) >> 31) & 1u) << j);
+      return byte;
+    };
+    const std::size_t full = len / 8;
+    for (std::size_t b = 0; b < full; ++b)
+      bits[b] = sign_byte(in.data() + b * 8, 8);
+    if (len % 8 != 0)  // unused tail bits stay zero
+      bits[full] = sign_byte(in.data() + full * 8, len % 8);
   }
 
   bool decode_chunk(std::span<const std::uint8_t> in,
@@ -180,7 +185,18 @@ class Sign1Codec final : public Codec {
     // the whole chunk's norm contribution comes from 4 scale bytes.
     const double s = double(get_f32(in.data()));
     const double q = s * s;
-    for (std::size_t j = 0; j < len; ++j) acc += q;
+    // Four dependent adds per iteration, in the same order: on a Xeon
+    // host a one-add loop body ran 1.4-1.6x slower whenever the linker
+    // placed it across a 64-byte line (the flagship round's filter
+    // stage), and four adds per iteration hide that.
+    std::size_t j = 0;
+    for (; j + 4 <= len; j += 4) {
+      acc += q;
+      acc += q;
+      acc += q;
+      acc += q;
+    }
+    for (; j < len; ++j) acc += q;
     return acc;
   }
 

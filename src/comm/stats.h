@@ -5,7 +5,7 @@
 //
 //   uplinks --validate()--> wire_row_norms / wire_sign_stats
 //          --> norm + sign-cluster filters --> decode ONLY the trusted
-//          set into a compacted GradientMatrix --> weighted mean
+//          set, chunk by chunk, into the weighted mean
 //
 // Per-codec statistic sources (the per-chunk hooks in comm/codec.h):
 //   sign1  norms from the 4-byte per-chunk scales alone; sign counts as

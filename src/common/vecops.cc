@@ -139,30 +139,6 @@ std::vector<float> mean_of(std::span<const std::span<const float>> vs) {
   return out;
 }
 
-CoordinateMoments coordinate_moments(
-    std::span<const std::span<const float>> vs) {
-  assert(!vs.empty());
-  const std::size_t d = vs.front().size();
-  const double n = double(vs.size());
-  CoordinateMoments m;
-  m.mean.assign(d, 0.0f);
-  m.stddev.assign(d, 0.0f);
-  std::vector<double> sum(d, 0.0), sum_sq(d, 0.0);
-  for (const auto v : vs) {
-    for (std::size_t j = 0; j < d; ++j) {
-      sum[j] += v[j];
-      sum_sq[j] += double(v[j]) * double(v[j]);
-    }
-  }
-  for (std::size_t j = 0; j < d; ++j) {
-    const double mu = sum[j] / n;
-    const double var = std::max(0.0, sum_sq[j] / n - mu * mu);
-    m.mean[j] = static_cast<float>(mu);
-    m.stddev[j] = static_cast<float>(std::sqrt(var));
-  }
-  return m;
-}
-
 // ---- matrix kernels (threaded) ---------------------------------------------
 
 std::vector<double> row_norms(const common::GradientMatrix& g) {
@@ -366,10 +342,11 @@ std::vector<float> weighted_mean_of_subset(
                             1.0 / double(indices.size()));
 }
 
-CoordinateMoments coordinate_moments(const common::GradientMatrix& g) {
-  assert(!g.empty());
-  const std::size_t d = g.cols();
-  const std::size_t n = g.rows();
+CoordinateMoments coordinate_moments(
+    std::span<const std::span<const float>> vs) {
+  assert(!vs.empty());
+  const std::size_t d = vs.front().size();
+  const double n = double(vs.size());
   CoordinateMoments m;
   m.mean.assign(d, 0.0f);
   m.stddev.assign(d, 0.0f);
@@ -382,8 +359,7 @@ CoordinateMoments coordinate_moments(const common::GradientMatrix& g) {
           std::fill(sum.begin(), sum.begin() + std::ptrdiff_t(t1 - t0), 0.0);
           std::fill(sum_sq.begin(), sum_sq.begin() + std::ptrdiff_t(t1 - t0),
                     0.0);
-          for (std::size_t i = 0; i < n; ++i) {
-            const auto row = g.row(i);
+          for (const auto row : vs) {
             for (std::size_t j = t0; j < t1; ++j) {
               const double v = double(row[j]);
               sum[j - t0] += v;
@@ -391,15 +367,21 @@ CoordinateMoments coordinate_moments(const common::GradientMatrix& g) {
             }
           }
           for (std::size_t j = t0; j < t1; ++j) {
-            const double mu = sum[j - t0] / double(n);
-            const double var =
-                std::max(0.0, sum_sq[j - t0] / double(n) - mu * mu);
+            const double mu = sum[j - t0] / n;
+            const double var = std::max(0.0, sum_sq[j - t0] / n - mu * mu);
             m.mean[j] = static_cast<float>(mu);
             m.stddev[j] = static_cast<float>(std::sqrt(var));
           }
         }
       });
   return m;
+}
+
+CoordinateMoments coordinate_moments(const common::GradientMatrix& g) {
+  assert(!g.empty());
+  std::vector<std::span<const float>> rows(g.rows());
+  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = g.row(i);
+  return coordinate_moments(std::span<const std::span<const float>>(rows));
 }
 
 void for_each_column(

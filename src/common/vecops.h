@@ -94,6 +94,9 @@ void zero(std::span<float> out);
 // alias GradientMatrix rows (the attack layer's AttackContext shape).
 
 std::vector<float> mean_of(std::span<const std::span<const float>> vs);
+// The one moments kernel: threaded over coordinate ranges and tiled by
+// kAccumulatorTile, so each row streams once; every other overload
+// forwards here.
 CoordinateMoments coordinate_moments(
     std::span<const std::span<const float>> vs);
 
@@ -104,7 +107,8 @@ CoordinateMoments coordinate_moments(
 // count.
 
 // Accumulator tile width shared by the coordinate-parallel reductions
-// (mean/weighted-mean/moments here, GeoMed's Weiszfeld sweep): a worker's
+// (mean/weighted-mean/moments here, GeoMed's Weiszfeld sweep, ByzMean's
+// benign sum, SignGuard's wire-path survivor mean): a worker's
 // chunk of a d=1M gradient is a multi-megabyte accumulator that would be
 // re-streamed from memory once per row; a 4K-coordinate tile (32 KB of
 // doubles) stays in L1 across the whole row loop. Tiling only regroups

@@ -169,7 +169,7 @@ std::vector<float> clipped_mean(const common::GradientMatrix& grads,
       const double nrm = row_norms.empty()
                              ? vec::norm(grads.row(selected[k]))
                              : row_norms[selected[k]];
-      if (nrm > bound) weights[k] = bound / nrm;
+      weights[k] = clip_weight(nrm, bound);
     });
   }
   return vec::weighted_mean_of_subset(grads, selected, weights);

@@ -108,6 +108,13 @@ std::vector<float> clipped_mean(std::span<const std::vector<float>> grads,
                                 std::span<const std::size_t> selected,
                                 double bound, bool clip = true);
 
+// One row's weight in clipped_mean: bound/||g_i|| above a positive bound,
+// else 1. Shared with SignGuard's wire path, which runs the same weighted
+// mean over codec chunks instead of a matrix.
+inline double clip_weight(double norm, double bound) {
+  return bound > 0.0 && norm > bound ? bound / norm : 1.0;
+}
+
 // Sorted intersection of two index sets (each unsorted, duplicate-free).
 std::vector<std::size_t> intersect_indices(std::span<const std::size_t> a,
                                            std::span<const std::size_t> b);

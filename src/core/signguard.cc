@@ -1,16 +1,72 @@
 #include "core/signguard.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 
 #include "aggregators/internal.h"
 #include "common/parallel.h"
+#include "common/vecops.h"
 #include "obs/trace.h"
 
 namespace signguard::core {
+
+namespace {
+
+// sum_k(weights[k] * decode(uplinks[selected[k]])) / |selected|, without
+// materializing a survivor row: each worker takes whole codec chunks,
+// about vec::kAccumulatorTile coordinates at a time, decodes every
+// survivor's chunks into one cache-resident tile and accumulates it in
+// survivor order. Per coordinate that is exactly the arithmetic of
+// vec::weighted_mean_of_subset (clipped_mean's accumulation) on the
+// decoded matrix, so the result is bitwise equal to the decode path.
+std::vector<float> wire_weighted_mean(const comm::WireRound& wire,
+                                      std::span<const std::size_t> selected,
+                                      std::span<const double> weights) {
+  const comm::Codec& codec = *wire.codec;
+  const std::size_t d = wire.d;
+  const std::size_t chunk = codec.chunk();
+  const comm::WireLayout l = comm::wire_layout(codec, d);
+  const std::size_t per_tile =
+      std::max<std::size_t>(1, vec::kAccumulatorTile / chunk);
+  const std::size_t tiles = (l.n_chunks + per_tile - 1) / per_tile;
+  const double inv_count = 1.0 / double(selected.size());
+  std::vector<float> out(d);
+  common::parallel_chunks(
+      tiles, [&](std::size_t t_begin, std::size_t t_end, std::size_t) {
+        std::vector<float> x(std::min(d, per_tile * chunk));
+        std::vector<double> acc(x.size());
+        for (std::size_t t = t_begin; t < t_end; ++t) {
+          const std::size_t c0 = t * per_tile;
+          const std::size_t c1 = std::min(l.n_chunks, c0 + per_tile);
+          const std::size_t j0 = c0 * chunk;
+          const std::size_t len = std::min(d, c1 * chunk) - j0;
+          std::fill_n(acc.begin(), len, 0.0);
+          for (std::size_t k = 0; k < selected.size(); ++k) {
+            const std::uint8_t* rec = wire.uplinks[selected[k]].data() +
+                                      comm::kWireHeaderSize +
+                                      c0 * l.full_record;
+            for (std::size_t c = c0; c < c1; ++c, rec += l.full_record) {
+              const std::size_t clen = c + 1 == l.n_chunks ? l.tail_len : chunk;
+              const bool ok = codec.decode_chunk(
+                  {rec + 4, codec.chunk_payload_size(clen)},
+                  {x.data() + (c - c0) * chunk, clen});
+              assert(ok);  // the caller validated every buffer
+              (void)ok;
+            }
+            const double w = weights[k];
+            for (std::size_t j = 0; j < len; ++j) acc[j] += w * double(x[j]);
+          }
+          for (std::size_t j = 0; j < len; ++j)
+            out[j0 + j] = static_cast<float>(acc[j] * inv_count);
+        }
+      });
+  return out;
+}
+
+}  // namespace
 
 SignGuard::SignGuard(SignGuardConfig cfg) : cfg_(cfg), rng_(cfg.seed) {}
 
@@ -143,7 +199,7 @@ std::vector<float> SignGuard::aggregate_wire(const comm::WireRound& wire,
   }
 
   // Step 3: trusted set, then lazy decode — only survivors are ever
-  // materialized as f32, compacted into the reusable scratch matrix.
+  // decoded to f32, streamed chunk by chunk into the clipped mean.
   selected_ = intersect_indices(s1, s2);
   if (selected_.empty()) selected_ = !s1.empty() ? s1 : all;
   obs::count(obs::Stage::kFilter, obs::Counter::kFilterAdmits,
@@ -152,26 +208,18 @@ std::vector<float> SignGuard::aggregate_wire(const comm::WireRound& wire,
              n - selected_.size());
   filter_stage.reset();
 
-  wire_survivors_.resize(selected_.size(), d);
-  survivor_norms_.resize(selected_.size());
-  common::parallel_for(selected_.size(), [&](std::size_t k) {
-    const comm::DecodeStatus st = comm::decode_into(
-        *wire.codec, wire.uplinks[selected_[k]], wire_survivors_.row(k));
-    assert(st == comm::DecodeStatus::kOk);  // caller validated every buffer
-    (void)st;
-    survivor_norms_[k] = last_norm_.norms[selected_[k]];
-  });
+  const double bound = last_norm_.median_norm;
+  std::vector<double> weights(selected_.size(), 1.0);
+  if (cfg_.enable_norm_clipping)
+    for (std::size_t k = 0; k < selected_.size(); ++k)
+      weights[k] = clip_weight(last_norm_.norms[selected_[k]], bound);
+  std::vector<float> agg = wire_weighted_mean(wire, selected_, weights);
+  // Every survivor coordinate was decoded once, as on the decode path.
   last_decoded_bytes_ = std::uint64_t(selected_.size()) * d * 4;
   obs::count(obs::Stage::kDecode, obs::Counter::kRowsDecoded,
              selected_.size());
   obs::count(obs::Stage::kDecode, obs::Counter::kDenseBytes,
              last_decoded_bytes_);
-
-  survivor_ids_.resize(selected_.size());
-  std::iota(survivor_ids_.begin(), survivor_ids_.end(), std::size_t{0});
-  std::vector<float> agg =
-      clipped_mean(wire_survivors_, survivor_ids_, last_norm_.median_norm,
-                   cfg_.enable_norm_clipping, survivor_norms_);
   prev_aggregate_ = agg;
   return agg;
 }

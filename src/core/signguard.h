@@ -17,8 +17,9 @@
 // Compressed-domain entry point: when the uplinks arrive through a
 // comm codec, aggregate_wire() runs the same two filters on statistics
 // computed straight from the wire bytes (comm/stats.h) and decodes ONLY
-// the trusted set — bitwise-identical admission decisions and aggregate
-// to the decode-everything path, at a fraction of the bytes touched.
+// the trusted set, chunk by chunk, straight into the clipped mean —
+// bitwise-identical admission decisions and aggregate to the
+// decode-everything path, at a fraction of the bytes touched.
 
 #include <cstdint>
 #include <memory>
@@ -49,8 +50,9 @@ class SignGuard : public agg::Aggregator {
 
   // The SIGNGUARD_WIREPATH=wire backend: same pipeline, but the norm and
   // sign statistics come from the validated wire buffers and only the
-  // post-filter trusted set is decoded (into an internal compacted
-  // matrix) for the weighted-mean step. Contract: bitwise-identical
+  // post-filter trusted set is decoded for the weighted-mean step — one
+  // cache-resident tile of codec chunks at a time, accumulated in
+  // survivor order, never as whole rows. Contract: bitwise-identical
   // selected set and aggregate to aggregate() on the decoded matrix —
   // including the Rng stream, so the two backends stay exchangeable
   // round over round. Preconditions: every buffer was accepted by
@@ -66,9 +68,9 @@ class SignGuard : public agg::Aggregator {
     return cfg_.cluster.similarity == SimilarityFeature::kNone;
   }
 
-  // Dense bytes materialized by the last aggregate_wire call (trusted
-  // set × 4 bytes × d) — the wire path's share of the round's decode
-  // traffic; the trainer folds it into RoundObservation.
+  // Dense bytes decoded by the last aggregate_wire call (trusted set ×
+  // 4 bytes × d) — the wire path's share of the round's decode traffic;
+  // the trainer folds it into RoundObservation.
   std::uint64_t last_decoded_bytes() const { return last_decoded_bytes_; }
 
   std::string name() const override;
@@ -99,12 +101,6 @@ class SignGuard : public agg::Aggregator {
   std::vector<std::size_t> selected_;
   NormFilterResult last_norm_;
   SignClusterResult last_cluster_;
-  // aggregate_wire scratch: the compacted survivor matrix and its
-  // per-survivor norms (gathered from the stats pass), reused across
-  // rounds so the wire path allocates only on growth.
-  common::GradientMatrix wire_survivors_;
-  std::vector<double> survivor_norms_;
-  std::vector<std::size_t> survivor_ids_;
   std::uint64_t last_decoded_bytes_ = 0;
 };
 

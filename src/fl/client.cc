@@ -49,10 +49,9 @@ void Client::compute_gradient_into(std::span<float> out, nn::Model& model,
   loss_sum_ += loss_.loss;
   ++loss_count_;
 
-  // Flat gradient straight into the caller's row; weight decay streams
-  // from the layer blobs — no per-client flat copies on the hot path.
-  model.gradients_into(out);
-  model.add_weight_decay_into(out, weight_decay);
+  // Flat gradient plus weight decay straight into the caller's row, in
+  // one pass over the layer blobs — no per-client flat copies.
+  model.gradients_into(out, weight_decay);
 
   if (client_momentum > 0.0) {
     if (momentum_buffer_.size() != out.size())

@@ -79,29 +79,26 @@ void micro_kernel(std::size_t k, const float* pa, const float* pb, float* c,
     for (std::size_t q = 0; q < kNr; ++q) c[r * ldc + q] = acc[r][q];
 }
 
-// Edge tile: same packed panels (zero-padded), but the row/column loops
-// are bounded by the valid extent, so a 1-wide tail panel costs one
-// multiply per k step instead of kNr. Valid lanes see the identical
-// ascending-k addition sequence, so bitwise determinism is preserved;
-// the padded pack lanes are simply never read.
-SIGNGUARD_GEMM_CLONES
-void micro_kernel_edge(std::size_t k, const float* pa, const float* pb,
-                       float* c, std::size_t ldc, bool accumulate,
-                       std::size_t rows, std::size_t cols) {
-  float acc[kMr][kNr];
+// Edge or transposed-C tile: the full micro-kernel runs on a local
+// kMr x kNr tile and only the valid lanes are loaded from and stored to
+// C, whose element (r, q) sits at c[r * rsc + q * csc]. Padded lanes start
+// at zero and read the zero-padded pack lanes; they are never stored.
+// Every stored element sees the identical ascending-k addition sequence,
+// so the bits match micro_kernel and scalar_block, while the k loop keeps
+// the vectorized fixed-width body instead of runtime-bounded scalar loops.
+void micro_kernel_scratch(std::size_t k, const float* pa, const float* pb,
+                          float* c, std::size_t rsc, std::size_t csc,
+                          bool accumulate, std::size_t rows,
+                          std::size_t cols) {
+  float tile[kMr * kNr] = {};
+  if (accumulate)
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::size_t q = 0; q < cols; ++q)
+        tile[r * kNr + q] = c[r * rsc + q * csc];
+  micro_kernel(k, pa, pb, tile, kNr, accumulate);
   for (std::size_t r = 0; r < rows; ++r)
     for (std::size_t q = 0; q < cols; ++q)
-      acc[r][q] = accumulate ? c[r * ldc + q] : 0.0f;
-  for (std::size_t p = 0; p < k; ++p) {
-    const float* ap = pa + p * kMr;
-    const float* bp = pb + p * kNr;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float av = ap[r];
-      for (std::size_t q = 0; q < cols; ++q) acc[r][q] += av * bp[q];
-    }
-  }
-  for (std::size_t r = 0; r < rows; ++r)
-    for (std::size_t q = 0; q < cols; ++q) c[r * ldc + q] = acc[r][q];
+      c[r * rsc + q * csc] = tile[r * kNr + q];
 }
 
 // Packing scratch, grown once per thread and reused — GEMM calls on the
@@ -109,9 +106,13 @@ void micro_kernel_edge(std::size_t k, const float* pa, const float* pb,
 thread_local std::vector<float> tl_pack_a;
 thread_local std::vector<float> tl_pack_b;
 
+// C element (i, j) lives at c[i * rsc + j * csc]: (ldc, 1) for the
+// row-major C of every public entry point, (1, ldc) when gemm_dispatch
+// computes a product as its transpose.
 void gemm_tiled(std::size_t m, std::size_t n, std::size_t k, const float* a,
                 std::size_t lda, Trans ta, const float* b, std::size_t ldb,
-                Trans tb, float* c, std::size_t ldc, bool accumulate) {
+                Trans tb, float* c, std::size_t rsc, std::size_t csc,
+                bool accumulate) {
   const std::size_t n_panels = (n + kNr - 1) / kNr;
   // Pack B's kNr-wide panels once, p-major, so the micro-kernel streams
   // each panel linearly; transposition happens here, which is what keeps
@@ -147,12 +148,12 @@ void gemm_tiled(std::size_t m, std::size_t n, std::size_t k, const float* a,
       for (std::size_t pj = 0; pj < n_panels; ++pj) {
         const std::size_t j0 = pj * kNr;
         const std::size_t cols = std::min(kNr, n - j0);
-        if (rows == kMr && cols == kNr)
-          micro_kernel(k, pa, pb_base + j0 * k, c + i0 * ldc + j0, ldc,
-                       accumulate);
+        float* ct = c + i0 * rsc + j0 * csc;
+        if (rows == kMr && cols == kNr && csc == 1)
+          micro_kernel(k, pa, pb_base + j0 * k, ct, rsc, accumulate);
         else
-          micro_kernel_edge(k, pa, pb_base + j0 * k, c + i0 * ldc + j0, ldc,
-                            accumulate, rows, cols);
+          micro_kernel_scratch(k, pa, pb_base + j0 * k, ct, rsc, csc,
+                               accumulate, rows, cols);
       }
     }
   };
@@ -200,7 +201,18 @@ void gemm_dispatch(std::size_t m, std::size_t n, std::size_t k,
     scalar_block(0, m, 0, n, k, a, lda, ta, b, ldb, tb, c, ldc, accumulate);
     return;
   }
-  gemm_tiled(m, n, k, a, lda, ta, b, ldb, tb, c, ldc, accumulate);
+  if (ta == Trans::kN && tb == Trans::kT && m <= kNr && n > kNr) {
+    // A skinny NT product (the batch-8 forward x * W^T against a wide
+    // weight) runs as its transpose C^T = B * A^T: the wide operand is
+    // streamed once, kMr rows at a time, as the A panel instead of being
+    // packed whole as B, and the skinny side packs into one B panel.
+    // Each element multiplies the same operand pairs (IEEE multiplication
+    // commutes) and sums them in the same ascending k, so the bits match.
+    gemm_tiled(n, m, k, b, ldb, Trans::kN, a, lda, Trans::kT, c, 1, ldc,
+               accumulate);
+    return;
+  }
+  gemm_tiled(m, n, k, a, lda, ta, b, ldb, tb, c, ldc, 1, accumulate);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "nn/model.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace signguard::nn {
@@ -73,29 +74,22 @@ std::vector<float> Model::gradients() {
   return flat;
 }
 
-void Model::gradients_into(std::span<float> out) {
+void Model::gradients_into(std::span<float> out, double weight_decay) {
   std::size_t off = 0;
   for (auto& l : layers_) {
     for (const auto& p : l->params()) {
       assert(off + p.grad.size() <= out.size());
-      for (std::size_t i = 0; i < p.grad.size(); ++i)
-        out[off + i] = p.grad[i];
+      float* dst = out.data() + off;
+      if (weight_decay == 0.0) {
+        // A plain copy, not the decay formula: 0 * w would turn a -0.0
+        // gradient into +0.0.
+        std::copy(p.grad.begin(), p.grad.end(), dst);
+      } else {
+        for (std::size_t i = 0; i < p.grad.size(); ++i)
+          dst[i] = static_cast<float>(double(p.grad[i]) +
+                                      weight_decay * double(p.value[i]));
+      }
       off += p.grad.size();
-    }
-  }
-  assert(off == out.size());
-}
-
-void Model::add_weight_decay_into(std::span<float> out, double weight_decay) {
-  if (weight_decay == 0.0) return;
-  std::size_t off = 0;
-  for (auto& l : layers_) {
-    for (const auto& p : l->params()) {
-      assert(off + p.value.size() <= out.size());
-      for (std::size_t i = 0; i < p.value.size(); ++i)
-        out[off + i] = static_cast<float>(double(out[off + i]) +
-                                          weight_decay * double(p.value[i]));
-      off += p.value.size();
     }
   }
   assert(off == out.size());

@@ -46,13 +46,13 @@ class Model {
   std::vector<float> parameters();
   std::vector<float> gradients();
 
-  // Allocation-free variants for the per-round hot path: write the
-  // flattened gradient into `out` (e.g. a GradientMatrix row), and fold
-  // weight decay in directly from the layer blobs (out += wd * params)
-  // without materializing a flat parameter copy. Preconditions:
+  // Allocation-free variant for the per-round hot path: one pass writes
+  // the flattened gradient plus weight decay,
+  //   out = float(double(grad) + weight_decay * double(param)),
+  // straight from the layer blobs into `out` (e.g. a GradientMatrix row);
+  // weight_decay == 0 is a plain copy. Precondition:
   // out.size() == parameter_count().
-  void gradients_into(std::span<float> out);
-  void add_weight_decay_into(std::span<float> out, double weight_decay);
+  void gradients_into(std::span<float> out, double weight_decay);
 
   void set_parameters(std::span<const float> flat);
   void zero_gradients();

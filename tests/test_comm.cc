@@ -221,6 +221,60 @@ TEST(CommCodec, TopKFullChunkAtMaxChunkRoundTrips) {
   EXPECT_EQ(dropped, 1u);
 }
 
+// The sign1 payload pinned against a per-coordinate scalar oracle: the
+// scale is float(sum of |x| in coordinate order / len), bit j of the sign
+// bytes is !signbit(x[j]), and the tail bits are zero. The specials cover
+// every sign-bit case the harvest reads from raw bits: ±0.0, denormals,
+// ±inf and NaNs with either sign bit.
+TEST(CommCodec, Sign1EncodeMatchesScalarOracle) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            1e-42f,
+                            -1e-42f,
+                            inf,
+                            -inf,
+                            std::bit_cast<float>(0x7fc00000u),  // +qNaN
+                            std::bit_cast<float>(0xffc00000u),  // -qNaN
+                            std::bit_cast<float>(0x7f800001u),  // +sNaN
+                            std::bit_cast<float>(0xff800001u)}; // -sNaN
+  const std::size_t chunks[] = {1, 7, 64, 4096};
+  const std::size_t dims[] = {1, 7, 8, 9, 63, 64, 65, 4095, 4096, 4097};
+  Rng rng(71);
+  for (const std::size_t chunk : chunks) {
+    const auto codec = comm::make_codec(spec_of(CodecKind::kSign1, chunk));
+    for (const std::size_t d : dims) {
+      for (const bool with_specials : {false, true}) {
+        std::vector<float> row(d);
+        for (auto& v : row) v = static_cast<float>(rng.normal());
+        if (with_specials)
+          for (std::size_t j = 0; j < d; j += 3)
+            row[j] = specials[(j / 3) % std::size(specials)];
+        const auto buf = encode(*codec, row);
+        const comm::WireLayout l = comm::wire_layout(*codec, d);
+        ASSERT_EQ(buf.size(), l.total);
+        for (std::size_t c = 0; c < l.n_chunks; ++c) {
+          const std::size_t len = c + 1 == l.n_chunks ? l.tail_len : chunk;
+          const float* x = row.data() + c * chunk;
+          std::vector<std::uint8_t> want(4 + (len + 7) / 8, 0);
+          double sum = 0.0;
+          for (std::size_t j = 0; j < len; ++j) sum += std::fabs(x[j]);
+          const float scale = static_cast<float>(sum / double(len));
+          std::memcpy(want.data(), &scale, 4);
+          for (std::size_t j = 0; j < len; ++j)
+            if (!std::signbit(x[j]))
+              want[4 + j / 8] |= static_cast<std::uint8_t>(1u << (j % 8));
+          const std::uint8_t* payload =
+              buf.data() + comm::kWireHeaderSize + c * l.full_record + 4;
+          ASSERT_EQ(0, std::memcmp(payload, want.data(), want.size()))
+              << "chunk=" << chunk << " d=" << d << " c=" << c
+              << " specials=" << with_specials;
+        }
+      }
+    }
+  }
+}
+
 TEST(CommCodec, NonFiniteRowsAreDeterministicAndNeverDecodeToNonFinite) {
   // Byzantine-crafted rows reach the codecs unvalidated: encode must be
   // deterministic and defined on ±inf/NaN, and whatever decodes must be

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "aggregators/baselines.h"
 #include "attacks/byzmean.h"
@@ -438,6 +439,39 @@ TEST(Client, ClientMomentumAccumulatesAcrossRounds) {
   // Second round: v2 == 0.9 * g1 + g2.
   for (std::size_t j = 0; j < 10; ++j)
     EXPECT_NEAR(v2[j], 0.9f * g1[j] + g2[j], 1e-5);
+}
+
+// The client's gradient epilogue — one fused gradients_into pass, then
+// the momentum update — is bitwise the old copy, decay and momentum
+// passes, recomputed here from the model's gradient and parameter blobs.
+TEST(Client, GradientEpilogueMatchesCopyDecayMomentumBitwise) {
+  const auto tt = tiny_data();
+  for (const double momentum : {0.0, 0.9}) {
+    for (const double wd : {0.0, 5e-4}) {
+      nn::Model model = tiny_model()(1);
+      Client client(&tt.train, {0, 1, 2, 3, 4, 5}, 7);
+      std::vector<float> out(model.parameter_count());
+      std::vector<float> buffer(out.size(), 0.0f);
+      for (int round = 0; round < 2; ++round) {
+        client.compute_gradient_into(out, model, 4, wd, false, momentum);
+        std::vector<float> expected = model.gradients();
+        const std::vector<float> params = model.parameters();
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          if (wd != 0.0)
+            expected[i] = static_cast<float>(double(expected[i]) +
+                                             wd * double(params[i]));
+          if (momentum > 0.0) {
+            buffer[i] = static_cast<float>(momentum * buffer[i] +
+                                           double(expected[i]));
+            expected[i] = buffer[i];
+          }
+        }
+        ASSERT_EQ(0, std::memcmp(out.data(), expected.data(),
+                                 out.size() * sizeof(float)))
+            << "momentum=" << momentum << " wd=" << wd << " round=" << round;
+      }
+    }
+  }
 }
 
 TEST(Trainer, ClientMomentumModeTrains) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "nn/conv.h"
@@ -244,6 +245,40 @@ TEST(Model, ParameterRoundTrip) {
   for (std::size_t i = 0; i < q.size(); ++i) q[i] = float(i);
   m.set_parameters(q);
   EXPECT_EQ(m.parameters(), q);
+}
+
+// gradients_into(out, wd) replaces the old copy-then-decay pair with one
+// pass: out = float(double(g) + wd * double(w)), and a plain copy at
+// wd == 0, where the decay formula would turn a -0.0 gradient into +0.0.
+TEST(Model, GradientsIntoFusesWeightDecayBitwise) {
+  Rng rng(11);
+  Model m;
+  m.add(std::make_unique<Linear>(5, 7, rng))
+      .add(std::make_unique<ReLU>())
+      .add(std::make_unique<Linear>(7, 3, rng));
+  Tensor x({2, 5});
+  for (std::size_t i = 0; i < x.numel(); ++i) x[i] = float(i % 5) - 2.0f;
+  const Tensor logits = m.forward(x);
+  m.backward(softmax_cross_entropy(logits, std::vector<int>{0, 2}).dlogits);
+  // A -0.0 gradient on a positive weight: 0 * w is +0.0 there, so the
+  // decay formula at wd == 0 would flip the sign.
+  m.layer(0).params()[0].grad[0] = -0.0f;
+  m.layer(0).params()[0].value[0] = 0.5f;
+  const std::vector<float> grads = m.gradients();
+  const std::vector<float> params = m.parameters();
+  for (const double wd : {0.0, 5e-4, 0.1}) {
+    std::vector<float> expected = grads;  // the old copy pass ...
+    if (wd != 0.0)                        // ... and the old decay pass
+      for (std::size_t i = 0; i < expected.size(); ++i)
+        expected[i] = static_cast<float>(double(expected[i]) +
+                                         wd * double(params[i]));
+    std::vector<float> out(m.parameter_count(), 1.0f);
+    m.gradients_into(out, wd);
+    ASSERT_EQ(0, std::memcmp(out.data(), expected.data(),
+                             out.size() * sizeof(float)))
+        << "wd=" << wd;
+    if (wd == 0.0) EXPECT_TRUE(std::signbit(out[0]));
+  }
 }
 
 TEST(Model, ZeroGradientsClearsAccumulation) {

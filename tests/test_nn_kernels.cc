@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/parallel.h"
@@ -61,9 +62,12 @@ class BackendGuard {
   GemmBackend saved_;
 };
 
+// The tiled backend runs once per pool size in `threads` (once on the
+// current pool when empty) and must match the reference each time.
 void expect_backends_bitwise(Kind kind, std::size_t m, std::size_t n,
                              std::size_t k, bool accumulate,
-                             std::uint64_t seed) {
+                             std::uint64_t seed,
+                             std::span<const std::size_t> threads = {}) {
   Rng rng(seed);
   // Operand storage sized for either orientation of the transposed side.
   const std::vector<float> a = random_vec(rng, std::max<std::size_t>(1, m * k));
@@ -72,17 +76,22 @@ void expect_backends_bitwise(Kind kind, std::size_t m, std::size_t n,
   const std::size_t lda = kind == Kind::kTN ? m : k;
   const std::size_t ldb = kind == Kind::kNT ? k : n;
 
-  std::vector<float> c_ref = c0, c_tiled = c0;
+  std::vector<float> c_ref = c0;
   set_gemm_backend(GemmBackend::kReference);
   run_gemm(kind, m, n, k, a.data(), lda, b.data(), ldb, c_ref.data(), n,
            accumulate);
   set_gemm_backend(GemmBackend::kTiled);
-  run_gemm(kind, m, n, k, a.data(), lda, b.data(), ldb, c_tiled.data(), n,
-           accumulate);
-  ASSERT_EQ(0, std::memcmp(c_ref.data(), c_tiled.data(),
-                           c_ref.size() * sizeof(float)))
-      << "kind=" << int(kind) << " m=" << m << " n=" << n << " k=" << k
-      << " accumulate=" << accumulate;
+  for (std::size_t t = 0; t < std::max<std::size_t>(1, threads.size()); ++t) {
+    if (!threads.empty()) common::set_thread_count(threads[t]);
+    std::vector<float> c_tiled = c0;
+    run_gemm(kind, m, n, k, a.data(), lda, b.data(), ldb, c_tiled.data(), n,
+             accumulate);
+    ASSERT_EQ(0, std::memcmp(c_ref.data(), c_tiled.data(),
+                             c_ref.size() * sizeof(float)))
+        << "kind=" << int(kind) << " m=" << m << " n=" << n << " k=" << k
+        << " accumulate=" << accumulate
+        << " threads=" << common::thread_count();
+  }
 }
 
 TEST(GemmBitwise, TiledMatchesReferenceAcrossShapes) {
@@ -98,6 +107,29 @@ TEST(GemmBitwise, TiledMatchesReferenceAcrossShapes) {
       for (const std::size_t n : ns)
         for (const std::size_t k : ks)
           expect_backends_bitwise(kind, m, n, k, (seed % 2) == 0, ++seed);
+}
+
+// The shapes the trainer actually runs: batch-sized m against wide n
+// (the flagship forward gemm_nt(8, 1300, 768) takes the skinny-NT operand
+// swap) and short k (the CNN weight gradients), at 1 and 4 threads; the
+// larger shapes cross the row-panel fan-out threshold.
+TEST(GemmBitwise, TiledMatchesReferenceAtTrainingShapes) {
+  const BackendGuard guard;
+  struct ThreadGuard {
+    ~ThreadGuard() { common::set_thread_count(0); }
+  } threads_guard;
+  const std::size_t ms[] = {1, 2, 3, 5, 6, 8};
+  const std::size_t ns[] = {9, 127, 128, 1300};
+  const std::size_t ks[] = {8, 9, 54, 768};
+  const std::size_t threads[] = {1, 4};
+  std::uint64_t seed = 1000;
+  for (const auto kind : {Kind::kNN, Kind::kNT, Kind::kTN})
+    for (const std::size_t m : ms)
+      for (const std::size_t n : ns)
+        for (const std::size_t k : ks)
+          for (const bool accumulate : {false, true})
+            expect_backends_bitwise(kind, m, n, k, accumulate, ++seed,
+                                    threads);
 }
 
 TEST(GemmBitwise, KZeroWritesOrPreservesC) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include "attacks/byzmean.h"
 #include "attacks/lie.h"
@@ -25,6 +26,7 @@
 #include "common/vecops.h"
 #include "core/filters.h"
 #include "core/signguard.h"
+#include "obs/metrics.h"
 
 namespace signguard::core {
 namespace {
@@ -392,43 +394,77 @@ WireFixture make_wire_round(const comm::CompressionSpec& spec, std::size_t d,
 
 // The backend contract: aggregate_wire on the wire bytes produces the
 // bitwise-identical trusted set and aggregate as aggregate() on the
-// decoded matrix — for every codec, both clusterers, any thread count,
-// and round over round (the Rng streams must stay aligned or the
-// backends diverge after the first call).
+// decoded matrix — for every codec, chunk size, both clusterers, with
+// and without clipping, any thread count, and round over round (the Rng
+// streams must stay aligned or the backends diverge after the first
+// call). The streamed survivor mean must also bill exactly the decode
+// traffic of materializing every survivor row.
 TEST(SignGuardWire, MatchesDecodePathBitwise) {
   struct ThreadGuard {
     ~ThreadGuard() { common::set_thread_count(0); }
   } guard;
-  const std::size_t d = 3001;  // chunk 256 -> 11 full chunks + tail 185
-  const comm::CompressionSpec specs[] = {
-      wire_spec(comm::CodecKind::kNone, 256),
-      wire_spec(comm::CodecKind::kSign1, 256),
-      wire_spec(comm::CodecKind::kInt8, 256),
-      wire_spec(comm::CodecKind::kTopK, 256, 0.1)};
-  for (const auto& spec : specs) {
-    const auto f = make_wire_round(spec, d, 97);
-    for (const auto clusterer : {Clusterer::kMeanShift, Clusterer::kKMeans2}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        common::set_thread_count(threads);
-        SignGuardConfig cfg = plain_config(33);
-        cfg.cluster.clusterer = clusterer;
-        SignGuard dec(cfg), wire(cfg);
-        for (int round = 0; round < 3; ++round) {
-          const auto a = dec.aggregate(f.decoded, gar_ctx());
-          const auto b = wire.aggregate_wire(f.round(), gar_ctx());
-          ASSERT_EQ(dec.last_selected(), wire.last_selected())
-              << f.codec->name() << " clusterer=" << int(clusterer)
-              << " threads=" << threads << " round=" << round;
-          ASSERT_EQ(a.size(), b.size());
-          ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * 4))
-              << f.codec->name() << " clusterer=" << int(clusterer)
-              << " threads=" << threads << " round=" << round;
+  // No chunk size but 1 divides its d, so every layout ends in a partial
+  // tail chunk; at chunk 65536 that is one full chunk plus the tail. The
+  // tiny chunks run at a smaller d: int8's per-chunk norm table makes a
+  // 1-coordinate chunk expensive.
+  const struct {
+    std::size_t chunk, d;
+  } layouts[] = {{1, 1001}, {7, 3001}, {256, 70001}, {65536, 70001}};
+  const comm::CodecKind kinds[] = {comm::CodecKind::kNone,
+                                   comm::CodecKind::kSign1,
+                                   comm::CodecKind::kInt8,
+                                   comm::CodecKind::kTopK};
+  for (const auto [chunk, d] : layouts) {
+    for (const auto kind : kinds) {
+      const auto f = make_wire_round(wire_spec(kind, chunk, 0.1), d, 97);
+      for (const auto clusterer :
+           {Clusterer::kMeanShift, Clusterer::kKMeans2}) {
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+          for (const bool clip : {true, false}) {
+            common::set_thread_count(threads);
+            SignGuardConfig cfg = plain_config(33);
+            cfg.cluster.clusterer = clusterer;
+            cfg.enable_norm_clipping = clip;
+            SignGuard dec(cfg), wire(cfg);
+            for (int round = 0; round < 3; ++round) {
+              const auto a = dec.aggregate(f.decoded, gar_ctx());
+              obs::MetricsRegistry reg(false);
+              std::vector<float> b;
+              {
+                obs::ScopedMetrics scope(&reg);
+                reg.begin_round(0);
+                b = wire.aggregate_wire(f.round(), gar_ctx());
+                reg.end_round();
+              }
+              const auto where = [&] {
+                return std::string(f.codec->name()) +
+                       " chunk=" + std::to_string(chunk) +
+                       " clusterer=" + std::to_string(int(clusterer)) +
+                       " threads=" + std::to_string(threads) +
+                       " clip=" + std::to_string(clip) +
+                       " round=" + std::to_string(round);
+              };
+              ASSERT_EQ(dec.last_selected(), wire.last_selected()) << where();
+              ASSERT_EQ(a.size(), b.size());
+              ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * 4))
+                  << where();
+              // Lazy decode: only the survivors were decoded (the
+              // huge-norm row, at least, never was).
+              const std::uint64_t survivors = wire.last_selected().size();
+              EXPECT_LT(survivors, f.decoded.rows()) << where();
+              EXPECT_EQ(wire.last_decoded_bytes(), survivors * d * 4)
+                  << where();
+              const auto& decode =
+                  reg.rounds().at(0).counters[std::size_t(obs::Stage::kDecode)];
+              EXPECT_EQ(decode[std::size_t(obs::Counter::kRowsDecoded)],
+                        survivors)
+                  << where();
+              EXPECT_EQ(decode[std::size_t(obs::Counter::kDenseBytes)],
+                        survivors * d * 4)
+                  << where();
+            }
+          }
         }
-        // Lazy decode: only the survivors were materialized as floats
-        // (the huge-norm row, at least, never was).
-        EXPECT_EQ(wire.last_decoded_bytes(),
-                  std::uint64_t(wire.last_selected().size()) * d * 4);
-        EXPECT_LT(wire.last_selected().size(), f.decoded.rows());
       }
     }
   }
