@@ -224,16 +224,22 @@ void bench_craft_cost() {
       {"collude_adaptive",
        std::make_unique<attacks::ChaosColludeAttack>(wrap_adaptive(), 99)},
   };
+  const std::vector<attacks::GradientView> benign_views(benign.begin(),
+                                                        benign.end());
+  const std::vector<attacks::GradientView> byz_views(byz.begin(), byz.end());
   for (Case& c : cases) {
     Rng rng(7);
-    auto in = attacks::make_attack_input(benign, byz, kBenign + kByz, kByz,
-                                         &rng);
+    attacks::AttackContext ctx{.benign_grads = benign_views,
+                               .byz_honest_grads = byz_views,
+                               .n_total = kBenign + kByz,
+                               .n_byzantine = kByz,
+                               .rng = &rng};
     volatile float sink = 0.0f;
     Stopwatch w;
     for (std::size_t rep = 0; rep < kReps; ++rep) {
-      in.ctx.round = rep;
+      ctx.round = rep;
       c.attack->begin_round(rep, rng);
-      const auto rows = c.attack->craft(in.ctx);
+      const auto rows = c.attack->craft(ctx);
       sink = sink + rows.front().front();
       // Close the loop so the adaptive layer pays its bookkeeping too.
       attacks::RoundFeedback fb;

@@ -21,9 +21,8 @@ std::vector<float> MultiKrumAggregator::aggregate(
   const std::size_t k =
       std::max<std::size_t>(1, n > m + 2 ? n - m - 2 : 1);
 
-  // The O(n^2 d) pairwise block runs as one Gram GEMM (or the direct
-  // pair loops under SIGNGUARD_DIST=direct); the O(n^2 log n) score
-  // selection fans out over rows.
+  // The O(n^2 d) pairwise block runs as one Gram GEMM; the O(n^2 log n)
+  // score selection fans out over rows.
   const PairwiseDistances pd(grads);
   std::vector<double> scores(n, 0.0);
   common::parallel_chunks(

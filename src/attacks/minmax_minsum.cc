@@ -32,12 +32,6 @@ std::vector<float> make_perturbation(std::span<const GradientView> benign,
   return {};
 }
 
-std::vector<float> make_perturbation(
-    std::span<const std::vector<float>> benign, Perturbation p) {
-  const std::vector<GradientView> views(benign.begin(), benign.end());
-  return make_perturbation(std::span<const GradientView>(views), p);
-}
-
 double max_feasible_gamma(const std::function<bool(double)>& feasible,
                           double gamma_cap) {
   if (feasible(gamma_cap)) return gamma_cap;
@@ -69,8 +63,7 @@ std::vector<std::vector<float>> craft_perturbed(
   const std::size_t nb = ctx.benign_grads.size();
 
   // Benign-to-benign distance bounds (right-hand sides of Eqs. 14/15),
-  // from one backend-dispatched pairwise block (Gram GEMM by default)
-  // over the gathered benign rows.
+  // from one Gram-backed pairwise block over the gathered benign rows.
   const auto benign = common::GradientMatrix::from_views(ctx.benign_grads);
   const auto d2 = vec::pairwise_dist2(benign);
   double max_pair_d2 = 0.0;

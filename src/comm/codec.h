@@ -114,7 +114,7 @@ class Codec {
   virtual bool decode_chunk(std::span<const std::uint8_t> in,
                             std::span<float> out) const = 0;
 
-  // --- compressed-domain statistics (the SIGNGUARD_WIREPATH=wire path) ---
+  // --- compressed-domain statistics (the SignGuard wire path) ---
   // The three hooks below let the server run SignGuard's filters on wire
   // bytes without materializing floats. Each consumes a payload of
   // exactly chunk_payload_size(len) bytes and is bitwise-equivalent to

@@ -1,35 +1,13 @@
 #include "comm/stats.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/parallel.h"
 #include "obs/trace.h"
 
 namespace signguard::comm {
-
-namespace {
-
-WirePath wire_path_from_env() {
-  const char* env = std::getenv("SIGNGUARD_WIREPATH");
-  if (env != nullptr && std::strcmp(env, "decode") == 0)
-    return WirePath::kDecode;
-  return WirePath::kWire;
-}
-
-std::atomic<WirePath> g_wire_path{wire_path_from_env()};
-
-}  // namespace
-
-WirePath wire_path() { return g_wire_path.load(std::memory_order_relaxed); }
-
-void set_wire_path(WirePath p) {
-  g_wire_path.store(p, std::memory_order_relaxed);
-}
 
 CoordMask::CoordMask(std::size_t d, std::size_t chunk,
                      std::span<const std::size_t> coords)

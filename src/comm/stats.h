@@ -1,7 +1,7 @@
 #pragma once
 // Compressed-domain statistics: SignGuard's filtering inputs computed
 // straight from validated wire buffers, without decoding a single float.
-// This is the server half of the wire path (SIGNGUARD_WIREPATH=wire):
+// This is the server half of the wire path:
 //
 //   uplinks --validate()--> wire_row_norms / wire_sign_stats
 //          --> norm + sign-cluster filters --> decode ONLY the trusted
@@ -34,19 +34,6 @@
 #include "common/gradient_stats.h"
 
 namespace signguard::comm {
-
-// Which backend the trainer's SignGuard aggregation uses when a codec is
-// active. kWire runs the compressed-domain statistics pass above; kDecode
-// is the decode-everything reference. Same two-backend discipline as
-// vec::DistBackend (SIGNGUARD_DIST): identical results by contract, so
-// the knob is a pure performance switch.
-enum class WirePath { kWire, kDecode };
-
-// Active backend: set_wire_path() override if any, else the
-// SIGNGUARD_WIREPATH environment variable ("decode" selects the
-// reference path), else kWire.
-WirePath wire_path();
-void set_wire_path(WirePath p);
 
 // A round's sampled coordinate subset re-expressed in per-chunk form,
 // built once and shared by every client's statistics pass: for each

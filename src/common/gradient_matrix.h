@@ -1,13 +1,10 @@
 #pragma once
 // The flat gradient representation of the aggregation pipeline: one
 // contiguous n_clients x dim float buffer, one row per client gradient.
-// Replaces the legacy std::vector<std::vector<float>> shape in every hot
-// path — a round's gradients live in a single allocation, rows are
-// std::span views, and the matrix kernels in common/vecops.h iterate it
-// with the thread pool from common/parallel.h.
-//
-// Legacy call sites keep working through from_vectors()/to_vectors() and
-// the adapter overloads the aggregator/filter layers retain.
+// Every aggregation entry point takes it (or row views of it): a round's
+// gradients live in a single allocation, rows are std::span views, and
+// the matrix kernels in common/vecops.h iterate it with the thread pool
+// from common/parallel.h.
 
 #include <cstddef>
 #include <span>
@@ -23,17 +20,14 @@ class GradientMatrix {
   GradientMatrix(std::size_t rows, std::size_t cols)
       : rows_(rows), cols_(cols), data_(rows * cols, 0.0f) {}
 
-  // Single-copy import of the legacy vector-of-vectors shape.
-  // Precondition: all rows share the front row's dimension.
-  static GradientMatrix from_vectors(
-      std::span<const std::vector<float>> rows);
-
-  // Import from borrowed row views (e.g. rows of another matrix).
+  // Single-copy import from borrowed row views (e.g. rows of another
+  // matrix) or from owned rows. Throws std::invalid_argument when a row's
+  // length differs from the front row's — checked before anything is
+  // copied, in every build mode.
   static GradientMatrix from_views(
       std::span<const std::span<const float>> rows);
-
-  // Export back to the legacy shape (copies).
-  std::vector<std::vector<float>> to_vectors() const;
+  static GradientMatrix from_vectors(
+      std::span<const std::vector<float>> rows);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }

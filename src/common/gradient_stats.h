@@ -41,11 +41,10 @@ std::vector<std::size_t> select_coordinates(std::size_t d, double frac,
 
 // Symmetric matrix of squared Euclidean distances between gradients,
 // stored as the packed upper triangle (n*(n-1)/2 doubles — half the dense
-// block). The matrix constructor runs the active vec::DistBackend pairwise
-// kernel (Gram GEMM or the direct pair loops) on the thread pool.
+// block), filled by the Gram-backed vec::pairwise_dist2_packed kernel on
+// the thread pool.
 class PairwiseDistances {
  public:
-  explicit PairwiseDistances(std::span<const std::vector<float>> grads);
   explicit PairwiseDistances(const common::GradientMatrix& grads);
 
   double dist2(std::size_t i, std::size_t j) const {
@@ -71,15 +70,11 @@ class PairwiseDistances {
   std::vector<double> d2_;  // packed upper triangle
 };
 
-// Median of pairwise cosine similarities between g and every other gradient
-// in `grads` except index `self` — the "correct gradient" proxy the paper
-// suggests when no previous aggregate is available.
-double median_pairwise_cosine(std::span<const std::vector<float>> grads,
-                              std::size_t self);
-
-// Reference-free similarity proxies for every client at once, derived
-// from one threaded pairwise block instead of n independent scans:
-// median over j != i of cos(g_i, g_j), and of ||g_i - g_j||.
+// Reference-free similarity proxies for every client at once — the
+// "correct gradient" proxy the paper suggests when no previous aggregate
+// is available — derived from one threaded pairwise block instead of n
+// independent scans: median over j != i of cos(g_i, g_j), and of
+// ||g_i - g_j||.
 std::vector<double> median_pairwise_cosines(
     const common::GradientMatrix& grads);
 std::vector<double> median_pairwise_distances(

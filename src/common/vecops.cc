@@ -1,37 +1,13 @@
 #include "common/vecops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <string>
 
 #include "common/parallel.h"
 #include "nn/gemm.h"
 
 namespace signguard::vec {
-
-namespace {
-
-DistBackend dist_backend_from_env() {
-  const char* env = std::getenv("SIGNGUARD_DIST");
-  if (env != nullptr && std::string(env) == "direct")
-    return DistBackend::kDirect;
-  return DistBackend::kGram;
-}
-
-std::atomic<DistBackend> g_dist_backend{dist_backend_from_env()};
-
-}  // namespace
-
-DistBackend dist_backend() {
-  return g_dist_backend.load(std::memory_order_relaxed);
-}
-
-void set_dist_backend(DistBackend b) {
-  g_dist_backend.store(b, std::memory_order_relaxed);
-}
 
 double dot(std::span<const float> a, std::span<const float> b) {
   assert(a.size() == b.size());
@@ -94,25 +70,6 @@ std::vector<float> scaled(std::span<const float> a, double alpha) {
   return out;
 }
 
-std::vector<float> mean_of(std::span<const std::vector<float>> vs) {
-  const std::vector<std::span<const float>> views(vs.begin(), vs.end());
-  return mean_of(std::span<const std::span<const float>>(views));
-}
-
-std::vector<float> mean_of_subset(std::span<const std::vector<float>> vs,
-                                  std::span<const std::size_t> indices) {
-  assert(!indices.empty());
-  std::vector<float> out(vs.front().size(), 0.0f);
-  for (const std::size_t idx : indices) axpy(1.0, vs[idx], out);
-  scale(out, 1.0 / double(indices.size()));
-  return out;
-}
-
-CoordinateMoments coordinate_moments(std::span<const std::vector<float>> vs) {
-  const std::vector<std::span<const float>> views(vs.begin(), vs.end());
-  return coordinate_moments(std::span<const std::span<const float>>(views));
-}
-
 void clip_norm(std::span<float> x, double bound) {
   const double n = norm(x);
   if (n > bound && n > 0.0) scale(x, bound / n);
@@ -159,30 +116,6 @@ std::vector<double> row_dots(const common::GradientMatrix& g,
 
 namespace {
 
-// Parallelizes a symmetric pairwise kernel over the upper-triangle pair
-// list so work stays balanced when n is small and d is huge. The direct
-// (reference) backend.
-template <typename Kernel>
-std::vector<double> pairwise_block(const common::GradientMatrix& g,
-                                   Kernel&& kernel, bool self_dot) {
-  const std::size_t n = g.rows();
-  std::vector<double> out(n * n, 0.0);
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
-  pairs.reserve(n * (n - 1) / 2);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
-  common::parallel_for(pairs.size(), [&](std::size_t p) {
-    const auto [i, j] = pairs[p];
-    const double v = kernel(g.row(i), g.row(j));
-    out[i * n + j] = v;
-    out[j * n + i] = v;
-  });
-  if (self_dot)
-    common::parallel_for(
-        n, [&](std::size_t i) { out[i * n + i] = dot(g.row(i), g.row(i)); });
-  return out;
-}
-
 // Upper-triangle Gram matrix <g_i, g_j> via GEMM: for each 64-row block
 // [i0, i1), one gemm_nt call fills C[i0:i1, i0:n] = G_block * G[i0:]^T —
 // the diagonal and upper triangle only, which halves the flops of a full
@@ -228,61 +161,37 @@ inline std::size_t packed_row_offset(std::size_t n, std::size_t i) {
 
 std::vector<double> pairwise_dist2(const common::GradientMatrix& g) {
   const std::size_t n = g.rows();
-  if (dist_backend() == DistBackend::kGram && n >= 2) {
-    const auto gram = gram_matrix(g, /*mirror=*/true);
-    std::vector<double> out(n * n, 0.0);
-    common::parallel_for(n, [&](std::size_t i) {
-      for (std::size_t j = 0; j < n; ++j)
-        if (j != i) out[i * n + j] = dist2_from_gram(gram, n, i, j);
-    });
-    return out;
-  }
-  return pairwise_block(
-      g,
-      [](std::span<const float> a, std::span<const float> b) {
-        return dist2(a, b);
-      },
-      /*self_dot=*/false);
+  std::vector<double> out(n * n, 0.0);
+  if (n < 2) return out;
+  const auto gram = gram_matrix(g, /*mirror=*/true);
+  common::parallel_for(n, [&](std::size_t i) {
+    for (std::size_t j = 0; j < n; ++j)
+      if (j != i) out[i * n + j] = dist2_from_gram(gram, n, i, j);
+  });
+  return out;
 }
 
 std::vector<double> pairwise_dot(const common::GradientMatrix& g) {
   const std::size_t n = g.rows();
-  if (dist_backend() == DistBackend::kGram && n >= 1) {
-    const auto gram = gram_matrix(g, /*mirror=*/true);
-    std::vector<double> out(n * n, 0.0);
-    common::parallel_for(n, [&](std::size_t i) {
-      for (std::size_t j = 0; j < n; ++j) out[i * n + j] = double(gram[i * n + j]);
-    });
-    return out;
-  }
-  return pairwise_block(
-      g,
-      [](std::span<const float> a, std::span<const float> b) {
-        return dot(a, b);
-      },
-      /*self_dot=*/true);
+  if (n == 0) return {};
+  const auto gram = gram_matrix(g, /*mirror=*/true);
+  std::vector<double> out(n * n, 0.0);
+  common::parallel_for(n, [&](std::size_t i) {
+    for (std::size_t j = 0; j < n; ++j)
+      out[i * n + j] = double(gram[i * n + j]);
+  });
+  return out;
 }
 
 std::vector<double> pairwise_dist2_packed(const common::GradientMatrix& g) {
   const std::size_t n = g.rows();
   if (n < 2) return {};
   std::vector<double> out(n * (n - 1) / 2, 0.0);
-  if (dist_backend() == DistBackend::kGram) {
-    const auto gram = gram_matrix(g, /*mirror=*/false);
-    common::parallel_for(n - 1, [&](std::size_t i) {
-      const std::size_t base = packed_row_offset(n, i);
-      for (std::size_t j = i + 1; j < n; ++j)
-        out[base + j - i - 1] = dist2_from_gram(gram, n, i, j);
-    });
-    return out;
-  }
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
-  pairs.reserve(n * (n - 1) / 2);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
-  common::parallel_for(pairs.size(), [&](std::size_t p) {
-    const auto [i, j] = pairs[p];
-    out[packed_row_offset(n, i) + j - i - 1] = dist2(g.row(i), g.row(j));
+  const auto gram = gram_matrix(g, /*mirror=*/false);
+  common::parallel_for(n - 1, [&](std::size_t i) {
+    const std::size_t base = packed_row_offset(n, i);
+    for (std::size_t j = i + 1; j < n; ++j)
+      out[base + j - i - 1] = dist2_from_gram(gram, n, i, j);
   });
   return out;
 }

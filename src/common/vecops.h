@@ -15,25 +15,6 @@
 
 namespace signguard::vec {
 
-// ---- pairwise-geometry backend ---------------------------------------------
-// The O(n^2 d) pairwise blocks behind Krum/Bulyan/Min-Max/Min-Sum and the
-// similarity filters come in two numerically distinct flavours:
-//   kGram   — one n x n Gram matrix from a single nn::gemm_nt(G, G) call
-//             (float accumulation, register-tiled, thread-parallel), with
-//             dist2(i, j) = <g_i,g_i> + <g_j,g_j> - 2<g_i,g_j> clamped at 0.
-//   kDirect — the scalar per-pair loops with one double accumulator per
-//             entry: the reference backend for tolerance cross-checks.
-// Both are bitwise thread-count-invariant; they differ from each other by
-// float-vs-double rounding and by cancellation on near-duplicate rows, so
-// cross-backend comparisons are tolerance-based, never bitwise.
-enum class DistBackend { kGram, kDirect };
-
-// Active backend: set_dist_backend() override if any, else the
-// SIGNGUARD_DIST environment variable ("direct" selects the scalar pair
-// loops; anything else, or unset, selects the Gram path).
-DistBackend dist_backend();
-void set_dist_backend(DistBackend b);
-
 // Inner product <a, b>. Preconditions: a.size() == b.size().
 double dot(std::span<const float> a, std::span<const float> b);
 
@@ -64,20 +45,12 @@ std::vector<float> add(std::span<const float> a, std::span<const float> b);
 // out = alpha * a.
 std::vector<float> scaled(std::span<const float> a, double alpha);
 
-// Arithmetic mean of a non-empty set of equal-length vectors.
-std::vector<float> mean_of(std::span<const std::vector<float>> vs);
-
-// Mean of the subset vs[idx] for idx in `indices` (non-empty).
-std::vector<float> mean_of_subset(std::span<const std::vector<float>> vs,
-                                  std::span<const std::size_t> indices);
-
 // Coordinate-wise mean and standard deviation (population, i.e. /n) over a
-// set of equal-length vectors.
+// set of equal-length rows.
 struct CoordinateMoments {
   std::vector<float> mean;
   std::vector<float> stddev;
 };
-CoordinateMoments coordinate_moments(std::span<const std::vector<float>> vs);
 
 // In-place rescale so that ||x|| <= bound (no-op when already within, or
 // when ||x|| == 0).
@@ -90,12 +63,15 @@ std::vector<float> sign(std::span<const float> a);
 void zero(std::span<float> out);
 
 // ---- borrowed-row-set overloads --------------------------------------------
-// Same math as the vector-of-vectors versions, over spans that typically
-// alias GradientMatrix rows (the attack layer's AttackContext shape).
+// Over spans that typically alias GradientMatrix rows (the attack layer's
+// AttackContext shape).
 
+// Arithmetic mean of a non-empty row set: float accumulation by axpy, row
+// by row (MinMax/MinSum's rounding; the matrix mean below accumulates in
+// double).
 std::vector<float> mean_of(std::span<const std::span<const float>> vs);
 // The one moments kernel: threaded over coordinate ranges and tiled by
-// kAccumulatorTile, so each row streams once; every other overload
+// kAccumulatorTile, so each row streams once; the matrix overload
 // forwards here.
 CoordinateMoments coordinate_moments(
     std::span<const std::span<const float>> vs);
@@ -123,16 +99,24 @@ std::vector<double> row_norms(const common::GradientMatrix& g);
 std::vector<double> row_dots(const common::GradientMatrix& g,
                              std::span<const float> ref);
 
+// ---- pairwise geometry -----------------------------------------------------
+// The O(n^2 d) pairwise blocks behind Krum/Bulyan/Min-Max/Min-Sum and the
+// similarity filters come from one n x n Gram matrix built by
+// nn::gemm_nt(G, G) (float accumulation, register-tiled, thread-parallel),
+// with dist2(i, j) = <g_i,g_i> + <g_j,g_j> - 2<g_i,g_j> clamped at 0.
+// Results are bitwise thread-count-invariant. They differ from the scalar
+// per-pair loops (one double accumulator per entry; tests/oracles.h) by
+// float-vs-double rounding and by cancellation on near-duplicate rows, so
+// that cross-check is tolerance-based, never bitwise.
+
 // Dense symmetric n x n blocks, row-major, diagonal zero / self-dot.
-// Computed by the active DistBackend (one GEMM for the Gram path, scalar
-// pair loops for the direct path).
 std::vector<double> pairwise_dist2(const common::GradientMatrix& g);
 std::vector<double> pairwise_dot(const common::GradientMatrix& g);
 
 // Packed upper triangle of pairwise squared distances: n*(n-1)/2 entries,
 // (i, j) with i < j at [i*(2n-i-1)/2 + j-i-1] — half the memory of the
-// dense block. Same backend dispatch and the same values as the dense
-// kernel. Backs PairwiseDistances.
+// dense block, the same values as the dense kernel. Backs
+// PairwiseDistances.
 std::vector<double> pairwise_dist2_packed(const common::GradientMatrix& g);
 
 // Arithmetic mean of all rows / of the rows in `indices` (non-empty).

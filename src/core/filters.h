@@ -4,10 +4,8 @@
 // aggregation step. The SignGuard aggregator composes them; the Table III
 // ablation bench toggles them one by one.
 //
-// Matrix overloads are the primary implementations: row norms, the fused
-// sign-statistic pass and the pairwise similarity blocks all run on the
-// shared thread pool. The vector-of-vectors overloads adapt via one copy
-// into a GradientMatrix.
+// The matrix entry points run row norms, the fused sign-statistic pass and
+// the pairwise similarity blocks on the shared thread pool.
 
 #include <span>
 #include <vector>
@@ -34,11 +32,9 @@ struct NormFilterResult {
 
 NormFilterResult norm_filter(const common::GradientMatrix& grads,
                              const NormFilterConfig& cfg);
-NormFilterResult norm_filter(std::span<const std::vector<float>> grads,
-                             const NormFilterConfig& cfg);
 
 // Statistics-input entry point: the same filter given precomputed
-// per-gradient norms (the matrix overloads delegate here after one
+// per-gradient norms (the matrix entry point delegates here after one
 // vec::row_norms pass). This is what the compressed-domain wire path
 // feeds with comm::wire_row_norms — bitwise-identical norms in, so
 // bitwise-identical admission decisions out.
@@ -61,8 +57,8 @@ struct SignClusterConfig {
 };
 
 struct SignClusterResult {
-  std::vector<std::size_t> accepted;        // S2: the largest cluster
-  std::vector<std::vector<float>> features; // per-gradient feature rows
+  std::vector<std::size_t> accepted;  // S2: the largest cluster
+  common::GradientMatrix features;    // per-gradient feature rows (n x 3|4)
   std::size_t n_clusters = 0;
 };
 
@@ -74,9 +70,6 @@ SignClusterResult sign_cluster_filter(const common::GradientMatrix& grads,
                                       std::span<const float> reference,
                                       double median_norm,
                                       const SignClusterConfig& cfg, Rng& rng);
-SignClusterResult sign_cluster_filter(
-    std::span<const std::vector<float>> grads, std::span<const float> reference,
-    double median_norm, const SignClusterConfig& cfg, Rng& rng);
 
 // Statistics-input entry point: clustering on precomputed per-client
 // sign statistics (plus the similarity feature when cfg.similarity is
@@ -104,9 +97,6 @@ std::vector<float> clipped_mean(const common::GradientMatrix& grads,
                                 std::span<const std::size_t> selected,
                                 double bound, bool clip = true,
                                 std::span<const double> row_norms = {});
-std::vector<float> clipped_mean(std::span<const std::vector<float>> grads,
-                                std::span<const std::size_t> selected,
-                                double bound, bool clip = true);
 
 // One row's weight in clipped_mean: bound/||g_i|| above a positive bound,
 // else 1. Shared with SignGuard's wire path, which runs the same weighted

@@ -172,7 +172,7 @@ std::vector<float> SignGuard::aggregate_wire(const comm::WireRound& wire,
   if (all.empty()) {
     // No trustworthy gradient this round; emit a zero update. (Mirrors
     // aggregate(): in particular no coordinate sample is drawn, keeping
-    // the Rng streams of the two backends aligned.)
+    // the Rng streams of the two paths aligned.)
     selected_.clear();
     last_cluster_ = SignClusterResult{};
     obs::count(obs::Stage::kFilter, obs::Counter::kFilterRejects, n);

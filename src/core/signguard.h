@@ -44,17 +44,16 @@ class SignGuard : public agg::Aggregator {
  public:
   explicit SignGuard(SignGuardConfig cfg = {});
 
-  using agg::Aggregator::aggregate;
   std::vector<float> aggregate(const common::GradientMatrix& grads,
                                const agg::GarContext& ctx) override;
 
-  // The SIGNGUARD_WIREPATH=wire backend: same pipeline, but the norm and
+  // The compressed-domain path: same pipeline, but the norm and
   // sign statistics come from the validated wire buffers and only the
   // post-filter trusted set is decoded for the weighted-mean step — one
   // cache-resident tile of codec chunks at a time, accumulated in
   // survivor order, never as whole rows. Contract: bitwise-identical
   // selected set and aggregate to aggregate() on the decoded matrix —
-  // including the Rng stream, so the two backends stay exchangeable
+  // including the Rng stream, so the two paths stay exchangeable
   // round over round. Preconditions: every buffer was accepted by
   // comm::validate (rejects are the caller's job, exactly as they are
   // for the decoded matrix), uplinks non-empty, supports_wire_path().
@@ -63,7 +62,7 @@ class SignGuard : public agg::Aggregator {
 
   // The wire path reproduces the plain variant's statistics exactly; the
   // Sim/Dist variants need decoded rows for their similarity feature, so
-  // they stay on the decode backend.
+  // they stay on the decode path.
   bool supports_wire_path() const {
     return cfg_.cluster.similarity == SimilarityFeature::kNone;
   }

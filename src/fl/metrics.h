@@ -44,8 +44,8 @@ struct TrainingResult {
   std::size_t decode_rejects = 0;
   // Dense bytes the server-side aggregation pipeline materialized from
   // accepted uplinks: every accepted uplink's 4d on the decode path,
-  // only the trusted set's on the compressed-domain SignGuard path
-  // (SIGNGUARD_WIREPATH) — the whole point of filtering on wire bytes.
+  // only the trusted set's on the compressed-domain SignGuard path — the
+  // whole point of filtering on wire bytes.
   std::uint64_t uplink_decoded_bytes = 0;
   // Degradation accounting (fl/chaos.h): rounds that did not apply a
   // normal aggregate. skipped_rounds counts every skip (quorum-starved

@@ -261,8 +261,8 @@ struct ScenarioResult {
   float compression_ratio = 0.0f;
   // Dense bytes the server's aggregation pipeline actually materialized
   // from accepted uplinks (see RoundObservation::uplink_decoded_bytes):
-  // the field the SIGNGUARD_WIREPATH=wire backend drives down. Expected
-  // to differ across backends; the CI wire/decode diff strips it.
+  // the field the compressed-domain SignGuard path drives down. The only
+  // field that differs between the wire and decode paths.
   std::uint64_t uplink_decoded_bytes = 0;
   // Chaos / degradation accounting over the run (all zero with the axes
   // off; the JSONL blocks are gated accordingly).

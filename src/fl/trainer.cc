@@ -200,7 +200,6 @@ class RoundPipeline {
     wire_filtering_ = codec_ != nullptr &&
                       cfg.compression.codec != comm::CodecKind::kNone &&
                       sg_ != nullptr && sg_->supports_wire_path() &&
-                      comm::wire_path() == comm::WirePath::kWire &&
                       !cfg.quorum.active();
   }
 
@@ -632,7 +631,7 @@ class RoundPipeline {
   // decode back in place (decode_rows) or validate the buffer without
   // touching the row (the wire path's Byzantine uplinks) — marking
   // rejects either way. validate() accepts exactly the buffers
-  // decode_into accepts, so the reject set is backend-independent.
+  // decode_into accepts, so the reject set is path-independent.
   // client_of maps a row to its global client id (for the hook and the
   // chaos stream). Rows are independent, and the chaos draws are
   // stateless in (client, round), so the fan-out is bitwise
@@ -776,18 +775,18 @@ class RoundPipeline {
   std::vector<std::vector<comm::CodecScratch>> enc_scratch_;  // per worker
   std::vector<char> rejected_;
   std::uint64_t wire_bytes_ = 0;  // encoded_size(codec, dim), 0 when off
-  // Compressed-domain SignGuard (SIGNGUARD_WIREPATH=wire, the default):
-  // when the GAR is a plain SignGuard and a real codec is active, the
-  // server never decodes the Byzantine uplinks up front — it validates
-  // them, runs the filters on statistics computed from the wire bytes,
-  // and decodes only the trusted set. Benign rows are still decoded in
-  // place first: the attacker observes the post-codec view of honest
-  // gradients on either backend (a simulation requirement, and on the
-  // decode backend that same decode doubles as the server's).
-  // Admission decisions and the aggregate are bitwise identical across
-  // the two backends; only the decoded-bytes accounting differs.
-  // An active QuorumPolicy pins the decode backend: its clipped-mean
-  // fallback needs every accepted row materialized.
+  // Compressed-domain SignGuard: when the GAR is a plain SignGuard and a
+  // real codec is active, the server never decodes the Byzantine uplinks
+  // up front — it validates them, runs the filters on statistics computed
+  // from the wire bytes, and decodes only the trusted set. Benign rows
+  // are still decoded in place first: the attacker observes the
+  // post-codec view of honest gradients on either path (a simulation
+  // requirement, and on the decode path that same decode doubles as the
+  // server's). Every other GAR takes the decode path. Admission decisions
+  // and the aggregate are bitwise identical across the two paths; only
+  // the decoded-bytes accounting differs. An active QuorumPolicy pins the
+  // decode path: its clipped-mean fallback needs every accepted row
+  // materialized.
   core::SignGuard* const sg_;
   bool wire_filtering_ = false;
   const agg::ShardedAggregator* const sharded_;

@@ -90,10 +90,10 @@ struct TrainerConfig {
   // straight into the round GradientMatrix row. The default codec kNone
   // disables the layer entirely — the round is then bit-identical to the
   // pre-transport pipeline (the golden traces prove it). When the GAR is
-  // a plain SignGuard and SIGNGUARD_WIREPATH is "wire" (the default),
-  // the server instead filters on statistics computed from the wire
-  // bytes and decodes only the trusted set — bitwise-identical results,
-  // far fewer bytes touched (comm/stats.h).
+  // a plain SignGuard and no quorum policy is set, the server instead
+  // filters on statistics computed from the wire bytes and decodes only
+  // the trusted set — bitwise-identical results, far fewer bytes touched
+  // (comm/stats.h).
   comm::CompressionSpec compression;
   // Test/chaos hook: runs on each client's encoded uplink buffer before
   // the server-side decode (the argument is the global client index). A
@@ -141,7 +141,7 @@ struct RoundObservation {
   // Dense bytes the server-side aggregation pipeline materialized from
   // the round's accepted uplinks: n_eff * 4d on the decode path, only
   // |trusted set| * 4d on the compressed-domain SignGuard path
-  // (SIGNGUARD_WIREPATH=wire — see comm/stats.h). The in-place decode of
+  // (comm/stats.h). The in-place decode of
   // benign rows that feeds the simulated omniscient attacker is a
   // harness artifact and is not billed here.
   std::uint64_t uplink_decoded_bytes = 0;

@@ -1,9 +1,6 @@
 #include "nn/gemm.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "common/parallel.h"
@@ -26,27 +23,10 @@ inline float elem(const float* p, std::size_t ld, Trans t, std::size_t row,
   return t == Trans::kN ? p[row * ld + col] : p[col * ld + row];
 }
 
-// Per-element reference: one float accumulator per C[i][j], p strictly
-// ascending — the numeric contract every other code path reproduces
-// bitwise.
-void scalar_block(std::size_t i0, std::size_t i1, std::size_t j0,
-                  std::size_t j1, std::size_t k, const float* a,
-                  std::size_t lda, Trans ta, const float* b, std::size_t ldb,
-                  Trans tb, float* c, std::size_t ldc, bool accumulate) {
-  for (std::size_t i = i0; i < i1; ++i) {
-    for (std::size_t j = j0; j < j1; ++j) {
-      float acc = accumulate ? c[i * ldc + j] : 0.0f;
-      for (std::size_t p = 0; p < k; ++p)
-        acc += elem(a, lda, ta, i, p) * elem(b, ldb, tb, p, j);
-      c[i * ldc + j] = acc;
-    }
-  }
-}
-
 // Wider vector units only change how many independent accumulators a
 // lane batch holds, never the per-accumulator addition order, and
 // -ffp-contract=off keeps mul+add unfused in every clone — so the AVX2
-// clone is bit-identical to the baseline and to the reference loops.
+// clone is bit-identical to the baseline and to the plain triple loop.
 #if defined(__x86_64__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define SIGNGUARD_GEMM_CLONES \
@@ -59,7 +39,7 @@ void scalar_block(std::size_t i0, std::size_t i1, std::size_t j0,
 
 // One kMr x kNr C tile: kMr*kNr independent accumulators held in
 // registers; the k loop is sequential per accumulator, so each output
-// element sees the exact scalar_block addition order.
+// element sees the triple loop's exact addition order.
 SIGNGUARD_GEMM_CLONES
 void micro_kernel(std::size_t k, const float* pa, const float* pb, float* c,
                   std::size_t ldc, bool accumulate) {
@@ -84,7 +64,7 @@ void micro_kernel(std::size_t k, const float* pa, const float* pb, float* c,
 // C, whose element (r, q) sits at c[r * rsc + q * csc]. Padded lanes start
 // at zero and read the zero-padded pack lanes; they are never stored.
 // Every stored element sees the identical ascending-k addition sequence,
-// so the bits match micro_kernel and scalar_block, while the k loop keeps
+// so the bits match micro_kernel, while the k loop keeps
 // the vectorized fixed-width body instead of runtime-bounded scalar loops.
 void micro_kernel_scratch(std::size_t k, const float* pa, const float* pb,
                           float* c, std::size_t rsc, std::size_t csc,
@@ -170,17 +150,6 @@ void gemm_tiled(std::size_t m, std::size_t n, std::size_t k, const float* a,
   }
 }
 
-GemmBackend backend_from_env() {
-  const char* env = std::getenv("SIGNGUARD_GEMM");
-  if (env != nullptr) {
-    const std::string s(env);
-    if (s == "ref" || s == "reference") return GemmBackend::kReference;
-  }
-  return GemmBackend::kTiled;
-}
-
-std::atomic<GemmBackend> g_backend{backend_from_env()};
-
 void gemm_dispatch(std::size_t m, std::size_t n, std::size_t k,
                    const float* a, std::size_t lda, Trans ta, const float* b,
                    std::size_t ldb, Trans tb, float* c, std::size_t ldc,
@@ -195,10 +164,6 @@ void gemm_dispatch(std::size_t m, std::size_t n, std::size_t k,
     if (!accumulate)
       for (std::size_t i = 0; i < m; ++i)
         std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
-    return;
-  }
-  if (gemm_backend() == GemmBackend::kReference) {
-    scalar_block(0, m, 0, n, k, a, lda, ta, b, ldb, tb, c, ldc, accumulate);
     return;
   }
   if (ta == Trans::kN && tb == Trans::kT && m <= kNr && n > kNr) {
@@ -216,14 +181,6 @@ void gemm_dispatch(std::size_t m, std::size_t n, std::size_t k,
 }
 
 }  // namespace
-
-GemmBackend gemm_backend() {
-  return g_backend.load(std::memory_order_relaxed);
-}
-
-void set_gemm_backend(GemmBackend b) {
-  g_backend.store(b, std::memory_order_relaxed);
-}
 
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* a,
              std::size_t lda, const float* b, std::size_t ldb, float* c,

@@ -6,33 +6,21 @@
 // tensor, a sample block of a packed im2col buffer) feed the kernels
 // directly — no col-major conversion, no staging copies.
 //
-// Two backends share one numeric contract:
-//   kTiled     — register-tiled (4x8 accumulator block), cache-blocked
-//                packing of A/B panels, row-panel parallelism over the
-//                common::parallel pool.
-//   kReference — the plain per-element triple loop (the pre-GEMM scalar
-//                path), used as the correctness oracle and the baseline
-//                the train microbench compares against.
-//
-// Determinism: for every output element C[i][j], both backends accumulate
-// a_ip * b_pj over p = 0..k-1 strictly in order, in float, into a single
-// accumulator (initialized from C[i][j] when accumulate is set). Register
+// Numeric contract: for every output element C[i][j], the kernels
+// accumulate a_ip * b_pj over p = 0..k-1 strictly in order, in float, into
+// a single accumulator (initialized from C[i][j] when accumulate is set) —
+// the plain per-element triple loop's order. The kernels are
+// register-tiled (4x8 accumulator block) with cache-blocked packing of
+// A/B panels and row-panel parallelism over the common::parallel pool;
 // tiling only batches *independent* accumulators, and the parallel split
-// assigns whole output rows to workers, so results are bit-identical
-// across backends, tile shapes and SIGNGUARD_THREADS values. gemm.cc is
-// compiled with -ffp-contract=off so no backend silently fuses into FMA.
+// assigns whole output rows to workers, so results are bit-identical to
+// the triple loop (tests/oracles.h) across tile shapes and
+// SIGNGUARD_THREADS values. gemm.cc is compiled with -ffp-contract=off so
+// no clone silently fuses into FMA.
 
 #include <cstddef>
 
 namespace signguard::nn {
-
-enum class GemmBackend { kTiled, kReference };
-
-// Active backend: set_gemm_backend() override if any, else the
-// SIGNGUARD_GEMM environment variable ("ref"/"reference" selects the
-// reference loops; anything else, or unset, selects the tiled path).
-GemmBackend gemm_backend();
-void set_gemm_backend(GemmBackend b);
 
 // C[m x n] (+)= A[m x k] * B[k x n].
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* a,

@@ -10,12 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "attacks/adaptive.h"
+#include "common/gradient_matrix.h"
 #include "common/rng.h"
 #include "common/serial.h"
 #include "fl/sweep.h"
@@ -48,11 +50,28 @@ constexpr std::size_t kDim = 8;
 constexpr std::size_t kBenign = 3;
 constexpr std::size_t kByz = 2;
 
-attacks::AttackInput oracle_round(Rng* rng, float honest_value = 0.0f) {
-  static thread_local std::vector<std::vector<float>> benign, byz;
-  benign.assign(kBenign, std::vector<float>(kDim, 0.0f));
-  byz.assign(kByz, std::vector<float>(kDim, honest_value));
-  return attacks::make_attack_input(benign, byz, kBenign + kByz, kByz, rng);
+// A round of nb all-zero benign rows and m honest rows of
+// `honest_value`. The rows and the views the context borrows live in
+// thread_local storage until the next call.
+attacks::AttackContext constant_round(std::size_t nb, std::size_t m,
+                                      float honest_value, Rng* rng) {
+  static thread_local common::GradientMatrix benign, byz;
+  static thread_local std::vector<attacks::GradientView> benign_views,
+      byz_views;
+  benign = common::GradientMatrix(nb, kDim);
+  byz = common::GradientMatrix(m, kDim);
+  std::fill(byz.data(), byz.data() + m * kDim, honest_value);
+  benign_views = benign.row_views();
+  byz_views = byz.row_views();
+  return {.benign_grads = benign_views,
+          .byz_honest_grads = byz_views,
+          .n_total = nb + m,
+          .n_byzantine = m,
+          .rng = rng};
+}
+
+attacks::AttackContext oracle_round(Rng* rng) {
+  return constant_round(kBenign, kByz, 0.0f, rng);
 }
 
 // One synthetic round against a threshold filter: rows whose amplitude
@@ -60,10 +79,10 @@ attacks::AttackInput oracle_round(Rng* rng, float honest_value = 0.0f) {
 // trusted set. Returns the emitted amplitude.
 double oracle_step(AdaptiveAttack& atk, std::size_t round, double boundary,
                    Rng& rng) {
-  auto in = oracle_round(&rng);
-  in.ctx.round = round;
+  auto ctx = oracle_round(&rng);
+  ctx.round = round;
   atk.begin_round(round, rng);
-  const auto rows = atk.craft(in.ctx);
+  const auto rows = atk.craft(ctx);
   const double emitted = double(rows.front().front());
   RoundFeedback fb;
   fb.round = round;
@@ -127,10 +146,10 @@ TEST(AdaptiveHillClimb, EscalatesOnRealizedDamageWithoutSelection) {
   AdaptiveAttack atk(std::make_unique<UnitDeviationAttack>());
   Rng rng(13);
   for (std::size_t r = 0; r < 30; ++r) {
-    auto in = oracle_round(&rng);
-    in.ctx.round = r;
+    auto ctx = oracle_round(&rng);
+    ctx.round = r;
     atk.begin_round(r, rng);
-    const auto rows = atk.craft(in.ctx);
+    const auto rows = atk.craft(ctx);
     const double gain = double(rows.front().front());
     RoundFeedback fb;
     fb.round = r;
@@ -196,11 +215,8 @@ TEST(AdaptiveOptionsValidation, DegenerateOptionsAreTypedErrors) {
   // And the all-Byzantine craft has no anchor.
   AdaptiveAttack atk(inner());
   Rng rng(3);
-  static thread_local std::vector<std::vector<float>> none, byz;
-  none.clear();
-  byz.assign(2, std::vector<float>(kDim, 0.0f));
-  const auto in = attacks::make_attack_input(none, byz, 2, 2, &rng);
-  EXPECT_THROW(atk.craft(in.ctx), std::invalid_argument);
+  EXPECT_THROW(atk.craft(constant_round(0, 2, 0.0f, &rng)),
+               std::invalid_argument);
 }
 
 TEST(ChaosCollude, DegradedRoundsTriggerFullCollusionBursts) {
@@ -221,15 +237,12 @@ TEST(ChaosCollude, DegradedRoundsTriggerFullCollusionBursts) {
 
   Rng rng(7);
   const std::size_t m = 4;
-  static thread_local std::vector<std::vector<float>> benign, byz;
-  benign.assign(3, std::vector<float>(kDim, 0.0f));
-  byz.assign(m, std::vector<float>(kDim, 0.5f));
-  auto in = attacks::make_attack_input(benign, byz, 3 + m, m, &rng);
+  auto ctx = constant_round(3, m, 0.5f, &rng);
 
   // Outside a burst, llround(fraction * m) inner rows collude and the
   // rest send their honest gradients (0.5f rows).
-  in.ctx.round = 5;
-  auto rows = atk.craft(in.ctx);
+  ctx.round = 5;
+  auto rows = atk.craft(ctx);
   ASSERT_EQ(rows.size(), m);
   const auto colluding = [&](const std::vector<std::vector<float>>& rs) {
     std::size_t n = 0;
@@ -248,8 +261,8 @@ TEST(ChaosCollude, DegradedRoundsTriggerFullCollusionBursts) {
   degraded.degraded = true;
   atk.observe_round(degraded);
   EXPECT_EQ(atk.burst_left(), 3u);
-  in.ctx.round = 7;
-  rows = atk.craft(in.ctx);
+  ctx.round = 7;
+  rows = atk.craft(ctx);
   EXPECT_EQ(colluding(rows), m);
 
   // Burst state is checkpointed.

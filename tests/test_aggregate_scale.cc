@@ -1,9 +1,10 @@
-// Aggregation-at-scale suite: the Gram (GEMM-backed) vs direct pairwise
-// backends, the packed-triangle PairwiseDistances, the column-panel
-// coordinate statistics, and the selection-based quantile/Krum-ranking
-// satellites. Cross-backend comparisons are tolerance-based (float-GEMM
-// vs double pair loops); everything within one backend — thread counts,
-// packed vs dense, panel vs per-coordinate — must be bitwise.
+// Aggregation-at-scale suite: the Gram (GEMM-backed) pairwise kernels vs
+// the direct pair loops of tests/oracles.h, the packed-triangle
+// PairwiseDistances, the column-panel coordinate statistics, and the
+// selection-based quantile/Krum-ranking satellites. Gram-vs-oracle
+// comparisons are tolerance-based (float GEMM vs double pair loops);
+// everything within the library — thread counts, packed vs dense, panel
+// vs per-coordinate — must be bitwise.
 
 #include <gtest/gtest.h>
 
@@ -18,17 +19,14 @@
 #include "common/quantiles.h"
 #include "common/rng.h"
 #include "common/vecops.h"
+#include "oracles.h"
 
 namespace signguard {
 namespace {
 
-// Restores the ambient dist backend / thread count when a test exits.
-struct BackendGuard {
-  vec::DistBackend prev = vec::dist_backend();
-  ~BackendGuard() {
-    vec::set_dist_backend(prev);
-    common::set_thread_count(0);
-  }
+// Restores automatic pool sizing when a test exits.
+struct ThreadGuard {
+  ~ThreadGuard() { common::set_thread_count(0); }
 };
 
 common::GradientMatrix gaussian_matrix(std::size_t n, std::size_t d,
@@ -60,15 +58,12 @@ common::GradientMatrix adversarial_matrix(std::size_t d,
 
 // ---- Gram vs direct --------------------------------------------------------
 
-TEST(DistBackends, AgreeWithinToleranceOnAdversarialInputs) {
-  BackendGuard guard;
+TEST(GramPairwise, AgreeWithinToleranceOnAdversarialInputs) {
   const auto m = adversarial_matrix(257, 21);
   const std::size_t n = m.rows();
 
-  vec::set_dist_backend(vec::DistBackend::kDirect);
-  const auto d2_direct = vec::pairwise_dist2(m);
-  const auto dot_direct = vec::pairwise_dot(m);
-  vec::set_dist_backend(vec::DistBackend::kGram);
+  const auto d2_direct = oracle::pairwise_dist2(m);
+  const auto dot_direct = oracle::pairwise_dot(m);
   const auto d2_gram = vec::pairwise_dist2(m);
   const auto dot_gram = vec::pairwise_dot(m);
 
@@ -85,45 +80,33 @@ TEST(DistBackends, AgreeWithinToleranceOnAdversarialInputs) {
       EXPECT_GE(d2_gram[i * n + j], 0.0) << "clamped at zero";
     }
   }
-  // Zero rows: every quantity involving them is exact in both backends.
+  // Zero rows: every quantity involving them is exact on both sides.
   EXPECT_EQ(d2_gram[4 * n + 5], 0.0);
   EXPECT_EQ(dot_gram[4 * n + 4], 0.0);
 }
 
-TEST(DistBackends, EachBackendIsThreadCountInvariant) {
-  BackendGuard guard;
+TEST(GramPairwise, GramIsThreadCountInvariant) {
+  ThreadGuard guard;
   const auto m = adversarial_matrix(193, 22);
-  for (const auto backend :
-       {vec::DistBackend::kGram, vec::DistBackend::kDirect}) {
-    vec::set_dist_backend(backend);
-    common::set_thread_count(1);
-    const auto d2_t1 = vec::pairwise_dist2(m);
-    const auto dot_t1 = vec::pairwise_dot(m);
-    const auto packed_t1 = vec::pairwise_dist2_packed(m);
-    common::set_thread_count(4);
-    const auto d2_t4 = vec::pairwise_dist2(m);
-    const auto dot_t4 = vec::pairwise_dot(m);
-    const auto packed_t4 = vec::pairwise_dist2_packed(m);
-    EXPECT_EQ(d2_t1, d2_t4);
-    EXPECT_EQ(dot_t1, dot_t4);
-    EXPECT_EQ(packed_t1, packed_t4);
-  }
+  common::set_thread_count(1);
+  const auto d2_t1 = vec::pairwise_dist2(m);
+  const auto dot_t1 = vec::pairwise_dot(m);
+  const auto packed_t1 = vec::pairwise_dist2_packed(m);
+  common::set_thread_count(4);
+  EXPECT_EQ(vec::pairwise_dist2(m), d2_t1);
+  EXPECT_EQ(vec::pairwise_dot(m), dot_t1);
+  EXPECT_EQ(vec::pairwise_dist2_packed(m), packed_t1);
 }
 
-TEST(DistBackends, PackedTriangleMatchesDenseBitwise) {
-  BackendGuard guard;
-  for (const auto backend :
-       {vec::DistBackend::kGram, vec::DistBackend::kDirect}) {
-    vec::set_dist_backend(backend);
-    const auto m = adversarial_matrix(129, 23);
-    const std::size_t n = m.rows();
-    const auto dense = vec::pairwise_dist2(m);
-    const PairwiseDistances pd(m);
-    ASSERT_EQ(pd.size(), n);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        EXPECT_EQ(pd.dist2(i, j), dense[i * n + j]) << i << " " << j;
-  }
+TEST(GramPairwise, PackedTriangleMatchesDenseBitwise) {
+  const auto m = adversarial_matrix(129, 23);
+  const std::size_t n = m.rows();
+  const auto dense = vec::pairwise_dist2(m);
+  const PairwiseDistances pd(m);
+  ASSERT_EQ(pd.size(), n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      EXPECT_EQ(pd.dist2(i, j), dense[i * n + j]) << i << " " << j;
 }
 
 // ---- column panels vs the seed per-coordinate scan -------------------------
@@ -201,7 +184,7 @@ TEST(ColumnPanels, TrimmedMeanMatchesSeedBitwise) {
 }
 
 TEST(ColumnPanels, SweepIsThreadCountInvariant) {
-  BackendGuard guard;
+  ThreadGuard guard;
   agg::GarContext ctx;
   ctx.assumed_byzantine = 3;
   agg::MedianAggregator median;
@@ -217,132 +200,122 @@ TEST(ColumnPanels, SweepIsThreadCountInvariant) {
 
 // ---- Krum ranking / Bulyan mask satellites ---------------------------------
 
-TEST(KrumRanking, PartialSortSelectionMatchesFullSortOracle) {
-  BackendGuard guard;
-  for (const auto backend :
-       {vec::DistBackend::kGram, vec::DistBackend::kDirect}) {
-    vec::set_dist_backend(backend);
-    const auto m = gaussian_matrix(20, 64, 0.0, 1.0, 61);
-    agg::GarContext ctx;
-    ctx.assumed_byzantine = 4;
-    agg::MultiKrumAggregator krum;
-    krum.aggregate(m, ctx);
-    const auto selected = krum.last_selected();
-
-    // Oracle: recompute the scores exactly as the aggregator does, then
-    // rank with a FULL sort under the same score-then-index ordering.
-    const std::size_t n = m.rows();
-    const std::size_t mm = std::min(ctx.assumed_byzantine, (n - 1) / 2);
-    const std::size_t k = std::max<std::size_t>(1, n - mm - 2);
-    const PairwiseDistances pd(m);
-    std::vector<double> scores(n);
-    std::vector<double> scratch;
-    for (std::size_t i = 0; i < n; ++i)
-      scores[i] = pd.krum_score(i, k, {}, scratch);
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                return scores[a] < scores[b] ||
-                       (scores[a] == scores[b] && a < b);
-              });
-    const std::vector<std::size_t> expected(
-        order.begin(), order.begin() + std::ptrdiff_t(std::min(k, n)));
-    EXPECT_EQ(selected, expected);
+// Multi-Krum's selection recomputed from a dense dist2 block: each row's
+// score sums its k smallest distances in ascending order (as
+// PairwiseDistances::krum_score does), then a FULL sort ranks the rows
+// under the aggregator's score-then-index ordering.
+std::vector<std::size_t> krum_selection(const std::vector<double>& d2,
+                                        std::size_t n, std::size_t byz) {
+  const std::size_t mm = std::min(byz, (n - 1) / 2);
+  const std::size_t k = std::max<std::size_t>(1, n - mm - 2);
+  std::vector<double> scores(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double> row;
+    for (std::size_t j = 0; j < n; ++j)
+      if (j != i) row.push_back(d2[i * n + j]);
+    std::sort(row.begin(), row.end());
+    for (std::size_t t = 0; t < std::min(k, row.size()); ++t)
+      scores[i] += row[t];
   }
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return scores[a] < scores[b] || (scores[a] == scores[b] && a < b);
+  });
+  return {order.begin(), order.begin() + std::ptrdiff_t(std::min(k, n))};
+}
+
+TEST(KrumRanking, PartialSortSelectionMatchesFullSortOracle) {
+  const auto m = gaussian_matrix(20, 64, 0.0, 1.0, 61);
+  agg::GarContext ctx;
+  ctx.assumed_byzantine = 4;
+  agg::MultiKrumAggregator krum;
+  krum.aggregate(m, ctx);
+  EXPECT_EQ(krum.last_selected(),
+            krum_selection(vec::pairwise_dist2(m), m.rows(),
+                           ctx.assumed_byzantine));
 }
 
 TEST(BulyanMask, ExcludeMaskSelectionMatchesEraseLoopBitwise) {
-  BackendGuard guard;
-  for (const auto backend :
-       {vec::DistBackend::kGram, vec::DistBackend::kDirect}) {
-    vec::set_dist_backend(backend);
-    auto m = gaussian_matrix(14, 48, 1.0, 0.3, 71);
-    for (auto& v : m.row(0)) v = 50.0f;  // one blatant outlier
-    agg::GarContext ctx;
-    ctx.assumed_byzantine = 2;
-    agg::BulyanAggregator bulyan;
-    const auto out = bulyan.aggregate(m, ctx);
-    const auto selected = bulyan.last_selected();
+  auto m = gaussian_matrix(14, 48, 1.0, 0.3, 71);
+  for (auto& v : m.row(0)) v = 50.0f;  // one blatant outlier
+  agg::GarContext ctx;
+  ctx.assumed_byzantine = 2;
+  agg::BulyanAggregator bulyan;
+  const auto out = bulyan.aggregate(m, ctx);
+  const auto selected = bulyan.last_selected();
 
-    // Oracle: the seed's erase-based iterative-Krum loop over the same
-    // PairwiseDistances.
-    const std::size_t n = m.rows();
-    const std::size_t mm = std::min(ctx.assumed_byzantine, (n - 1) / 2);
-    const std::size_t theta = std::max<std::size_t>(1, n - 2 * mm);
-    const PairwiseDistances pd(m);
-    std::vector<std::size_t> remaining(n);
-    std::iota(remaining.begin(), remaining.end(), 0);
-    std::vector<std::size_t> expected;
-    std::vector<double> row;
-    while (expected.size() < theta && !remaining.empty()) {
-      const std::size_t r = remaining.size();
-      const std::size_t k =
-          std::max<std::size_t>(1, r > mm + 2 ? r - mm - 2 : 1);
-      double best_score = std::numeric_limits<double>::max();
-      std::size_t best_pos = 0;
-      for (std::size_t a = 0; a < r; ++a) {
-        row.clear();
-        for (std::size_t b = 0; b < r; ++b)
-          if (b != a) row.push_back(pd.dist2(remaining[a], remaining[b]));
-        const std::size_t kk = std::min(k, row.size());
-        std::partial_sort(row.begin(), row.begin() + std::ptrdiff_t(kk),
-                          row.end());
-        double score = 0.0;
-        for (std::size_t t = 0; t < kk; ++t) score += row[t];
-        if (score < best_score) {
-          best_score = score;
-          best_pos = a;
-        }
+  // Oracle: the seed's erase-based iterative-Krum loop over the same
+  // PairwiseDistances.
+  const std::size_t n = m.rows();
+  const std::size_t mm = std::min(ctx.assumed_byzantine, (n - 1) / 2);
+  const std::size_t theta = std::max<std::size_t>(1, n - 2 * mm);
+  const PairwiseDistances pd(m);
+  std::vector<std::size_t> remaining(n);
+  std::iota(remaining.begin(), remaining.end(), 0);
+  std::vector<std::size_t> expected;
+  std::vector<double> row;
+  while (expected.size() < theta && !remaining.empty()) {
+    const std::size_t r = remaining.size();
+    const std::size_t k =
+        std::max<std::size_t>(1, r > mm + 2 ? r - mm - 2 : 1);
+    double best_score = std::numeric_limits<double>::max();
+    std::size_t best_pos = 0;
+    for (std::size_t a = 0; a < r; ++a) {
+      row.clear();
+      for (std::size_t b = 0; b < r; ++b)
+        if (b != a) row.push_back(pd.dist2(remaining[a], remaining[b]));
+      const std::size_t kk = std::min(k, row.size());
+      std::partial_sort(row.begin(), row.begin() + std::ptrdiff_t(kk),
+                        row.end());
+      double score = 0.0;
+      for (std::size_t t = 0; t < kk; ++t) score += row[t];
+      if (score < best_score) {
+        best_score = score;
+        best_pos = a;
       }
-      expected.push_back(remaining[best_pos]);
-      remaining.erase(remaining.begin() + std::ptrdiff_t(best_pos));
     }
-    EXPECT_EQ(selected, expected);
-    EXPECT_EQ(out.size(), m.cols());
-    // The outlier row must not survive phase 1.
-    EXPECT_EQ(std::count(selected.begin(), selected.end(), 0u), 0);
+    expected.push_back(remaining[best_pos]);
+    remaining.erase(remaining.begin() + std::ptrdiff_t(best_pos));
   }
+  EXPECT_EQ(selected, expected);
+  EXPECT_EQ(out.size(), m.cols());
+  // The outlier row must not survive phase 1.
+  EXPECT_EQ(std::count(selected.begin(), selected.end(), 0u), 0);
 }
 
-// ---- aggregate-level backend behaviour -------------------------------------
+// ---- aggregate-level Gram behaviour ---------------------------------------
 
-TEST(GramAggregation, KrumAndBulyanAreThreadCountInvariantPerBackend) {
-  BackendGuard guard;
+TEST(GramAggregation, KrumAndBulyanAreThreadCountInvariant) {
+  ThreadGuard guard;
   const auto m = adversarial_matrix(200, 81);
   agg::GarContext ctx;
   ctx.assumed_byzantine = 2;
-  for (const auto backend :
-       {vec::DistBackend::kGram, vec::DistBackend::kDirect}) {
-    vec::set_dist_backend(backend);
-    agg::MultiKrumAggregator krum;
-    agg::BulyanAggregator bulyan;
-    common::set_thread_count(1);
-    const auto krum_t1 = krum.aggregate(m, ctx);
-    const auto bulyan_t1 = bulyan.aggregate(m, ctx);
-    common::set_thread_count(4);
-    EXPECT_EQ(krum.aggregate(m, ctx), krum_t1);
-    EXPECT_EQ(bulyan.aggregate(m, ctx), bulyan_t1);
-  }
+  agg::MultiKrumAggregator krum;
+  agg::BulyanAggregator bulyan;
+  common::set_thread_count(1);
+  const auto krum_t1 = krum.aggregate(m, ctx);
+  const auto bulyan_t1 = bulyan.aggregate(m, ctx);
+  common::set_thread_count(4);
+  EXPECT_EQ(krum.aggregate(m, ctx), krum_t1);
+  EXPECT_EQ(bulyan.aggregate(m, ctx), bulyan_t1);
 }
 
-TEST(GramAggregation, BackendsPickTheSameKrumSelectionOnSeparatedInputs) {
-  BackendGuard guard;
+TEST(GramAggregation, GramAndOraclePickTheSameKrumSelectionOnSeparatedInputs) {
   // Benign cluster + blatant outliers: the selection decision has a wide
-  // margin, so both numeric flavours must agree exactly on *which*
-  // gradients survive even though scores differ in low-order bits.
+  // margin, so the Gram aggregator and the oracle's direct distances
+  // must agree exactly on *which* gradients survive even though scores
+  // differ in low-order bits.
   auto m = gaussian_matrix(12, 100, 0.5, 0.1, 91);
   for (auto& v : m.row(10)) v = 300.0f;
   for (auto& v : m.row(11)) v = -300.0f;
   agg::GarContext ctx;
   ctx.assumed_byzantine = 2;
   agg::MultiKrumAggregator krum;
-  vec::set_dist_backend(vec::DistBackend::kGram);
   krum.aggregate(m, ctx);
   const auto sel_gram = krum.last_selected();
-  vec::set_dist_backend(vec::DistBackend::kDirect);
-  krum.aggregate(m, ctx);
-  EXPECT_EQ(sel_gram, krum.last_selected());
+  EXPECT_EQ(sel_gram, krum_selection(oracle::pairwise_dist2(m), m.rows(),
+                                     ctx.assumed_byzantine));
   for (const auto idx : sel_gram) EXPECT_LT(idx, 10u);
 }
 

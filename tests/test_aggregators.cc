@@ -15,15 +15,24 @@
 namespace signguard::agg {
 namespace {
 
-std::vector<std::vector<float>> gaussian_grads(std::size_t n, std::size_t d,
-                                               double mean, double stddev,
-                                               std::uint64_t seed) {
+using common::GradientMatrix;
+
+// n rows drawn in order from one Rng: a fixture's first k rows do not
+// depend on how many rows follow, so tests overwrite trailing rows with
+// outliers.
+GradientMatrix gaussian_grads(std::size_t n, std::size_t d, double mean,
+                              double stddev, std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<std::vector<float>> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    out.push_back(rng.normal_vector(d, mean, stddev));
+  GradientMatrix out(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto row = rng.normal_vector(d, mean, stddev);
+    std::ranges::copy(row, out.row(i).begin());
+  }
   return out;
+}
+
+GradientMatrix matrix(const std::vector<std::vector<float>>& rows) {
+  return GradientMatrix::from_vectors(rows);
 }
 
 GarContext ctx_with(std::size_t m, Rng* rng = nullptr) {
@@ -34,7 +43,7 @@ GarContext ctx_with(std::size_t m, Rng* rng = nullptr) {
 }
 
 TEST(Mean, ExactAverage) {
-  const std::vector<std::vector<float>> g = {{1.0f, 2.0f}, {3.0f, 6.0f}};
+  const auto g = matrix({{1.0f, 2.0f}, {3.0f, 6.0f}});
   MeanAggregator mean;
   const auto out = mean.aggregate(g, ctx_with(0));
   EXPECT_FLOAT_EQ(out[0], 2.0f);
@@ -42,15 +51,14 @@ TEST(Mean, ExactAverage) {
 }
 
 TEST(TrimmedMean, RemovesExtremesPerCoordinate) {
-  const std::vector<std::vector<float>> g = {
-      {100.0f}, {1.0f}, {2.0f}, {3.0f}, {-100.0f}};
+  const auto g = matrix({{100.0f}, {1.0f}, {2.0f}, {3.0f}, {-100.0f}});
   TrimmedMeanAggregator tm;
   const auto out = tm.aggregate(g, ctx_with(1));
   EXPECT_FLOAT_EQ(out[0], 2.0f);
 }
 
 TEST(TrimmedMean, ClampsOversizedTrim) {
-  const std::vector<std::vector<float>> g = {{1.0f}, {2.0f}, {3.0f}};
+  const auto g = matrix({{1.0f}, {2.0f}, {3.0f}});
   TrimmedMeanAggregator tm;
   const auto out = tm.aggregate(g, ctx_with(10));  // trim clamped to 1
   EXPECT_FLOAT_EQ(out[0], 2.0f);
@@ -58,16 +66,16 @@ TEST(TrimmedMean, ClampsOversizedTrim) {
 
 TEST(Median, OddAndEvenCounts) {
   MedianAggregator med;
-  const std::vector<std::vector<float>> odd = {{1.0f}, {9.0f}, {2.0f}};
-  EXPECT_FLOAT_EQ(med.aggregate(odd, ctx_with(0))[0], 2.0f);
-  const std::vector<std::vector<float>> even = {{1.0f}, {2.0f}, {3.0f},
-                                                {10.0f}};
-  EXPECT_FLOAT_EQ(med.aggregate(even, ctx_with(0))[0], 2.5f);
+  EXPECT_FLOAT_EQ(
+      med.aggregate(matrix({{1.0f}, {9.0f}, {2.0f}}), ctx_with(0))[0], 2.0f);
+  EXPECT_FLOAT_EQ(med.aggregate(matrix({{1.0f}, {2.0f}, {3.0f}, {10.0f}}),
+                                ctx_with(0))[0],
+                  2.5f);
 }
 
 TEST(Median, RobustToMinorityOutliers) {
-  auto g = gaussian_grads(9, 32, 1.0, 0.1, 1);
-  for (int i = 0; i < 4; ++i) g.push_back(std::vector<float>(32, 1e6f));
+  auto g = gaussian_grads(13, 32, 1.0, 0.1, 1);
+  for (std::size_t i = 9; i < 13; ++i) std::ranges::fill(g.row(i), 1e6f);
   MedianAggregator med;
   const auto out = med.aggregate(g, ctx_with(4));
   for (const float v : out) EXPECT_NEAR(v, 1.0f, 0.5f);
@@ -75,9 +83,9 @@ TEST(Median, RobustToMinorityOutliers) {
 
 TEST(GeoMed, MatchesMedianOn1D) {
   // In 1-D the geometric median is the coordinate median.
-  const std::vector<std::vector<float>> g = {{0.0f}, {1.0f}, {10.0f}};
   GeoMedAggregator gm;
-  EXPECT_NEAR(gm.aggregate(g, ctx_with(0))[0], 1.0f, 1e-3);
+  EXPECT_NEAR(gm.aggregate(matrix({{0.0f}, {1.0f}, {10.0f}}), ctx_with(0))[0],
+              1.0f, 1e-3);
 }
 
 TEST(GeoMed, MinimizesSumOfDistances) {
@@ -86,27 +94,28 @@ TEST(GeoMed, MinimizesSumOfDistances) {
   const auto med = gm.aggregate(g, ctx_with(0));
   auto cost = [&](std::span<const float> x) {
     double acc = 0.0;
-    for (const auto& gi : g) acc += vec::dist(gi, x);
+    for (std::size_t i = 0; i < g.rows(); ++i) acc += vec::dist(g.row(i), x);
     return acc;
   };
   const double med_cost = cost(med);
   // The geometric median must beat the mean and every input point.
   EXPECT_LE(med_cost, cost(vec::mean_of(g)) + 1e-6);
-  for (const auto& gi : g) EXPECT_LE(med_cost, cost(gi) + 1e-6);
+  for (std::size_t i = 0; i < g.rows(); ++i)
+    EXPECT_LE(med_cost, cost(g.row(i)) + 1e-6);
 }
 
 TEST(GeoMed, RobustToLargeOutliers) {
-  auto g = gaussian_grads(12, 16, 2.0, 0.1, 3);
-  for (int i = 0; i < 5; ++i) g.push_back(std::vector<float>(16, -1e5f));
+  auto g = gaussian_grads(17, 16, 2.0, 0.1, 3);
+  for (std::size_t i = 12; i < 17; ++i) std::ranges::fill(g.row(i), -1e5f);
   GeoMedAggregator gm;
   const auto out = gm.aggregate(g, ctx_with(5));
   for (const float v : out) EXPECT_NEAR(v, 2.0f, 0.5f);
 }
 
 TEST(MultiKrum, PicksBenignUnderBlatantOutliers) {
-  auto g = gaussian_grads(8, 16, 0.5, 0.1, 4);
-  g.push_back(std::vector<float>(16, 500.0f));
-  g.push_back(std::vector<float>(16, -500.0f));
+  auto g = gaussian_grads(10, 16, 0.5, 0.1, 4);
+  std::ranges::fill(g.row(8), 500.0f);
+  std::ranges::fill(g.row(9), -500.0f);
   MultiKrumAggregator krum;
   const auto out = krum.aggregate(g, ctx_with(2));
   for (const float v : out) EXPECT_NEAR(v, 0.5f, 0.3f);
@@ -140,11 +149,11 @@ TEST(Bulyan, SelectsThetaGradients) {
 TEST(Bulyan, RobustToCoordinateSpikes) {
   // Outlier hides a huge value in one coordinate; Bulyan's trimmed
   // coordinate step must suppress it.
-  auto g = gaussian_grads(12, 8, 1.0, 0.05, 8);
-  auto evil = g[0];
-  evil[3] = 1e6f;
-  g.push_back(evil);
-  g.push_back(evil);
+  auto g = gaussian_grads(14, 8, 1.0, 0.05, 8);
+  for (const std::size_t i : {12, 13}) {
+    std::ranges::copy(g.row(0), g.row(i).begin());
+    g.at(i, 3) = 1e6f;
+  }
   BulyanAggregator bulyan;
   const auto out = bulyan.aggregate(g, ctx_with(2));
   EXPECT_NEAR(out[3], 1.0f, 0.5f);
@@ -152,15 +161,10 @@ TEST(Bulyan, RobustToCoordinateSpikes) {
 
 TEST(DnC, FiltersCollinearOutliers) {
   Rng rng(9);
-  auto g = gaussian_grads(16, 64, 0.0, 0.2, 10);
+  auto g = gaussian_grads(20, 64, 0.0, 0.2, 10);
   // Malicious gradients displaced along a common direction: exactly the
   // signal DnC's top-singular-direction projection detects.
-  std::vector<float> dir(64, 1.0f);
-  for (int i = 0; i < 4; ++i) {
-    auto evil = std::vector<float>(64, 0.0f);
-    vec::axpy(5.0, dir, evil);
-    g.push_back(evil);
-  }
+  for (std::size_t i = 16; i < 20; ++i) std::ranges::fill(g.row(i), 5.0f);
   DnCAggregator dnc;
   const auto out = dnc.aggregate(g, ctx_with(4, &rng));
   for (const float v : out) EXPECT_NEAR(v, 0.0f, 0.3f);
@@ -181,8 +185,8 @@ TEST(DnC, KeepsEveryoneWhenNoByzantineAssumed) {
 }
 
 TEST(SignSgd, MajorityVotePerCoordinate) {
-  const std::vector<std::vector<float>> g = {
-      {1.0f, -3.0f, 0.0f}, {0.5f, -1.0f, 2.0f}, {-2.0f, 4.0f, 5.0f}};
+  const auto g = matrix(
+      {{1.0f, -3.0f, 0.0f}, {0.5f, -1.0f, 2.0f}, {-2.0f, 4.0f, 5.0f}});
   SignSgdMajorityAggregator sign_sgd(1.0);
   const auto out = sign_sgd.aggregate(g, GarContext{});
   EXPECT_FLOAT_EQ(out[0], 1.0f);   // votes +1 +1 -1 -> +
@@ -191,25 +195,25 @@ TEST(SignSgd, MajorityVotePerCoordinate) {
 }
 
 TEST(SignSgd, TieEmitsZeroAndStepScales) {
-  const std::vector<std::vector<float>> g = {{1.0f}, {-1.0f}};
   SignSgdMajorityAggregator sign_sgd(0.25);
-  EXPECT_FLOAT_EQ(sign_sgd.aggregate(g, GarContext{})[0], 0.0f);
-  const std::vector<std::vector<float>> g2 = {{1.0f}, {2.0f}};
-  EXPECT_FLOAT_EQ(sign_sgd.aggregate(g2, GarContext{})[0], 0.25f);
+  EXPECT_FLOAT_EQ(
+      sign_sgd.aggregate(matrix({{1.0f}, {-1.0f}}), GarContext{})[0], 0.0f);
+  EXPECT_FLOAT_EQ(
+      sign_sgd.aggregate(matrix({{1.0f}, {2.0f}}), GarContext{})[0], 0.25f);
 }
 
 TEST(SignSgd, FaultTolerantToMagnitudeInflation) {
   // The property the paper cites from Bernstein et al.: magnitudes are
   // discarded, so a minority sending huge values cannot move the vote.
-  auto g = gaussian_grads(9, 32, 0.5, 0.1, 77);
-  for (int i = 0; i < 4; ++i) g.push_back(std::vector<float>(32, -1e9f));
+  auto g = gaussian_grads(13, 32, 0.5, 0.1, 77);
+  for (std::size_t i = 9; i < 13; ++i) std::ranges::fill(g.row(i), -1e9f);
   SignSgdMajorityAggregator sign_sgd(1.0);
   const auto out = sign_sgd.aggregate(g, GarContext{});
   for (const float v : out) EXPECT_FLOAT_EQ(v, 1.0f);
 }
 
 TEST(SingleGradient, AllRulesReturnIt) {
-  const std::vector<std::vector<float>> g = {{1.0f, -2.0f, 3.0f}};
+  const auto g = matrix({{1.0f, -2.0f, 3.0f}});
   Rng rng(13);
   MeanAggregator mean;
   TrimmedMeanAggregator tm;
@@ -221,8 +225,8 @@ TEST(SingleGradient, AllRulesReturnIt) {
   for (Aggregator* a : std::initializer_list<Aggregator*>{
            &mean, &tm, &med, &geo, &krum, &bulyan, &dnc}) {
     const auto out = a->aggregate(g, ctx_with(0, &rng));
-    for (std::size_t j = 0; j < g[0].size(); ++j)
-      EXPECT_NEAR(out[j], g[0][j], 1e-4) << a->name();
+    for (std::size_t j = 0; j < g.cols(); ++j)
+      EXPECT_NEAR(out[j], g.at(0, j), 1e-4) << a->name();
   }
 }
 
@@ -247,22 +251,20 @@ class RobustnessSweep
     return std::make_unique<DnCAggregator>();
   }
 
-  static std::vector<std::vector<float>> corrupt(
-      const std::string& kind, std::vector<std::vector<float>> g,
-      std::size_t m, Rng& rng) {
-    const std::size_t d = g.front().size();
+  static void corrupt(const std::string& kind, GradientMatrix& g,
+                      std::size_t m, Rng& rng) {
     for (std::size_t i = 0; i < m; ++i) {
       if (kind == "huge") {
-        g[i].assign(d, 1e4f);
+        std::ranges::fill(g.row(i), 1e4f);
       } else if (kind == "negated") {
-        vec::scale(g[i], -50.0);
+        vec::scale(g.row(i), -50.0);
       } else if (kind == "random") {
-        g[i] = rng.normal_vector(d, 0.0, 100.0);
+        std::ranges::copy(rng.normal_vector(g.cols(), 0.0, 100.0),
+                          g.row(i).begin());
       } else {  // zero
-        g[i].assign(d, 0.0f);
+        std::ranges::fill(g.row(i), 0.0f);
       }
     }
-    return g;
   }
 };
 
@@ -271,11 +273,9 @@ TEST_P(RobustnessSweep, StaysNearBenignMean) {
   Rng rng(99);
   const std::size_t n = 20, m = 4, d = 32;
   auto g = gaussian_grads(n, d, 1.0, 0.2, 100);
-  const auto benign_mean = [&] {
-    std::vector<std::vector<float>> benign(g.begin() + m, g.end());
-    return vec::mean_of(benign);
-  }();
-  g = corrupt(corruption, std::move(g), m, rng);
+  const auto views = g.row_views();
+  const auto benign_mean = vec::mean_of(std::span(views).subspan(m));
+  corrupt(corruption, g, m, rng);
   auto gar = make(gar_name);
   const auto out = gar->aggregate(g, ctx_with(m, &rng));
   // The corrupted coordinates are displaced by >= 50; robust rules must

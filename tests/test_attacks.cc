@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <stdexcept>
@@ -15,28 +16,46 @@
 #include "attacks/minmax_minsum.h"
 #include "attacks/simple_attacks.h"
 #include "attacks/time_varying.h"
+#include "common/gradient_matrix.h"
 #include "common/vecops.h"
 
 namespace signguard::attacks {
 namespace {
 
-std::vector<std::vector<float>> gaussian_grads(std::size_t n, std::size_t d,
-                                               double mean, double stddev,
-                                               std::uint64_t seed) {
+using common::GradientMatrix;
+
+GradientMatrix gaussian_grads(std::size_t n, std::size_t d, double mean,
+                              double stddev, std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<std::vector<float>> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    out.push_back(rng.normal_vector(d, mean, stddev));
+  GradientMatrix out(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto row = rng.normal_vector(d, mean, stddev);
+    std::ranges::copy(row, out.row(i).begin());
+  }
   return out;
 }
 
-// AttackContext now holds borrowed row views; the AttackInput holder owns
-// the view arrays for the duration of the craft() expression.
-AttackInput make_ctx(std::span<const std::vector<float>> benign,
-                     std::span<const std::vector<float>> byz_honest,
-                     std::size_t n, std::size_t m, Rng& rng) {
-  return make_attack_input(benign, byz_honest, n, m, &rng);
+// The AttackContext over two fixture matrices. It owns the row-view
+// arrays the context borrows, so it is built in place (typically as the
+// temporary of one craft() expression) and never copied or moved.
+struct Round {
+  Round(const GradientMatrix& benign, const GradientMatrix& byz,
+        std::size_t n, std::size_t m, Rng& rng)
+      : benign_views(benign.row_views()),
+        byz_views(byz.row_views()),
+        ctx{.benign_grads = benign_views,
+            .byz_honest_grads = byz_views,
+            .n_total = n,
+            .n_byzantine = m,
+            .rng = &rng} {}
+  Round(const Round&) = delete;
+
+  std::vector<GradientView> benign_views, byz_views;
+  AttackContext ctx;
+};
+
+bool same(std::span<const float> a, std::span<const float> b) {
+  return std::ranges::equal(a, b);
 }
 
 TEST(NoAttack, ForwardsHonestGradients) {
@@ -44,10 +63,10 @@ TEST(NoAttack, ForwardsHonestGradients) {
   const auto benign = gaussian_grads(8, 16, 0.1, 1.0, 2);
   const auto byz = gaussian_grads(2, 16, 0.1, 1.0, 3);
   NoAttack attack;
-  const auto out = attack.craft(make_ctx(benign, byz, 10, 2, rng).ctx);
+  const auto out = attack.craft(Round(benign, byz, 10, 2, rng).ctx);
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0], byz[0]);
-  EXPECT_EQ(out[1], byz[1]);
+  EXPECT_TRUE(same(out[0], byz.row(0)));
+  EXPECT_TRUE(same(out[1], byz.row(1)));
 }
 
 TEST(RandomAttack, StatisticsMatchConfiguredGaussian) {
@@ -55,16 +74,14 @@ TEST(RandomAttack, StatisticsMatchConfiguredGaussian) {
   const auto benign = gaussian_grads(8, 4000, 0.5, 1.0, 5);
   const auto byz = gaussian_grads(2, 4000, 0.5, 1.0, 6);
   RandomAttack attack(0.0, 0.5);
-  const auto out = attack.craft(make_ctx(benign, byz, 10, 2, rng).ctx);
+  const auto out = attack.craft(Round(benign, byz, 10, 2, rng).ctx);
   ASSERT_EQ(out.size(), 2u);
-  const auto m = vec::coordinate_moments(out);
   double mean_acc = 0.0;
   for (const float v : out[0]) mean_acc += v;
   EXPECT_NEAR(mean_acc / 4000.0, 0.0, 0.05);
   // Per-vector empirical stddev near 0.5.
   const double nrm = vec::norm(out[0]);
   EXPECT_NEAR(nrm / std::sqrt(4000.0), 0.5, 0.05);
-  (void)m;
 }
 
 TEST(NoiseAttack, PerturbsHonestGradient) {
@@ -72,8 +89,8 @@ TEST(NoiseAttack, PerturbsHonestGradient) {
   const auto benign = gaussian_grads(8, 2000, 0.0, 1.0, 8);
   const auto byz = gaussian_grads(2, 2000, 0.0, 1.0, 9);
   NoiseAttack attack(0.0, 0.5);
-  const auto out = attack.craft(make_ctx(benign, byz, 10, 2, rng).ctx);
-  const auto delta = vec::sub(out[0], byz[0]);
+  const auto out = attack.craft(Round(benign, byz, 10, 2, rng).ctx);
+  const auto delta = vec::sub(out[0], byz.row(0));
   EXPECT_NEAR(vec::norm(delta) / std::sqrt(2000.0), 0.5, 0.05);
 }
 
@@ -82,9 +99,9 @@ TEST(SignFlip, ExactNegation) {
   const auto benign = gaussian_grads(4, 8, 0.0, 1.0, 11);
   const auto byz = gaussian_grads(2, 8, 0.0, 1.0, 12);
   SignFlipAttack attack;
-  const auto out = attack.craft(make_ctx(benign, byz, 6, 2, rng).ctx);
+  const auto out = attack.craft(Round(benign, byz, 6, 2, rng).ctx);
   for (std::size_t j = 0; j < 8; ++j)
-    EXPECT_FLOAT_EQ(out[0][j], -byz[0][j]);
+    EXPECT_FLOAT_EQ(out[0][j], -byz.at(0, j));
 }
 
 TEST(ReverseScaling, NegatesAndScales) {
@@ -92,9 +109,9 @@ TEST(ReverseScaling, NegatesAndScales) {
   const auto benign = gaussian_grads(4, 8, 0.0, 1.0, 14);
   const auto byz = gaussian_grads(1, 8, 0.0, 1.0, 15);
   ReverseScalingAttack attack(100.0);
-  const auto out = attack.craft(make_ctx(benign, byz, 5, 1, rng).ctx);
+  const auto out = attack.craft(Round(benign, byz, 5, 1, rng).ctx);
   for (std::size_t j = 0; j < 8; ++j)
-    EXPECT_FLOAT_EQ(out[0][j], -100.0f * byz[0][j]);
+    EXPECT_FLOAT_EQ(out[0][j], -100.0f * byz.at(0, j));
 }
 
 TEST(LabelFlip, FlagsDataPoisoningAndForwards) {
@@ -103,14 +120,14 @@ TEST(LabelFlip, FlagsDataPoisoningAndForwards) {
   Rng rng(16);
   const auto benign = gaussian_grads(4, 8, 0.0, 1.0, 17);
   const auto byz = gaussian_grads(2, 8, 0.0, 1.0, 18);
-  const auto out = attack.craft(make_ctx(benign, byz, 6, 2, rng).ctx);
-  EXPECT_EQ(out[0], byz[0]);
+  const auto out = attack.craft(Round(benign, byz, 6, 2, rng).ctx);
+  EXPECT_TRUE(same(out[0], byz.row(0)));
 }
 
 TEST(Lie, CraftMatchesEquationOne) {
   const auto benign = gaussian_grads(10, 32, 0.2, 0.8, 19);
   const double z = 0.3;
-  const auto gm = LieAttack::craft_vector(benign, z);
+  const auto gm = LieAttack::craft_vector(benign.row_views(), z);
   const auto moments = vec::coordinate_moments(benign);
   for (std::size_t j = 0; j < gm.size(); ++j)
     EXPECT_NEAR(gm[j], moments.mean[j] - z * moments.stddev[j], 1e-5);
@@ -121,7 +138,7 @@ TEST(Lie, AllByzantineSendSameVector) {
   const auto benign = gaussian_grads(8, 16, 0.0, 1.0, 21);
   const auto byz = gaussian_grads(3, 16, 0.0, 1.0, 22);
   LieAttack attack(0.3);
-  const auto out = attack.craft(make_ctx(benign, byz, 11, 3, rng).ctx);
+  const auto out = attack.craft(Round(benign, byz, 11, 3, rng).ctx);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0], out[1]);
   EXPECT_EQ(out[1], out[2]);
@@ -146,9 +163,9 @@ TEST(Lie, NonPositiveZUsesZMax) {
   const auto benign = gaussian_grads(40, 16, 0.0, 1.0, 24);
   const auto byz = gaussian_grads(10, 16, 0.0, 1.0, 25);
   LieAttack attack(0.0);  // auto
-  const auto out = attack.craft(make_ctx(benign, byz, 50, 10, rng).ctx);
+  const auto out = attack.craft(Round(benign, byz, 50, 10, rng).ctx);
   const auto expected =
-      LieAttack::craft_vector(benign, LieAttack::z_max(50, 10));
+      LieAttack::craft_vector(benign.row_views(), LieAttack::z_max(50, 10));
   for (std::size_t j = 0; j < expected.size(); ++j)
     EXPECT_NEAR(out[0][j], expected[j], 1e-6);
 }
@@ -165,11 +182,11 @@ TEST(ByzMean, MeanOfAllGradientsEqualsGm1) {
   const auto byz = gaussian_grads(2, 64, 0.1, 1.0, 28);
   ByzMeanAttack attack;
   const std::size_t n = 10, m = 2;
-  const auto out = attack.craft(make_ctx(benign, byz, n, m, rng).ctx);
+  const auto out = attack.craft(Round(benign, byz, n, m, rng).ctx);
   ASSERT_EQ(out.size(), m);
   // Assemble the full gradient population and check Eq. (8)'s identity.
-  std::vector<std::vector<float>> all(out.begin(), out.end());
-  all.insert(all.end(), benign.begin(), benign.end());
+  std::vector<GradientView> all(out.begin(), out.end());
+  for (std::size_t i = 0; i < benign.rows(); ++i) all.push_back(benign.row(i));
   const auto mean = vec::mean_of(all);
   const auto& gm1 = out[0];
   for (std::size_t j = 0; j < mean.size(); ++j)
@@ -181,7 +198,7 @@ TEST(ByzMean, SplitsGroupsEvenly) {
   const auto benign = gaussian_grads(40, 16, 0.0, 1.0, 30);
   const auto byz = gaussian_grads(10, 16, 0.0, 1.0, 31);
   ByzMeanAttack attack;
-  const auto out = attack.craft(make_ctx(benign, byz, 50, 10, rng).ctx);
+  const auto out = attack.craft(Round(benign, byz, 50, 10, rng).ctx);
   ASSERT_EQ(out.size(), 10u);
   // m1 = 5 copies of g_m1, then 5 copies of g_m2.
   for (std::size_t i = 1; i < 5; ++i) EXPECT_EQ(out[i], out[0]);
@@ -194,7 +211,7 @@ TEST(ByzMean, SingleByzantineClientStillWellDefined) {
   const auto benign = gaussian_grads(8, 8, 0.0, 1.0, 33);
   const auto byz = gaussian_grads(1, 8, 0.0, 1.0, 34);
   ByzMeanAttack attack;
-  const auto out = attack.craft(make_ctx(benign, byz, 9, 1, rng).ctx);
+  const auto out = attack.craft(Round(benign, byz, 9, 1, rng).ctx);
   EXPECT_EQ(out.size(), 1u);
 }
 
@@ -203,13 +220,13 @@ TEST(MinMax, SatisfiesCliqueConstraint) {
   const auto benign = gaussian_grads(12, 64, 0.1, 1.0, 36);
   const auto byz = gaussian_grads(3, 64, 0.1, 1.0, 37);
   MinMaxAttack attack;
-  const auto out = attack.craft(make_ctx(benign, byz, 15, 3, rng).ctx);
+  const auto out = attack.craft(Round(benign, byz, 15, 3, rng).ctx);
   const auto& gm = out[0];
   double max_to_benign = 0.0, max_pair = 0.0;
-  for (std::size_t i = 0; i < benign.size(); ++i) {
-    max_to_benign = std::max(max_to_benign, vec::dist2(gm, benign[i]));
-    for (std::size_t j = i + 1; j < benign.size(); ++j)
-      max_pair = std::max(max_pair, vec::dist2(benign[i], benign[j]));
+  for (std::size_t i = 0; i < benign.rows(); ++i) {
+    max_to_benign = std::max(max_to_benign, vec::dist2(gm, benign.row(i)));
+    for (std::size_t j = i + 1; j < benign.rows(); ++j)
+      max_pair = std::max(max_pair, vec::dist2(benign.row(i), benign.row(j)));
   }
   EXPECT_LE(max_to_benign, max_pair * (1.0 + 1e-6));
   EXPECT_GT(attack.last_gamma(), 0.0);
@@ -220,14 +237,14 @@ TEST(MinSum, SatisfiesSumConstraint) {
   const auto benign = gaussian_grads(12, 64, 0.1, 1.0, 39);
   const auto byz = gaussian_grads(3, 64, 0.1, 1.0, 40);
   MinSumAttack attack;
-  const auto out = attack.craft(make_ctx(benign, byz, 15, 3, rng).ctx);
+  const auto out = attack.craft(Round(benign, byz, 15, 3, rng).ctx);
   const auto& gm = out[0];
   double sum_gm = 0.0, max_sum = 0.0;
-  for (std::size_t i = 0; i < benign.size(); ++i) {
-    sum_gm += vec::dist2(gm, benign[i]);
+  for (std::size_t i = 0; i < benign.rows(); ++i) {
+    sum_gm += vec::dist2(gm, benign.row(i));
     double sum_i = 0.0;
-    for (std::size_t j = 0; j < benign.size(); ++j)
-      sum_i += vec::dist2(benign[i], benign[j]);
+    for (std::size_t j = 0; j < benign.rows(); ++j)
+      sum_i += vec::dist2(benign.row(i), benign.row(j));
     max_sum = std::max(max_sum, sum_i);
   }
   EXPECT_LE(sum_gm, max_sum * (1.0 + 1e-6));
@@ -240,19 +257,21 @@ TEST(MinMax, GammaIsMaximal) {
   const auto benign = gaussian_grads(10, 32, 0.1, 1.0, 42);
   const auto byz = gaussian_grads(2, 32, 0.1, 1.0, 43);
   MinMaxAttack attack;
-  const auto out = attack.craft(make_ctx(benign, byz, 12, 2, rng).ctx);
+  const auto out = attack.craft(Round(benign, byz, 12, 2, rng).ctx);
   const double gamma = attack.last_gamma();
   ASSERT_GT(gamma, 0.0);
   if (gamma < 99.0) {  // not capped
-    const auto avg = vec::mean_of(benign);
-    const auto dp = make_perturbation(benign, Perturbation::kInverseStd);
+    const auto views = benign.row_views();
+    const auto avg = vec::mean_of(views);
+    const auto dp = make_perturbation(views, Perturbation::kInverseStd);
     auto gm_over = avg;
     vec::axpy(gamma * 1.2, dp, gm_over);
     double max_to_benign = 0.0, max_pair = 0.0;
-    for (std::size_t i = 0; i < benign.size(); ++i) {
-      max_to_benign = std::max(max_to_benign, vec::dist2(gm_over, benign[i]));
-      for (std::size_t j = i + 1; j < benign.size(); ++j)
-        max_pair = std::max(max_pair, vec::dist2(benign[i], benign[j]));
+    for (std::size_t i = 0; i < benign.rows(); ++i) {
+      max_to_benign =
+          std::max(max_to_benign, vec::dist2(gm_over, benign.row(i)));
+      for (std::size_t j = i + 1; j < benign.rows(); ++j)
+        max_pair = std::max(max_pair, vec::dist2(benign.row(i), benign.row(j)));
     }
     EXPECT_GT(max_to_benign, max_pair);
   }
@@ -260,16 +279,17 @@ TEST(MinMax, GammaIsMaximal) {
 
 TEST(Perturbations, AllVariantsHaveExpectedGeometry) {
   const auto benign = gaussian_grads(10, 128, 0.5, 1.0, 44);
-  const auto std_p = make_perturbation(benign, Perturbation::kInverseStd);
+  const auto views = benign.row_views();
+  const auto std_p = make_perturbation(views, Perturbation::kInverseStd);
   const auto moments = vec::coordinate_moments(benign);
   for (std::size_t j = 0; j < 10; ++j)
     EXPECT_NEAR(std_p[j], -moments.stddev[j], 1e-6);
 
-  const auto unit_p = make_perturbation(benign, Perturbation::kInverseUnit);
+  const auto unit_p = make_perturbation(views, Perturbation::kInverseUnit);
   EXPECT_NEAR(vec::norm(unit_p), 1.0, 1e-5);
   EXPECT_LT(vec::cosine(unit_p, vec::mean_of(benign)), -0.999);
 
-  const auto sign_p = make_perturbation(benign, Perturbation::kInverseSign);
+  const auto sign_p = make_perturbation(views, Perturbation::kInverseSign);
   for (const float v : sign_p)
     EXPECT_TRUE(v == 1.0f || v == -1.0f || v == 0.0f);
 }
@@ -323,7 +343,7 @@ TEST(TimeVarying, QueriesBeforeBeginRoundThrow) {
   const auto benign = gaussian_grads(4, 8, 0.0, 1.0, 47);
   const auto byz = gaussian_grads(1, 8, 0.0, 1.0, 48);
   Rng rng(46);
-  auto input = make_ctx(benign, byz, 5, 1, rng);
+  const Round input(benign, byz, 5, 1, rng);
   EXPECT_THROW(attack.craft(input.ctx), std::logic_error);
   // After begin_round every query is defined.
   attack.begin_round(0, rng);
@@ -341,9 +361,9 @@ TEST(TimeVarying, CraftDelegatesToActiveAttack) {
   EXPECT_EQ(attack.current(), "SignFlip");
   const auto benign = gaussian_grads(4, 8, 0.0, 1.0, 47);
   const auto byz = gaussian_grads(1, 8, 0.0, 1.0, 48);
-  const auto out = attack.craft(make_ctx(benign, byz, 5, 1, rng).ctx);
+  const auto out = attack.craft(Round(benign, byz, 5, 1, rng).ctx);
   for (std::size_t j = 0; j < 8; ++j)
-    EXPECT_FLOAT_EQ(out[0][j], -byz[0][j]);
+    EXPECT_FLOAT_EQ(out[0][j], -byz.at(0, j));
 }
 
 }  // namespace

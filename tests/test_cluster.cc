@@ -4,27 +4,34 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "cluster/kmeans.h"
 #include "cluster/meanshift.h"
+#include "common/gradient_matrix.h"
 #include "common/rng.h"
 
 namespace signguard::cluster {
 namespace {
 
-// Two well separated blobs of sizes a and b around +/- center.
-std::vector<std::vector<float>> two_blobs(std::size_t a, std::size_t b,
-                                          double center, double spread,
-                                          std::uint64_t seed) {
+using common::GradientMatrix;
+
+GradientMatrix matrix(const std::vector<std::vector<float>>& rows) {
+  return GradientMatrix::from_vectors(rows);
+}
+
+// Two well separated blobs of sizes a and b around +/- center, plus
+// `extra` trailing rows left at zero for the caller to fill.
+GradientMatrix two_blobs(std::size_t a, std::size_t b, double center,
+                         double spread, std::uint64_t seed,
+                         std::size_t extra = 0) {
   Rng rng(seed);
-  std::vector<std::vector<float>> pts;
-  for (std::size_t i = 0; i < a; ++i)
-    pts.push_back({static_cast<float>(rng.normal(center, spread)),
-                   static_cast<float>(rng.normal(center, spread))});
-  for (std::size_t i = 0; i < b; ++i)
-    pts.push_back({static_cast<float>(rng.normal(-center, spread)),
-                   static_cast<float>(rng.normal(-center, spread))});
+  GradientMatrix pts(a + b + extra, 2);
+  for (std::size_t i = 0; i < a + b; ++i) {
+    const double c = i < a ? center : -center;
+    for (auto& v : pts.row(i)) v = static_cast<float>(rng.normal(c, spread));
+  }
   return pts;
 }
 
@@ -52,14 +59,14 @@ TEST(KMeans, MembersMatchesLabels) {
 }
 
 TEST(KMeans, MoreClustersThanPoints) {
-  const std::vector<std::vector<float>> pts = {{0.0f}, {1.0f}};
+  const auto pts = matrix({{0.0f}, {1.0f}});
   Rng rng(5);
   const ClusterResult r = kmeans(pts, KMeansConfig{.k = 5}, rng);
   EXPECT_EQ(r.n_clusters, 2u);
 }
 
 TEST(KMeans, IdenticalPointsFormOneEffectiveCluster) {
-  const std::vector<std::vector<float>> pts(10, {1.0f, 1.0f});
+  const auto pts = matrix(std::vector<std::vector<float>>(10, {1.0f, 1.0f}));
   Rng rng(6);
   const ClusterResult r = kmeans(pts, KMeansConfig{.k = 2}, rng);
   // All points coincide: the largest cluster holds everything that
@@ -71,9 +78,8 @@ TEST(KMeans, DuplicatePointsNeverSeedTwoIdenticalCenters) {
   // Two distinct locations, each heavily duplicated. k-means++ must not
   // seed both centers on copies of the same point (which previously left
   // an empty cluster behind), for any seed.
-  std::vector<std::vector<float>> pts;
-  for (int i = 0; i < 6; ++i) pts.push_back({0.0f, 0.0f});
-  for (int i = 0; i < 6; ++i) pts.push_back({5.0f, 5.0f});
+  GradientMatrix pts(12, 2);
+  for (std::size_t i = 6; i < 12; ++i) std::ranges::fill(pts.row(i), 5.0f);
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     Rng rng(seed);
     const ClusterResult r = kmeans(pts, KMeansConfig{.k = 2}, rng);
@@ -91,8 +97,9 @@ TEST(KMeans, MostlyDuplicatesWithOneOutlier) {
   // 9 copies of one point + 1 outlier: whichever point seeds first, the
   // second center must land on the other location and no cluster may end
   // up empty.
-  std::vector<std::vector<float>> pts(9, {1.0f, 1.0f});
-  pts.push_back({9.0f, 9.0f});
+  std::vector<std::vector<float>> rows(9, {1.0f, 1.0f});
+  rows.push_back({9.0f, 9.0f});
+  const auto pts = matrix(rows);
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     Rng rng(seed);
     const ClusterResult r = kmeans(pts, KMeansConfig{.k = 2}, rng);
@@ -125,11 +132,12 @@ TEST(MeanShift, SingleBlobIsOneCluster) {
 
 TEST(MeanShift, AdaptiveClusterCountWithThreeBlobs) {
   Rng rng(9);
-  std::vector<std::vector<float>> pts;
-  for (const double cx : {-6.0, 0.0, 6.0})
-    for (int i = 0; i < 12; ++i)
-      pts.push_back({static_cast<float>(rng.normal(cx, 0.2)),
-                     static_cast<float>(rng.normal(0.0, 0.2))});
+  GradientMatrix pts(36, 2);
+  for (std::size_t i = 0; i < 36; ++i) {
+    const double cx = 6.0 * (double(i / 12) - 1.0);  // -6, 0, 6
+    pts.at(i, 0) = static_cast<float>(rng.normal(cx, 0.2));
+    pts.at(i, 1) = static_cast<float>(rng.normal(0.0, 0.2));
+  }
   MeanShiftConfig cfg;
   cfg.bandwidth = 1.5;
   const ClusterResult r = mean_shift(pts, cfg);
@@ -137,29 +145,28 @@ TEST(MeanShift, AdaptiveClusterCountWithThreeBlobs) {
 }
 
 TEST(MeanShift, IdenticalPointsDegenerate) {
-  const std::vector<std::vector<float>> pts(8, {0.5f, 0.5f, 0.5f});
+  const auto pts =
+      matrix(std::vector<std::vector<float>>(8, {0.5f, 0.5f, 0.5f}));
   const ClusterResult r = mean_shift(pts);
   EXPECT_EQ(r.n_clusters, 1u);
   EXPECT_EQ(r.sizes[0], 8u);
 }
 
 TEST(MeanShift, SinglePoint) {
-  const std::vector<std::vector<float>> pts = {{1.0f, 2.0f}};
-  const ClusterResult r = mean_shift(pts);
+  const ClusterResult r = mean_shift(matrix({{1.0f, 2.0f}}));
   EXPECT_EQ(r.n_clusters, 1u);
   EXPECT_EQ(r.labels[0], 0);
 }
 
 TEST(MeanShift, EmptyInput) {
-  const std::vector<std::vector<float>> pts;
-  const ClusterResult r = mean_shift(pts);
+  const ClusterResult r = mean_shift(GradientMatrix{});
   EXPECT_EQ(r.n_clusters, 0u);
   EXPECT_TRUE(r.labels.empty());
 }
 
 TEST(MeanShift, OutlierIsolatedIntoOwnCluster) {
-  auto pts = two_blobs(20, 0, 2.0, 0.2, 10);
-  pts.push_back({50.0f, 50.0f});
+  auto pts = two_blobs(20, 0, 2.0, 0.2, 10, /*extra=*/1);
+  std::ranges::fill(pts.row(20), 50.0f);
   MeanShiftConfig cfg;
   cfg.bandwidth = 1.0;
   const ClusterResult r = mean_shift(pts, cfg);
@@ -177,7 +184,7 @@ TEST(EstimateBandwidth, PositiveAndScalesWithSpread) {
 }
 
 TEST(EstimateBandwidth, FloorOnDegenerateInput) {
-  const std::vector<std::vector<float>> pts(4, {1.0f});
+  const auto pts = matrix(std::vector<std::vector<float>>(4, {1.0f}));
   EXPECT_GT(estimate_bandwidth(pts, 0.3), 0.0);
 }
 

@@ -503,11 +503,6 @@ TEST(CommWire, WirecraftRowsAreWireLegalFixedPoints) {
 
 // ---- compressed-domain statistics ------------------------------------------
 
-struct WirePathGuard {
-  comm::WirePath saved = comm::wire_path();
-  ~WirePathGuard() { comm::set_wire_path(saved); }
-};
-
 // validate() stands in for decode_into() as the wire path's reject
 // screen, so the two must agree on *every* input — kOk or the identical
 // typed rejection. Fuzz the agreement over truncations and single-byte
@@ -550,8 +545,8 @@ TEST(CommWire, ValidateAgreesWithDecodeOnAdversarialCorpus) {
   }
 }
 
-// The statistics contract that makes SIGNGUARD_WIREPATH a pure
-// performance switch: for every accepted buffer, wire_row_norms equals
+// The statistics contract that makes the wire path exchangeable with
+// decoding everything: for every accepted buffer, wire_row_norms equals
 // vec::row_norms of the decoded matrix and wire_sign_stats equals
 // sign_statistics over the same coordinate subset — bit for bit, across
 // codecs, odd-d tail chunks and the degenerate row regimes (all-zero,
@@ -674,14 +669,43 @@ fl::ModelFactory comm_model() {
 
 // Per-round aggregate checksums through the observer hook: the no-op
 // proof compares entire training trajectories, not just end accuracy.
+// Owns a SignGuard and forwards to it. The trainer takes the wire path
+// only when the GAR itself is a SignGuard, so the wrapper runs the same
+// rule through the decode-everything path every other GAR uses.
+class DecodePathSignGuard final : public agg::Aggregator {
+ public:
+  std::vector<float> aggregate(const common::GradientMatrix& grads,
+                               const agg::GarContext& ctx) override {
+    return inner_->aggregate(grads, ctx);
+  }
+  std::string name() const override { return inner_->name(); }
+  std::vector<std::size_t> last_selected() const override {
+    return inner_->last_selected();
+  }
+  bool reports_selection() const override {
+    return inner_->reports_selection();
+  }
+
+ private:
+  std::unique_ptr<agg::Aggregator> inner_ = fl::make_aggregator("SignGuard");
+};
+
+std::unique_ptr<agg::Aggregator> signguard_on(bool wire_path) {
+  if (wire_path) return fl::make_aggregator("SignGuard");
+  return std::make_unique<DecodePathSignGuard>();
+}
+
 std::vector<std::uint64_t> run_trace(const data::TrainTest& data,
                                      const fl::TrainerConfig& cfg,
-                                     fl::TrainingResult* out = nullptr) {
+                                     fl::TrainingResult* out = nullptr,
+                                     const std::string& attack_name =
+                                         "SignFlip",
+                                     bool wire_path = true) {
   std::vector<std::uint64_t> trace;
   fl::Trainer trainer(data, comm_model(), cfg);
-  auto attack = fl::make_attack("SignFlip");
+  auto attack = fl::make_attack(attack_name);
   const auto result = trainer.run(
-      *attack, fl::make_aggregator("SignGuard"),
+      *attack, signguard_on(wire_path),
       [&](const fl::RoundObservation& obs) {
         trace.push_back(obs.skipped
                             ? 0
@@ -800,65 +824,62 @@ TEST(CommTrainer, DegenerateCompressionSpecThrowsAtConstruction) {
   EXPECT_THROW(fl::Trainer(data, comm_model(), cfg), std::invalid_argument);
 }
 
-// The tentpole contract, end to end: a full SignFlip × SignGuard training
-// run under the compressed-domain backend is bit-identical — per-round
-// aggregates, accuracy, admission statistics — to the decode-everything
-// reference, for every codec and thread count, while materializing
-// strictly fewer dense bytes on the server.
+// The compressed-domain contract, end to end: a full SignFlip or ByzMean
+// × SignGuard training run on the wire path is bit-identical — per-round
+// aggregates, accuracy, admission statistics — to the same rule on the
+// decode-everything path, for every codec and thread count, while
+// materializing strictly fewer dense bytes on the server.
 TEST(CommTrainer, WirePathMatchesDecodePathBitwise) {
   const auto data = comm_data();
-  WirePathGuard wp_guard;
   ThreadCountGuard tc_guard;
-  for (const auto kind :
-       {CodecKind::kSign1, CodecKind::kInt8, CodecKind::kTopK}) {
-    fl::TrainerConfig cfg = comm_config();
-    cfg.compression = spec_of(kind, 256, 0.1);
-    std::vector<std::uint64_t> first_trace;
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      common::set_thread_count(threads);
-      comm::set_wire_path(comm::WirePath::kWire);
-      fl::TrainingResult r_wire;
-      const auto t_wire = run_trace(data, cfg, &r_wire);
-      comm::set_wire_path(comm::WirePath::kDecode);
-      fl::TrainingResult r_decode;
-      const auto t_decode = run_trace(data, cfg, &r_decode);
+  for (const std::string attack : {"SignFlip", "ByzMean"}) {
+    for (const auto kind :
+         {CodecKind::kSign1, CodecKind::kInt8, CodecKind::kTopK}) {
+      fl::TrainerConfig cfg = comm_config();
+      cfg.compression = spec_of(kind, 256, 0.1);
+      std::vector<std::uint64_t> first_trace;
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        common::set_thread_count(threads);
+        fl::TrainingResult r_wire;
+        const auto t_wire = run_trace(data, cfg, &r_wire, attack, true);
+        fl::TrainingResult r_decode;
+        const auto t_decode = run_trace(data, cfg, &r_decode, attack, false);
 
-      const char* name = comm::codec_name(kind);
-      EXPECT_EQ(t_wire, t_decode) << name << " threads=" << threads;
-      EXPECT_EQ(r_wire.final_accuracy, r_decode.final_accuracy) << name;
-      EXPECT_EQ(r_wire.selection.honest_rate, r_decode.selection.honest_rate)
-          << name;
-      EXPECT_EQ(r_wire.selection.malicious_rate,
-                r_decode.selection.malicious_rate)
-          << name;
-      // Same wire traffic in, far fewer dense bytes out of the decoder:
-      // SignGuard rejects the SignFlip rows before they are ever floats.
-      EXPECT_EQ(r_wire.uplink_bytes, r_decode.uplink_bytes) << name;
-      EXPECT_GT(r_wire.uplink_decoded_bytes, 0u) << name;
-      EXPECT_LT(r_wire.uplink_decoded_bytes, r_decode.uplink_decoded_bytes)
-          << name;
-      // And the wire backend is thread-count invariant on its own.
-      if (first_trace.empty())
-        first_trace = t_wire;
-      else
-        EXPECT_EQ(t_wire, first_trace) << name;
+        const std::string name = attack + " " + comm::codec_name(kind);
+        EXPECT_EQ(t_wire, t_decode) << name << " threads=" << threads;
+        EXPECT_EQ(r_wire.final_accuracy, r_decode.final_accuracy) << name;
+        EXPECT_EQ(r_wire.selection.honest_rate,
+                  r_decode.selection.honest_rate)
+            << name;
+        EXPECT_EQ(r_wire.selection.malicious_rate,
+                  r_decode.selection.malicious_rate)
+            << name;
+        // Same wire traffic in, far fewer dense bytes out of the decoder:
+        // SignGuard rejects the attack rows before they are ever floats.
+        EXPECT_EQ(r_wire.uplink_bytes, r_decode.uplink_bytes) << name;
+        EXPECT_GT(r_wire.uplink_decoded_bytes, 0u) << name;
+        EXPECT_LT(r_wire.uplink_decoded_bytes, r_decode.uplink_decoded_bytes)
+            << name;
+        // And the wire path is thread-count invariant on its own.
+        if (first_trace.empty())
+          first_trace = t_wire;
+        else
+          EXPECT_EQ(t_wire, first_trace) << name;
+      }
     }
   }
 }
 
 TEST(CommTrainer, WirePathBillsOnlyTheTrustedSetsBytes) {
   const auto data = comm_data();
-  WirePathGuard wp_guard;
   fl::TrainerConfig cfg = comm_config();
   cfg.compression = spec_of(CodecKind::kSign1);
   for (const bool wire : {true, false}) {
-    comm::set_wire_path(wire ? comm::WirePath::kWire
-                             : comm::WirePath::kDecode);
     fl::Trainer trainer(data, comm_model(), cfg);
     auto attack = fl::make_attack("SignFlip");
     std::uint64_t billed = 0;
     const auto result = trainer.run(
-        *attack, fl::make_aggregator("SignGuard"),
+        *attack, signguard_on(wire),
         [&](const fl::RoundObservation& obs) {
           ASSERT_FALSE(obs.skipped);
           const std::uint64_t rows =
@@ -874,11 +895,9 @@ TEST(CommTrainer, WirePathBillsOnlyTheTrustedSetsBytes) {
 }
 
 TEST(CommTrainer, NonSignGuardGarsStayOnTheDecodePath) {
-  // Mean has no filtering stage to run on wire statistics; under the wire
-  // backend it still decodes (and bills) every accepted uplink.
+  // Mean has no filtering stage to run on wire statistics; with a codec
+  // active it still decodes (and bills) every accepted uplink.
   const auto data = comm_data();
-  WirePathGuard wp_guard;
-  comm::set_wire_path(comm::WirePath::kWire);
   fl::TrainerConfig cfg = comm_config();
   cfg.compression = spec_of(CodecKind::kSign1);
   fl::Trainer trainer(data, comm_model(), cfg);

@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "common/vecops.h"
+#include "oracles.h"
 
 namespace signguard {
 namespace {
@@ -118,7 +119,8 @@ TEST(VecOps, AxpyScaleSubAdd) {
 }
 
 TEST(VecOps, MeanOfVectors) {
-  const std::vector<std::vector<float>> vs = {{1.0f, 2.0f}, {3.0f, 4.0f}};
+  const auto vs = common::GradientMatrix::from_vectors(
+      std::vector<std::vector<float>>{{1.0f, 2.0f}, {3.0f, 4.0f}});
   const auto m = vec::mean_of(vs);
   EXPECT_FLOAT_EQ(m[0], 2.0f);
   EXPECT_FLOAT_EQ(m[1], 3.0f);
@@ -128,7 +130,8 @@ TEST(VecOps, MeanOfVectors) {
 }
 
 TEST(VecOps, CoordinateMoments) {
-  const std::vector<std::vector<float>> vs = {{0.0f, 1.0f}, {2.0f, 1.0f}};
+  const auto vs = common::GradientMatrix::from_vectors(
+      std::vector<std::vector<float>>{{0.0f, 1.0f}, {2.0f, 1.0f}});
   const auto m = vec::coordinate_moments(vs);
   EXPECT_FLOAT_EQ(m.mean[0], 1.0f);
   EXPECT_FLOAT_EQ(m.mean[1], 1.0f);
@@ -224,9 +227,9 @@ TEST(SelectCoordinates, AtLeastOne) {
 }
 
 TEST(PairwiseDistances, MatchesDirectComputation) {
-  const std::vector<std::vector<float>> grads = {
-      {0.0f, 0.0f}, {3.0f, 4.0f}, {1.0f, 1.0f}};
-  const PairwiseDistances pd(grads);
+  const PairwiseDistances pd(common::GradientMatrix::from_vectors(
+      std::vector<std::vector<float>>{
+          {0.0f, 0.0f}, {3.0f, 4.0f}, {1.0f, 1.0f}}));
   EXPECT_DOUBLE_EQ(pd.dist2(0, 1), 25.0);
   EXPECT_DOUBLE_EQ(pd.dist2(1, 0), 25.0);
   EXPECT_DOUBLE_EQ(pd.dist2(0, 0), 0.0);
@@ -235,11 +238,16 @@ TEST(PairwiseDistances, MatchesDirectComputation) {
 
 TEST(MedianPairwiseCosine, PicksMajorityDirection) {
   // Three aligned gradients and one reversed: the reversed one has median
-  // cosine -1 to the others; the aligned ones have median +1.
-  const std::vector<std::vector<float>> grads = {
-      {1.0f, 0.0f}, {2.0f, 0.0f}, {3.0f, 0.0f}, {-1.0f, 0.0f}};
-  EXPECT_GT(median_pairwise_cosine(grads, 0), 0.9);
-  EXPECT_LT(median_pairwise_cosine(grads, 3), -0.9);
+  // cosine -1 to the others; the aligned ones have median +1. The one-block
+  // library kernel matches the oracle's per-client scalar scans.
+  const auto grads = common::GradientMatrix::from_vectors(
+      std::vector<std::vector<float>>{
+          {1.0f, 0.0f}, {2.0f, 0.0f}, {3.0f, 0.0f}, {-1.0f, 0.0f}});
+  EXPECT_GT(oracle::median_pairwise_cosine(grads, 0), 0.9);
+  EXPECT_LT(oracle::median_pairwise_cosine(grads, 3), -0.9);
+  const auto all = median_pairwise_cosines(grads);
+  for (std::size_t i = 0; i < grads.rows(); ++i)
+    EXPECT_NEAR(all[i], oracle::median_pairwise_cosine(grads, i), 1e-6);
 }
 
 TEST(TextTable, AlignsAndFormats) {

@@ -44,11 +44,22 @@ TEST(Degenerate, EmptyRoundThrowsTypedErrorForEveryDefense) {
     ctx.rng = &rng;
     EXPECT_THROW(gar->aggregate(empty, ctx), std::invalid_argument) << name;
   }
-  // The legacy adapter also rejects inconsistent row dimensions.
-  auto mean = fl::make_aggregator("Mean", 17);
-  const std::vector<std::vector<float>> ragged = {{1.0f, 2.0f}, {3.0f}};
-  EXPECT_THROW(mean->aggregate(ragged, agg::GarContext{}),
-               std::invalid_argument);
+}
+
+TEST(Degenerate, RaggedRowsThrowTypedErrorAtTheMatrixBoundary) {
+  // Checked before any copy in every build mode: a row longer than the
+  // first would otherwise be written past its slot (past the buffer for
+  // the last row).
+  for (const auto& ragged :
+       {std::vector<std::vector<float>>{{1.0f, 2.0f}, {3.0f}},
+        std::vector<std::vector<float>>{{1.0f, 2.0f}, {3.0f, 4.0f, 5.0f}}}) {
+    EXPECT_THROW(common::GradientMatrix::from_vectors(ragged),
+                 std::invalid_argument);
+    const std::vector<std::span<const float>> views(ragged.begin(),
+                                                    ragged.end());
+    EXPECT_THROW(common::GradientMatrix::from_views(views),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Degenerate, SingleClientRoundIsWellDefined) {
@@ -98,42 +109,47 @@ TEST(Degenerate, ZeroDimensionalGradientsProduceEmptyOutput) {
 // ---- attack-side degenerate shapes (PR 7 TimeVaryingAttack contract:
 // degenerate inputs are typed errors, never silent garbage) -------------
 
-// Views + context over a synthetic round: nb benign rows, m Byzantine.
-attacks::AttackInput degenerate_round(std::size_t nb, std::size_t m,
-                                      std::size_t d, Rng* rng) {
-  static thread_local std::vector<std::vector<float>> benign, byz;
-  benign.clear();
-  byz.clear();
-  Rng gen(91);
-  for (std::size_t i = 0; i < nb; ++i)
-    benign.push_back(gen.normal_vector(d, 0.1, 1.0));
-  for (std::size_t i = 0; i < m; ++i)
-    byz.push_back(gen.normal_vector(d, 0.1, 1.0));
-  return attacks::make_attack_input(benign, byz, nb + m, m, rng);
+// Context over a synthetic round: nb benign rows, m Byzantine. The rows
+// and the views it borrows live in thread_local storage until the next
+// call.
+attacks::AttackContext degenerate_round(std::size_t nb, std::size_t m,
+                                        std::size_t d, Rng* rng) {
+  static thread_local common::GradientMatrix rows;
+  static thread_local std::vector<attacks::GradientView> benign_views,
+      byz_views;
+  rows = gaussian_matrix(nb + m, d, 0.1, 1.0, 91);
+  const auto views = rows.row_views();
+  benign_views.assign(views.begin(), views.begin() + std::ptrdiff_t(nb));
+  byz_views.assign(views.begin() + std::ptrdiff_t(nb), views.end());
+  return {.benign_grads = benign_views,
+          .byz_honest_grads = byz_views,
+          .n_total = nb + m,
+          .n_byzantine = m,
+          .rng = rng};
 }
 
 TEST(DegenerateAttacks, EmptyHonestSetThrowsTypedError) {
   // All-Byzantine round: every omniscient attack needs benign statistics
   // and must refuse loudly instead of crafting from an empty set.
   Rng rng(7);
-  const auto in = degenerate_round(0, 3, 5, &rng);
-  EXPECT_THROW(attacks::LieAttack(0.3).craft(in.ctx), std::invalid_argument);
-  EXPECT_THROW(attacks::MinMaxAttack().craft(in.ctx), std::invalid_argument);
-  EXPECT_THROW(attacks::MinSumAttack().craft(in.ctx), std::invalid_argument);
-  EXPECT_THROW(attacks::ByzMeanAttack().craft(in.ctx), std::invalid_argument);
+  const auto ctx = degenerate_round(0, 3, 5, &rng);
+  EXPECT_THROW(attacks::LieAttack(0.3).craft(ctx), std::invalid_argument);
+  EXPECT_THROW(attacks::MinMaxAttack().craft(ctx), std::invalid_argument);
+  EXPECT_THROW(attacks::MinSumAttack().craft(ctx), std::invalid_argument);
+  EXPECT_THROW(attacks::ByzMeanAttack().craft(ctx), std::invalid_argument);
   // LIE in auto-z mode hits the same wall one layer down (n == m).
-  EXPECT_THROW(attacks::LieAttack(0.0).craft(in.ctx), std::invalid_argument);
+  EXPECT_THROW(attacks::LieAttack(0.0).craft(ctx), std::invalid_argument);
 }
 
 TEST(DegenerateAttacks, ZeroByzantineCraftsNothing) {
   // m = 0 is a legal round shape (the trainer expects exactly m rows
   // back), not an error.
   Rng rng(8);
-  const auto in = degenerate_round(4, 0, 5, &rng);
-  EXPECT_TRUE(attacks::LieAttack(0.3).craft(in.ctx).empty());
-  EXPECT_TRUE(attacks::MinMaxAttack().craft(in.ctx).empty());
-  EXPECT_TRUE(attacks::MinSumAttack().craft(in.ctx).empty());
-  EXPECT_TRUE(attacks::ByzMeanAttack().craft(in.ctx).empty());
+  const auto ctx = degenerate_round(4, 0, 5, &rng);
+  EXPECT_TRUE(attacks::LieAttack(0.3).craft(ctx).empty());
+  EXPECT_TRUE(attacks::MinMaxAttack().craft(ctx).empty());
+  EXPECT_TRUE(attacks::MinSumAttack().craft(ctx).empty());
+  EXPECT_TRUE(attacks::ByzMeanAttack().craft(ctx).empty());
 }
 
 TEST(DegenerateAttacks, ConstructorValidation) {

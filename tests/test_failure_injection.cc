@@ -20,14 +20,21 @@
 namespace signguard {
 namespace {
 
-std::vector<std::vector<float>> gaussian_grads(std::size_t n, std::size_t d,
-                                               double mean, double stddev,
-                                               std::uint64_t seed) {
+// n benign rows drawn from one Rng, then `poisoned` trailing rows of
+// `poison` in every coordinate.
+common::GradientMatrix gaussian_grads(std::size_t n, std::size_t d,
+                                      double mean, double stddev,
+                                      std::uint64_t seed,
+                                      std::size_t poisoned = 0,
+                                      float poison = 0.0f) {
   Rng rng(seed);
-  std::vector<std::vector<float>> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    out.push_back(rng.normal_vector(d, mean, stddev));
+  common::GradientMatrix out(n + poisoned, d);
+  for (std::size_t i = 0; i < n + poisoned; ++i) {
+    if (i < n)
+      std::ranges::copy(rng.normal_vector(d, mean, stddev), out.row(i).begin());
+    else
+      std::ranges::fill(out.row(i), poison);
+  }
   return out;
 }
 
@@ -38,10 +45,8 @@ bool all_finite(std::span<const float> v) {
 }
 
 TEST(FailureInjection, SignGuardRejectsNaNGradients) {
-  auto g = gaussian_grads(16, 512, 0.2, 0.5, 1);
-  for (int i = 0; i < 4; ++i)
-    g.push_back(std::vector<float>(
-        512, std::numeric_limits<float>::quiet_NaN()));
+  const auto g = gaussian_grads(16, 512, 0.2, 0.5, 1, 4,
+                                std::numeric_limits<float>::quiet_NaN());
   core::SignGuard sg(core::plain_config());
   const auto out = sg.aggregate(g, agg::GarContext{});
   // NaN norms fail the band check, so the poisoned gradients are dropped
@@ -51,10 +56,8 @@ TEST(FailureInjection, SignGuardRejectsNaNGradients) {
 }
 
 TEST(FailureInjection, SignGuardRejectsInfinityGradients) {
-  auto g = gaussian_grads(16, 512, 0.2, 0.5, 2);
-  for (int i = 0; i < 4; ++i)
-    g.push_back(
-        std::vector<float>(512, std::numeric_limits<float>::infinity()));
+  const auto g = gaussian_grads(16, 512, 0.2, 0.5, 2, 4,
+                                std::numeric_limits<float>::infinity());
   core::SignGuard sg(core::plain_config());
   const auto out = sg.aggregate(g, agg::GarContext{});
   for (const auto idx : sg.last_selected()) EXPECT_LT(idx, 16u);
@@ -62,8 +65,7 @@ TEST(FailureInjection, SignGuardRejectsInfinityGradients) {
 }
 
 TEST(FailureInjection, SignGuardRejectsZeroGradientsFromMinority) {
-  auto g = gaussian_grads(16, 512, 0.2, 0.5, 3);
-  for (int i = 0; i < 4; ++i) g.push_back(std::vector<float>(512, 0.0f));
+  const auto g = gaussian_grads(16, 512, 0.2, 0.5, 3, 4, 0.0f);
   core::SignGuard sg(core::plain_config());
   sg.aggregate(g, agg::GarContext{});
   // Zero norm fails the lower threshold L = 0.1.
@@ -76,7 +78,7 @@ TEST(FailureInjection, MedianSurvivesNaNMinority) {
   // SignGuard-style norm screening happens first. This test documents
   // that the *robust mean family* (trimmed mean over finite values)
   // stays finite when NaNs are pre-filtered.
-  auto g = gaussian_grads(9, 64, 0.5, 0.2, 4);
+  const auto g = gaussian_grads(9, 64, 0.5, 0.2, 4);
   core::NormFilterResult screen = core::norm_filter(g, {});
   EXPECT_EQ(screen.accepted.size(), 9u);
   agg::MedianAggregator median;

@@ -7,7 +7,7 @@
 //                          GAR families, partitions, participation and
 //                          legacy failure injection.
 //   feature_sweep.jsonl    every optional round path: sign1 wire and
-//                          decode backends, sharding, chaos + quorum
+//                          decode paths, sharding, chaos + quorum
 //                          degradation, adaptive wirecrafting and the
 //                          no-honest skip — with the per-round work
 //                          counters ("obs" blocks) on, so stage
@@ -33,8 +33,6 @@
 #include <sstream>
 #include <string>
 
-#include "comm/stats.h"
-#include "common/vecops.h"
 #include "fl/sweep.h"
 
 namespace signguard::fl {
@@ -187,30 +185,11 @@ std::vector<ScenarioSpec> feature_scenarios() {
   return specs;
 }
 
-// Pins the process-wide backend overrides for the test's lifetime, so the
-// SIGNGUARD_WIREPATH / SIGNGUARD_DIST env knobs cannot move a golden.
-class PinnedBackends {
- public:
-  PinnedBackends() {
-    comm::set_wire_path(comm::WirePath::kWire);
-    vec::set_dist_backend(vec::DistBackend::kGram);
-  }
-  ~PinnedBackends() {
-    comm::set_wire_path(wire_path_);
-    vec::set_dist_backend(dist_backend_);
-  }
-
- private:
-  comm::WirePath wire_path_ = comm::wire_path();
-  vec::DistBackend dist_backend_ = vec::dist_backend();
-};
-
 TEST(GoldenTraces, CanonicalSweepMatchesCommittedTraces) {
   expect_matches_golden("canonical_sweep.jsonl", canonical_scenarios(), {});
 }
 
 TEST(GoldenTraces, FeatureSweepMatchesCommittedTraces) {
-  const PinnedBackends pin;
   SweepOptions opts;
   opts.obs_counters = true;
   expect_matches_golden("feature_sweep.jsonl", feature_scenarios(), opts);

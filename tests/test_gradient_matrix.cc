@@ -1,9 +1,7 @@
 // GradientMatrix layer tests: the flat representation itself, the thread
-// pool behind it, the threaded matrix kernels, and the two properties the
-// refactor promises — (1) the legacy vector-of-vectors adapter and the
-// matrix entry point produce bit-identical aggregates for every defense
-// in table1_defenses() under every smoke attack, and (2) results are
-// independent of SIGNGUARD_THREADS.
+// pool behind it, the threaded matrix kernels against their scalar
+// counterparts, and aggregates for every defense in table1_defenses()
+// that are independent of SIGNGUARD_THREADS.
 
 #include <gtest/gtest.h>
 
@@ -22,19 +20,27 @@
 #include "data/synth_image.h"
 #include "fl/experiment.h"
 #include "nn/models.h"
+#include "oracles.h"
 
 namespace signguard {
 namespace {
 
-std::vector<std::vector<float>> gaussian_grads(std::size_t n, std::size_t d,
-                                               double mean, double stddev,
-                                               std::uint64_t seed) {
+std::vector<std::vector<float>> gaussian_rows(std::size_t n, std::size_t d,
+                                              double mean, double stddev,
+                                              std::uint64_t seed) {
   Rng rng(seed);
   std::vector<std::vector<float>> out;
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
     out.push_back(rng.normal_vector(d, mean, stddev));
   return out;
+}
+
+common::GradientMatrix gaussian_grads(std::size_t n, std::size_t d,
+                                      double mean, double stddev,
+                                      std::uint64_t seed) {
+  return common::GradientMatrix::from_vectors(
+      gaussian_rows(n, d, mean, stddev, seed));
 }
 
 // Restores the automatic pool size when a test body returns.
@@ -44,12 +50,11 @@ struct ThreadCountGuard {
 
 // ------------------------------------------------------- representation
 
-TEST(GradientMatrix, RoundTripsThroughVectors) {
-  const auto vs = gaussian_grads(7, 33, 0.1, 1.0, 1);
+TEST(GradientMatrix, FromVectorsCopiesRowsInOrder) {
+  const auto vs = gaussian_rows(7, 33, 0.1, 1.0, 1);
   const auto m = common::GradientMatrix::from_vectors(vs);
   ASSERT_EQ(m.rows(), 7u);
   ASSERT_EQ(m.cols(), 33u);
-  EXPECT_EQ(m.to_vectors(), vs);
   for (std::size_t i = 0; i < m.rows(); ++i)
     for (std::size_t j = 0; j < m.cols(); ++j)
       EXPECT_EQ(m.at(i, j), vs[i][j]);
@@ -64,11 +69,12 @@ TEST(GradientMatrix, RowsAreContiguous) {
 }
 
 TEST(GradientMatrix, FromViewsMatchesFromVectors) {
-  const auto vs = gaussian_grads(5, 16, 0.0, 1.0, 2);
-  const auto a = common::GradientMatrix::from_vectors(vs);
+  const auto a = gaussian_grads(5, 16, 0.0, 1.0, 2);
   const auto views = a.row_views();
   const auto b = common::GradientMatrix::from_views(views);
-  EXPECT_EQ(b.to_vectors(), vs);
+  ASSERT_EQ(b.rows(), a.rows());
+  ASSERT_EQ(b.cols(), a.cols());
+  EXPECT_TRUE(std::equal(a.data(), a.data() + 5 * 16, b.data()));
 }
 
 TEST(GradientMatrix, ResizeReusesBuffer) {
@@ -122,33 +128,34 @@ TEST(ParallelFor, NestedCallsRunInline) {
 // ------------------------------------------------------ matrix kernels
 
 TEST(MatrixKernels, RowNormsMatchScalarNorms) {
-  const auto vs = gaussian_grads(9, 77, 0.2, 1.5, 3);
-  const auto m = common::GradientMatrix::from_vectors(vs);
+  const auto m = gaussian_grads(9, 77, 0.2, 1.5, 3);
   const auto norms = vec::row_norms(m);
-  for (std::size_t i = 0; i < vs.size(); ++i)
-    EXPECT_DOUBLE_EQ(norms[i], vec::norm(vs[i]));
+  for (std::size_t i = 0; i < m.rows(); ++i)
+    EXPECT_DOUBLE_EQ(norms[i], vec::norm(m.row(i)));
 }
 
 TEST(MatrixKernels, PairwiseBlocksMatchScalarKernels) {
-  const auto vs = gaussian_grads(6, 40, 0.0, 1.0, 4);
-  const auto m = common::GradientMatrix::from_vectors(vs);
-  const auto prev_backend = vec::dist_backend();
-  // The direct backend is the scalar pair loops — exact match required.
-  vec::set_dist_backend(vec::DistBackend::kDirect);
-  const auto d2 = vec::pairwise_dist2(m);
-  const auto gram = vec::pairwise_dot(m);
+  const auto m = gaussian_grads(6, 40, 0.0, 1.0, 4);
+  // The oracle is the scalar pair loops — exact match required, for the
+  // dense blocks and the packed triangle alike.
+  const auto d2 = oracle::pairwise_dist2(m);
+  const auto gram = oracle::pairwise_dot(m);
+  const auto packed = oracle::pairwise_dist2_packed(m);
+  ASSERT_EQ(packed.size(), 15u);
+  std::size_t k = 0;
   for (std::size_t i = 0; i < 6; ++i) {
     for (std::size_t j = 0; j < 6; ++j) {
-      if (i != j) EXPECT_DOUBLE_EQ(d2[i * 6 + j], vec::dist2(vs[i], vs[j]));
-      if (i == j)
-        EXPECT_DOUBLE_EQ(gram[i * 6 + j], vec::dot(vs[i], vs[i]));
-      else
-        EXPECT_DOUBLE_EQ(gram[i * 6 + j], vec::dot(vs[i], vs[j]));
+      if (i != j) {
+        EXPECT_DOUBLE_EQ(d2[i * 6 + j], vec::dist2(m.row(i), m.row(j)));
+      }
+      if (j > i) {
+        EXPECT_EQ(packed[k++], d2[i * 6 + j]);
+      }
+      EXPECT_DOUBLE_EQ(gram[i * 6 + j], vec::dot(m.row(i), m.row(j)));
     }
   }
-  // The Gram backend accumulates in float via one GEMM — tolerance only
+  // The library accumulates in float via one Gram GEMM — tolerance only
   // (test_aggregate_scale stresses the adversarial cases).
-  vec::set_dist_backend(vec::DistBackend::kGram);
   const auto d2g = vec::pairwise_dist2(m);
   const auto gramg = vec::pairwise_dot(m);
   for (std::size_t i = 0; i < 6; ++i)
@@ -156,12 +163,11 @@ TEST(MatrixKernels, PairwiseBlocksMatchScalarKernels) {
       EXPECT_NEAR(d2g[i * 6 + j], d2[i * 6 + j], 1e-3);
       EXPECT_NEAR(gramg[i * 6 + j], gram[i * 6 + j], 1e-3);
     }
-  vec::set_dist_backend(prev_backend);
 }
 
-TEST(MatrixKernels, MeanAndMomentsMatchLegacy) {
-  const auto vs = gaussian_grads(8, 51, 0.3, 0.7, 5);
-  const auto m = common::GradientMatrix::from_vectors(vs);
+TEST(MatrixKernels, MeanAndMomentsMatchRowViewOverloads) {
+  const auto m = gaussian_grads(8, 51, 0.3, 0.7, 5);
+  const auto vs = m.row_views();
   const auto mean_m = vec::mean_of(m);
   const auto mean_v = vec::mean_of(vs);
   ASSERT_EQ(mean_m.size(), mean_v.size());
@@ -176,76 +182,43 @@ TEST(MatrixKernels, MeanAndMomentsMatchLegacy) {
 }
 
 TEST(MatrixKernels, FusedSignStatisticsMatchPerRow) {
-  const auto vs = gaussian_grads(10, 128, 0.1, 1.0, 6);
-  const auto m = common::GradientMatrix::from_vectors(vs);
+  const auto m = gaussian_grads(10, 128, 0.1, 1.0, 6);
   Rng rng(7);
   const auto coords = select_coordinates(128, 0.5, rng);
   const auto fused = sign_statistics(m, coords);
   ASSERT_EQ(fused.size(), 10u);
   for (std::size_t i = 0; i < 10; ++i) {
-    const SignStats s = sign_statistics(vs[i], coords);
+    const SignStats s = sign_statistics(m.row(i), coords);
     EXPECT_DOUBLE_EQ(fused[i].pos, s.pos);
     EXPECT_DOUBLE_EQ(fused[i].zero, s.zero);
     EXPECT_DOUBLE_EQ(fused[i].neg, s.neg);
   }
 }
 
-// ------------------------------- adapter equivalence across every GAR
+// ---------------------------------------------- crafted populations
 
 // Builds a crafted gradient population: m_byz malicious rows first (as
 // the trainer lays them out), benign rows after.
-std::vector<std::vector<float>> attacked_population(
-    const std::string& attack_name, std::size_t n, std::size_t m_byz,
-    std::size_t d, std::uint64_t seed) {
+common::GradientMatrix attacked_population(const std::string& attack_name,
+                                           std::size_t n, std::size_t m_byz,
+                                           std::size_t d,
+                                           std::uint64_t seed) {
   const auto benign = gaussian_grads(n - m_byz, d, 0.3, 0.8, seed);
   const auto byz_honest = gaussian_grads(m_byz, d, 0.3, 0.8, seed + 1);
   Rng rng(seed + 2);
   auto attack = fl::make_attack(attack_name);
   attack->begin_round(0, rng);
-  const attacks::AttackInput in =
-      attacks::make_attack_input(benign, byz_honest, n, m_byz, &rng);
-  std::vector<std::vector<float>> all = attack->craft(in.ctx);
-  all.insert(all.end(), benign.begin(), benign.end());
-  return all;
+  const auto benign_views = benign.row_views();
+  const auto byz_views = byz_honest.row_views();
+  const auto crafted = attack->craft({.benign_grads = benign_views,
+                                      .byz_honest_grads = byz_views,
+                                      .n_total = n,
+                                      .n_byzantine = m_byz,
+                                      .rng = &rng});
+  std::vector<std::span<const float>> all(crafted.begin(), crafted.end());
+  all.insert(all.end(), benign_views.begin(), benign_views.end());
+  return common::GradientMatrix::from_views(all);
 }
-
-class AdapterEquivalence
-    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
-};
-
-TEST_P(AdapterEquivalence, LegacyAndMatrixPathsAgreeBitwise) {
-  const auto [defense, attack_name] = GetParam();
-  const std::size_t n = 20, m_byz = 4, d = 256;
-  const auto grads = attacked_population(attack_name, n, m_byz, d, 11);
-  const auto matrix = common::GradientMatrix::from_vectors(grads);
-
-  // Separate aggregator instances (and Rngs for randomized rules) so
-  // per-instance state cannot leak between the two paths.
-  auto gar_legacy = fl::make_aggregator(defense, 2022);
-  auto gar_matrix = fl::make_aggregator(defense, 2022);
-  Rng rng_a(33), rng_b(33);
-  agg::GarContext ctx_a, ctx_b;
-  ctx_a.assumed_byzantine = ctx_b.assumed_byzantine = m_byz;
-  ctx_a.rng = &rng_a;
-  ctx_b.rng = &rng_b;
-
-  const auto via_legacy = gar_legacy->aggregate(grads, ctx_a);
-  const auto via_matrix = gar_matrix->aggregate(matrix, ctx_b);
-  ASSERT_EQ(via_legacy.size(), d);
-  EXPECT_EQ(via_legacy, via_matrix)
-      << "defense=" << defense << " attack=" << attack_name;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    DefensesTimesAttacks, AdapterEquivalence,
-    ::testing::Combine(::testing::ValuesIn(fl::table1_defenses()),
-                       ::testing::Values("NoAttack", "SignFlip", "LIE",
-                                         "ByzMean", "MinMax")),
-    [](const auto& info) {
-      auto name = std::get<0>(info.param) + "_" + std::get<1>(info.param);
-      std::replace(name.begin(), name.end(), '-', '_');
-      return name;
-    });
 
 // ------------------------------------ thread-count determinism per GAR
 
@@ -255,8 +228,7 @@ TEST_P(ThreadDeterminism, OneThreadAndFourThreadsAgreeBitwise) {
   ThreadCountGuard guard;
   const auto defense = GetParam();
   const std::size_t n = 24, m_byz = 5, d = 512;
-  const auto grads = attacked_population("LIE", n, m_byz, d, 21);
-  const auto matrix = common::GradientMatrix::from_vectors(grads);
+  const auto matrix = attacked_population("LIE", n, m_byz, d, 21);
 
   auto run_with = [&](std::size_t threads) {
     common::set_thread_count(threads);

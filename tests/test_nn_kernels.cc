@@ -1,9 +1,10 @@
 // GEMM / im2col execution-path tests. The tiled GEMM's determinism
 // contract is bitwise: per output element, one float accumulator and a
-// strictly ascending k loop, regardless of backend, tile boundaries or
-// thread count. These tests pin that contract — against the reference
-// loops over awkward shapes, against a direct-convolution oracle for the
-// im2col path, and against workspace growth across identical rounds.
+// strictly ascending k loop, regardless of tile boundaries or thread
+// count. These tests pin that contract — against the plain-loop oracle
+// (tests/oracles.h) over awkward shapes, against a direct-convolution
+// oracle for the im2col path, and against workspace growth across
+// identical rounds.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "nn/models.h"
 #include "nn/tensor.h"
 #include "nn/workspace.h"
+#include "oracles.h"
 
 namespace signguard::nn {
 namespace {
@@ -31,43 +33,29 @@ std::vector<float> random_vec(Rng& rng, std::size_t n) {
   return v;
 }
 
-// Runs one of the three gemm entry points against both backends and
-// requires byte-identical output.
 enum class Kind { kNN, kNT, kTN };
 
-void run_gemm(Kind kind, std::size_t m, std::size_t n, std::size_t k,
-              const float* a, std::size_t lda, const float* b,
+// Runs one of the three gemm orientations on the library kernel or on
+// the oracle's plain loop.
+void run_gemm(Kind kind, bool oracle_loop, std::size_t m, std::size_t n,
+              std::size_t k, const float* a, std::size_t lda, const float* b,
               std::size_t ldb, float* c, std::size_t ldc, bool accumulate) {
-  switch (kind) {
-    case Kind::kNN:
-      gemm_nn(m, n, k, a, lda, b, ldb, c, ldc, accumulate);
-      break;
-    case Kind::kNT:
-      gemm_nt(m, n, k, a, lda, b, ldb, c, ldc, accumulate);
-      break;
-    case Kind::kTN:
-      gemm_tn(m, n, k, a, lda, b, ldb, c, ldc, accumulate);
-      break;
-  }
+  using Fn = void (*)(std::size_t, std::size_t, std::size_t, const float*,
+                      std::size_t, const float*, std::size_t, float*,
+                      std::size_t, bool);
+  static constexpr Fn kLibrary[] = {gemm_nn, gemm_nt, gemm_tn};
+  static constexpr Fn kOracle[] = {oracle::gemm_nn, oracle::gemm_nt,
+                                   oracle::gemm_tn};
+  (oracle_loop ? kOracle : kLibrary)[int(kind)](m, n, k, a, lda, b, ldb, c,
+                                                ldc, accumulate);
 }
 
-// Restores the process-global backend (which other suites in this binary
-// and the SIGNGUARD_GEMM env selection rely on) when a test ends.
-class BackendGuard {
- public:
-  BackendGuard() : saved_(gemm_backend()) {}
-  ~BackendGuard() { set_gemm_backend(saved_); }
-
- private:
-  GemmBackend saved_;
-};
-
-// The tiled backend runs once per pool size in `threads` (once on the
-// current pool when empty) and must match the reference each time.
-void expect_backends_bitwise(Kind kind, std::size_t m, std::size_t n,
-                             std::size_t k, bool accumulate,
-                             std::uint64_t seed,
-                             std::span<const std::size_t> threads = {}) {
+// The library kernel runs once per pool size in `threads` (once on the
+// current pool when empty) and must match the oracle byte for byte each
+// time.
+void expect_matches_oracle(Kind kind, std::size_t m, std::size_t n,
+                           std::size_t k, bool accumulate, std::uint64_t seed,
+                           std::span<const std::size_t> threads = {}) {
   Rng rng(seed);
   // Operand storage sized for either orientation of the transposed side.
   const std::vector<float> a = random_vec(rng, std::max<std::size_t>(1, m * k));
@@ -77,15 +65,13 @@ void expect_backends_bitwise(Kind kind, std::size_t m, std::size_t n,
   const std::size_t ldb = kind == Kind::kNT ? k : n;
 
   std::vector<float> c_ref = c0;
-  set_gemm_backend(GemmBackend::kReference);
-  run_gemm(kind, m, n, k, a.data(), lda, b.data(), ldb, c_ref.data(), n,
-           accumulate);
-  set_gemm_backend(GemmBackend::kTiled);
+  run_gemm(kind, /*oracle_loop=*/true, m, n, k, a.data(), lda, b.data(), ldb,
+           c_ref.data(), n, accumulate);
   for (std::size_t t = 0; t < std::max<std::size_t>(1, threads.size()); ++t) {
     if (!threads.empty()) common::set_thread_count(threads[t]);
     std::vector<float> c_tiled = c0;
-    run_gemm(kind, m, n, k, a.data(), lda, b.data(), ldb, c_tiled.data(), n,
-             accumulate);
+    run_gemm(kind, /*oracle_loop=*/false, m, n, k, a.data(), lda, b.data(),
+             ldb, c_tiled.data(), n, accumulate);
     ASSERT_EQ(0, std::memcmp(c_ref.data(), c_tiled.data(),
                              c_ref.size() * sizeof(float)))
         << "kind=" << int(kind) << " m=" << m << " n=" << n << " k=" << k
@@ -95,7 +81,6 @@ void expect_backends_bitwise(Kind kind, std::size_t m, std::size_t n,
 }
 
 TEST(GemmBitwise, TiledMatchesReferenceAcrossShapes) {
-  const BackendGuard guard;
   // Degenerate, odd, rectangular, and tile-boundary (multiples of the
   // 4x8 micro-tile ± 1) shapes for all three orientations.
   const std::size_t ms[] = {1, 3, 4, 5, 8, 9, 17};
@@ -105,8 +90,10 @@ TEST(GemmBitwise, TiledMatchesReferenceAcrossShapes) {
   for (const auto kind : {Kind::kNN, Kind::kNT, Kind::kTN})
     for (const std::size_t m : ms)
       for (const std::size_t n : ns)
-        for (const std::size_t k : ks)
-          expect_backends_bitwise(kind, m, n, k, (seed % 2) == 0, ++seed);
+        for (const std::size_t k : ks) {
+          ++seed;
+          expect_matches_oracle(kind, m, n, k, seed % 2 == 0, seed);
+        }
 }
 
 // The shapes the trainer actually runs: batch-sized m against wide n
@@ -114,7 +101,6 @@ TEST(GemmBitwise, TiledMatchesReferenceAcrossShapes) {
 // swap) and short k (the CNN weight gradients), at 1 and 4 threads; the
 // larger shapes cross the row-panel fan-out threshold.
 TEST(GemmBitwise, TiledMatchesReferenceAtTrainingShapes) {
-  const BackendGuard guard;
   struct ThreadGuard {
     ~ThreadGuard() { common::set_thread_count(0); }
   } threads_guard;
@@ -128,34 +114,32 @@ TEST(GemmBitwise, TiledMatchesReferenceAtTrainingShapes) {
       for (const std::size_t n : ns)
         for (const std::size_t k : ks)
           for (const bool accumulate : {false, true})
-            expect_backends_bitwise(kind, m, n, k, accumulate, ++seed,
-                                    threads);
+            expect_matches_oracle(kind, m, n, k, accumulate, ++seed,
+                                  threads);
 }
 
 TEST(GemmBitwise, KZeroWritesOrPreservesC) {
-  const BackendGuard guard;
   Rng rng(3);
   const std::vector<float> c0 = random_vec(rng, 12);
-  for (const auto backend : {GemmBackend::kReference, GemmBackend::kTiled}) {
-    set_gemm_backend(backend);
+  for (const bool oracle_loop : {true, false}) {
     std::vector<float> c = c0;
     // accumulate: C + A*B with empty inner dim leaves C untouched.
-    gemm_nn(3, 4, 0, nullptr, 1, nullptr, 4, c.data(), 4, true);
+    run_gemm(Kind::kNN, oracle_loop, 3, 4, 0, nullptr, 1, nullptr, 4,
+             c.data(), 4, true);
     EXPECT_EQ(c, c0);
     // overwrite: the product is the zero matrix.
-    gemm_nn(3, 4, 0, nullptr, 1, nullptr, 4, c.data(), 4, false);
+    run_gemm(Kind::kNN, oracle_loop, 3, 4, 0, nullptr, 1, nullptr, 4,
+             c.data(), 4, false);
     for (const float v : c) EXPECT_EQ(v, 0.0f);
   }
 }
 
 TEST(GemmBitwise, ThreadCountInvariant) {
-  const BackendGuard guard;
   // Large enough to cross the parallel threshold (m*n*k = 8M MACs).
   const std::size_t m = 256, n = 256, k = 128;
   Rng rng(5);
   const std::vector<float> a = random_vec(rng, m * k);
   const std::vector<float> b = random_vec(rng, k * n);
-  set_gemm_backend(GemmBackend::kTiled);
   std::vector<float> c1(m * n, 0.0f), c4(m * n, 0.0f);
   common::set_thread_count(1);
   gemm_nn(m, n, k, a.data(), k, b.data(), n, c1.data(), n, false);
@@ -264,7 +248,6 @@ struct ConvOracle {
 };
 
 TEST(ConvIm2col, BitwiseMatchesDirectReferenceForwardBackward) {
-  set_gemm_backend(GemmBackend::kTiled);
   const std::size_t batch = 2, ic = 2, oc = 3, h = 5, w = 6, hw = h * w;
   Rng rng(11);
   Conv2d conv(ic, oc, rng);
@@ -317,7 +300,6 @@ TEST(ConvIm2col, BitwiseMatchesDirectReferenceForwardBackward) {
 // ------------------------------------------------------------- Workspace
 
 TEST(Workspace, IdenticalRoundsIdenticalGradientsNoGrowth) {
-  set_gemm_backend(GemmBackend::kTiled);
   Model m = make_small_cnn(8, 4, 21);
   Rng rng(22);
   Tensor x({4, 1, 8, 8});

@@ -31,15 +31,45 @@
 namespace signguard::core {
 namespace {
 
-std::vector<std::vector<float>> gaussian_grads(std::size_t n, std::size_t d,
-                                               double mean, double stddev,
-                                               std::uint64_t seed) {
+using common::GradientMatrix;
+
+// n rows drawn in order from one Rng: a fixture's first k rows do not
+// depend on how many rows follow, so tests overwrite trailing rows with
+// attackers.
+GradientMatrix gaussian_grads(std::size_t n, std::size_t d, double mean,
+                              double stddev, std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<std::vector<float>> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    out.push_back(rng.normal_vector(d, mean, stddev));
+  GradientMatrix out(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto row = rng.normal_vector(d, mean, stddev);
+    std::ranges::copy(row, out.row(i).begin());
+  }
   return out;
+}
+
+GradientMatrix matrix(const std::vector<std::vector<float>>& rows) {
+  return GradientMatrix::from_vectors(rows);
+}
+
+// Overwrites the last `count` rows with the first `count` rows scaled by
+// `factor`: sign-flipped (-1) or inflated copies of benign gradients.
+void plant_scaled_copies(GradientMatrix& g, std::size_t count,
+                         double factor) {
+  const std::size_t first = g.rows() - count;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::ranges::copy(g.row(i), g.row(first + i).begin());
+    vec::scale(g.row(first + i), factor);
+  }
+}
+
+// Overwrites rows [first, g.rows()) with LIE's crafted vector over the
+// rows before them.
+void plant_lie(GradientMatrix& g, std::size_t first, double z) {
+  const auto views = g.row_views();
+  const auto gm =
+      attacks::LieAttack::craft_vector(std::span(views).first(first), z);
+  for (std::size_t i = first; i < g.rows(); ++i)
+    std::ranges::copy(gm, g.row(i).begin());
 }
 
 agg::GarContext gar_ctx() { return agg::GarContext{}; }
@@ -48,30 +78,30 @@ agg::GarContext gar_ctx() { return agg::GarContext{}; }
 
 TEST(NormFilter, AcceptsWithinBand) {
   // Norms 1,1,1,10 -> median 1; with R=3 the big one is rejected.
-  std::vector<std::vector<float>> g = {
-      {1.0f, 0.0f}, {0.0f, 1.0f}, {-1.0f, 0.0f}, {10.0f, 0.0f}};
+  const auto g =
+      matrix({{1.0f, 0.0f}, {0.0f, 1.0f}, {-1.0f, 0.0f}, {10.0f, 0.0f}});
   const auto r = norm_filter(g, NormFilterConfig{});
   EXPECT_DOUBLE_EQ(r.median_norm, 1.0);
   EXPECT_EQ(r.accepted, (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(NormFilter, RejectsVanishinglySmall) {
-  std::vector<std::vector<float>> g = {
-      {1.0f, 0.0f}, {0.0f, 1.0f}, {-1.0f, 0.0f}, {0.0001f, 0.0f}};
+  const auto g =
+      matrix({{1.0f, 0.0f}, {0.0f, 1.0f}, {-1.0f, 0.0f}, {0.0001f, 0.0f}});
   const auto r = norm_filter(g, NormFilterConfig{});
   EXPECT_EQ(r.accepted, (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(NormFilter, BoundaryRatiosInclusive) {
   // Ratios exactly L and R are accepted (closed interval).
-  std::vector<std::vector<float>> g = {
-      {1.0f, 0.0f}, {1.0f, 0.0f}, {1.0f, 0.0f}, {3.0f, 0.0f}, {0.1f, 0.0f}};
+  const auto g = matrix(
+      {{1.0f, 0.0f}, {1.0f, 0.0f}, {1.0f, 0.0f}, {3.0f, 0.0f}, {0.1f, 0.0f}});
   const auto r = norm_filter(g, NormFilterConfig{});
   EXPECT_EQ(r.accepted.size(), 5u);
 }
 
 TEST(NormFilter, AllZeroGradientsAcceptEverything) {
-  std::vector<std::vector<float>> g(4, std::vector<float>(3, 0.0f));
+  const GradientMatrix g(4, 3);
   const auto r = norm_filter(g, NormFilterConfig{});
   EXPECT_EQ(r.accepted.size(), 4u);
   EXPECT_DOUBLE_EQ(r.median_norm, 0.0);
@@ -82,8 +112,8 @@ TEST(NormFilter, AllZeroGradientsAcceptEverything) {
 TEST(SignClusterFilter, IsolatesSignFlippedGradients) {
   // Benign gradients biased positive; flipped ones biased negative: the
   // sign statistics separate them cleanly.
-  auto g = gaussian_grads(16, 512, 0.5, 1.0, 1);
-  for (std::size_t i = 0; i < 4; ++i) g.push_back(vec::scaled(g[i], -1.0));
+  auto g = gaussian_grads(20, 512, 0.5, 1.0, 1);
+  plant_scaled_copies(g, 4, -1.0);
   Rng rng(2);
   SignClusterConfig cfg;
   const auto r = sign_cluster_filter(g, {}, 1.0, cfg, rng);
@@ -97,44 +127,44 @@ TEST(SignClusterFilter, FeatureRowsAreSignProportions) {
   SignClusterConfig cfg;
   cfg.coord_frac = 1.0;  // use every coordinate -> exact statistics
   const auto r = sign_cluster_filter(g, {}, 1.0, cfg, rng);
-  ASSERT_EQ(r.features.size(), 6u);
+  ASSERT_EQ(r.features.rows(), 6u);
+  ASSERT_EQ(r.features.cols(), 3u);
   for (std::size_t i = 0; i < 6; ++i) {
-    ASSERT_EQ(r.features[i].size(), 3u);
-    const SignStats s = sign_statistics(g[i]);
-    EXPECT_NEAR(r.features[i][0], s.pos, 1e-6);
-    EXPECT_NEAR(r.features[i][1], s.zero, 1e-6);
-    EXPECT_NEAR(r.features[i][2], s.neg, 1e-6);
-    EXPECT_NEAR(r.features[i][0] + r.features[i][1] + r.features[i][2], 1.0,
-                1e-6);
+    const SignStats s = sign_statistics(g.row(i));
+    const auto f = r.features.row(i);
+    EXPECT_NEAR(f[0], s.pos, 1e-6);
+    EXPECT_NEAR(f[1], s.zero, 1e-6);
+    EXPECT_NEAR(f[2], s.neg, 1e-6);
+    EXPECT_NEAR(f[0] + f[1] + f[2], 1.0, 1e-6);
   }
 }
 
 TEST(SignClusterFilter, SimVariantAppendsCosineFeature) {
   const auto g = gaussian_grads(5, 64, 0.2, 1.0, 5);
-  const std::vector<float> ref = g[0];
+  const std::vector<float> ref(g.row(0).begin(), g.row(0).end());
   Rng rng(6);
   SignClusterConfig cfg;
   cfg.similarity = SimilarityFeature::kCosine;
   const auto r = sign_cluster_filter(g, ref, 1.0, cfg, rng);
-  ASSERT_EQ(r.features[0].size(), 4u);
-  EXPECT_NEAR(r.features[0][3], 1.0, 1e-5);  // cos(g0, g0) == 1
+  ASSERT_EQ(r.features.cols(), 4u);
+  EXPECT_NEAR(r.features.at(0, 3), 1.0, 1e-5);  // cos(g0, g0) == 1
 }
 
 TEST(SignClusterFilter, DistVariantNormalizesByMedianNorm) {
   const auto g = gaussian_grads(5, 64, 0.2, 1.0, 7);
-  const std::vector<float> ref = g[0];
+  const std::vector<float> ref(g.row(0).begin(), g.row(0).end());
   Rng rng(8);
   SignClusterConfig cfg;
   cfg.similarity = SimilarityFeature::kDistance;
   const double med = 2.0;
   const auto r = sign_cluster_filter(g, ref, med, cfg, rng);
-  EXPECT_NEAR(r.features[0][3], 0.0, 1e-6);
-  EXPECT_NEAR(r.features[1][3], vec::dist(g[1], ref) / med, 1e-5);
+  EXPECT_NEAR(r.features.at(0, 3), 0.0, 1e-6);
+  EXPECT_NEAR(r.features.at(1, 3), vec::dist(g.row(1), ref) / med, 1e-5);
 }
 
 TEST(SignClusterFilter, KMeansClustererAlsoSeparates) {
-  auto g = gaussian_grads(12, 512, 0.5, 1.0, 9);
-  for (std::size_t i = 0; i < 3; ++i) g.push_back(vec::scaled(g[i], -1.0));
+  auto g = gaussian_grads(15, 512, 0.5, 1.0, 9);
+  plant_scaled_copies(g, 3, -1.0);
   Rng rng(10);
   SignClusterConfig cfg;
   cfg.clusterer = Clusterer::kKMeans2;
@@ -146,8 +176,8 @@ TEST(SignClusterFilter, KMeansClustererAlsoSeparates) {
 // ------------------------------------------------- aggregation helpers
 
 TEST(ClippedMean, ClipsOnlyAboveBound) {
-  const std::vector<std::vector<float>> g = {{3.0f, 4.0f},   // norm 5
-                                             {0.3f, 0.4f}};  // norm 0.5
+  const auto g = matrix({{3.0f, 4.0f},    // norm 5
+                         {0.3f, 0.4f}});  // norm 0.5
   const std::vector<std::size_t> sel = {0, 1};
   const auto out = clipped_mean(g, sel, 1.0);
   // First gradient scaled by 1/5, second untouched.
@@ -156,7 +186,7 @@ TEST(ClippedMean, ClipsOnlyAboveBound) {
 }
 
 TEST(ClippedMean, DisabledClipIsPlainSubsetMean) {
-  const std::vector<std::vector<float>> g = {{10.0f}, {2.0f}, {100.0f}};
+  const auto g = matrix({{10.0f}, {2.0f}, {100.0f}});
   const std::vector<std::size_t> sel = {0, 1};
   const auto out = clipped_mean(g, sel, 1.0, /*clip=*/false);
   EXPECT_FLOAT_EQ(out[0], 6.0f);
@@ -185,21 +215,16 @@ TEST(SignGuard, NoAttackKeepsBenignMajority) {
 }
 
 TEST(SignGuard, RejectsHugeNormGradients) {
-  auto g = gaussian_grads(16, 256, 0.1, 0.5, 12);
-  for (int i = 0; i < 4; ++i) {
-    auto evil = g[std::size_t(i)];
-    vec::scale(evil, 100.0);
-    g.push_back(evil);
-  }
+  auto g = gaussian_grads(20, 256, 0.1, 0.5, 12);
+  plant_scaled_copies(g, 4, 100.0);
   SignGuard sg(plain_config());
   sg.aggregate(g, gar_ctx());
   for (const auto idx : sg.last_selected()) EXPECT_LT(idx, 16u);
 }
 
 TEST(SignGuard, RejectsSignFlippedGradients) {
-  auto g = gaussian_grads(16, 1024, 0.4, 1.0, 13);
-  for (int i = 0; i < 4; ++i)
-    g.push_back(vec::scaled(g[std::size_t(i)], -1.0));
+  auto g = gaussian_grads(20, 1024, 0.4, 1.0, 13);
+  plant_scaled_copies(g, 4, -1.0);
   SignGuard sg(plain_config());
   sg.aggregate(g, gar_ctx());
   std::size_t malicious_kept = 0;
@@ -211,10 +236,8 @@ TEST(SignGuard, RejectsSignFlippedGradients) {
 TEST(SignGuard, RejectsLieCraftedGradients) {
   // Positive-mean benign population: LIE with large-ish z flips a visible
   // share of signs, which the clustering filter detects.
-  const auto benign = gaussian_grads(16, 1024, 0.3, 0.6, 14);
-  const auto gm = attacks::LieAttack::craft_vector(benign, 1.5);
-  auto g = benign;
-  for (int i = 0; i < 4; ++i) g.push_back(gm);
+  auto g = gaussian_grads(20, 1024, 0.3, 0.6, 14);
+  plant_lie(g, 16, 1.5);
   SignGuard sg(plain_config());
   sg.aggregate(g, gar_ctx());
   std::size_t malicious_kept = 0;
@@ -277,7 +300,7 @@ TEST(SignGuard, NormClipBoundsAggregateNorm) {
 }
 
 TEST(SignGuard, SingleGradientDegenerate) {
-  const std::vector<std::vector<float>> g = {{0.5f, -0.5f, 1.0f}};
+  const auto g = matrix({{0.5f, -0.5f, 1.0f}});
   SignGuard sg(plain_config());
   const auto out = sg.aggregate(g, gar_ctx());
   EXPECT_EQ(out.size(), 3u);
@@ -289,9 +312,8 @@ TEST(SignGuard, SingleGradientDegenerate) {
 TEST(SignGuardAblation, ClusterOnlyMissesScaledReverse) {
   // Reverse attack scaled within the norm band: without the sign filter,
   // thresholding alone cannot reject it.
-  auto g = gaussian_grads(16, 512, 0.4, 1.0, 20);
-  for (int i = 0; i < 4; ++i)
-    g.push_back(vec::scaled(g[std::size_t(i)], -1.0));
+  auto g = gaussian_grads(20, 512, 0.4, 1.0, 20);
+  plant_scaled_copies(g, 4, -1.0);
 
   SignGuardConfig norm_only = plain_config();
   norm_only.enable_sign_cluster = false;
@@ -315,9 +337,8 @@ TEST(SignGuardAblation, ClusterOnlyMissesScaledReverse) {
 
 TEST(SignGuardAblation, NormFilterCatchesScaledAttack) {
   // 100x scaled reverse gradients: the norm filter alone rejects them.
-  auto g = gaussian_grads(16, 256, 0.4, 1.0, 21);
-  for (int i = 0; i < 4; ++i)
-    g.push_back(vec::scaled(g[std::size_t(i)], -100.0));
+  auto g = gaussian_grads(20, 256, 0.4, 1.0, 21);
+  plant_scaled_copies(g, 4, -100.0);
   SignGuardConfig norm_only = plain_config();
   norm_only.enable_sign_cluster = false;
   SignGuard sg(norm_only);
@@ -392,11 +413,11 @@ WireFixture make_wire_round(const comm::CompressionSpec& spec, std::size_t d,
   return f;
 }
 
-// The backend contract: aggregate_wire on the wire bytes produces the
+// The wire-path contract: aggregate_wire on the wire bytes produces the
 // bitwise-identical trusted set and aggregate as aggregate() on the
 // decoded matrix — for every codec, chunk size, both clusterers, with
 // and without clipping, any thread count, and round over round (the Rng
-// streams must stay aligned or the backends diverge after the first
+// streams must stay aligned or the two paths diverge after the first
 // call). The streamed survivor mean must also bill exactly the decode
 // traffic of materializing every survivor row.
 TEST(SignGuardWire, MatchesDecodePathBitwise) {
@@ -495,7 +516,7 @@ TEST(SignGuardWire, AblationTogglesStayBitwiseEqual) {
 
 TEST(SignGuardWire, SimVariantDeclinesTheWirePath) {
   // The similarity feature needs decoded rows; the trainer checks
-  // supports_wire_path() and keeps Sim/Dist on the decode backend.
+  // supports_wire_path() and keeps Sim/Dist on the decode path.
   EXPECT_TRUE(SignGuard(plain_config()).supports_wire_path());
   EXPECT_FALSE(SignGuard(sim_config()).supports_wire_path());
   EXPECT_FALSE(SignGuard(dist_config()).supports_wire_path());
@@ -546,26 +567,20 @@ class SignGuardVariantSweep
 TEST_P(SignGuardVariantSweep, MajorityOfMaliciousRejected) {
   const auto [variant, attack_name] = GetParam();
   const std::size_t n = 20, m = 4, d = 1024;
-  const auto benign = gaussian_grads(n - m, d, 0.3, 0.8, 23);
+  // Benign rows first, the m malicious rows overwrite the tail.
+  auto g = gaussian_grads(n, d, 0.3, 0.8, 23);
 
   Rng rng(24);
-  std::vector<std::vector<float>> malicious;
   if (attack_name == "SignFlip") {
-    for (std::size_t i = 0; i < m; ++i)
-      malicious.push_back(vec::scaled(benign[i], -1.0));
+    plant_scaled_copies(g, m, -1.0);
   } else if (attack_name == "LIE-strong") {
-    const auto gm = attacks::LieAttack::craft_vector(benign, 1.5);
-    malicious.assign(m, gm);
+    plant_lie(g, n - m, 1.5);
   } else if (attack_name == "Random") {
-    for (std::size_t i = 0; i < m; ++i)
-      malicious.push_back(rng.normal_vector(d, 0.0, 0.5));
+    for (std::size_t i = n - m; i < n; ++i)
+      std::ranges::copy(rng.normal_vector(d, 0.0, 0.5), g.row(i).begin());
   } else {  // Scaled
-    for (std::size_t i = 0; i < m; ++i)
-      malicious.push_back(vec::scaled(benign[i], 20.0));
+    plant_scaled_copies(g, m, 20.0);
   }
-
-  auto g = benign;
-  g.insert(g.end(), malicious.begin(), malicious.end());
 
   SignGuardConfig cfg = variant == "Sim"   ? sim_config()
                         : variant == "Dist" ? dist_config()

@@ -13,21 +13,28 @@
 #include "attacks/lie.h"
 #include "attacks/minmax_minsum.h"
 #include "attacks/simple_attacks.h"
+#include "common/gradient_matrix.h"
 #include "common/vecops.h"
 #include "core/signguard.h"
 
 namespace signguard {
 namespace {
 
-std::vector<std::vector<float>> gaussian_grads(std::size_t n, std::size_t d,
-                                               double mean, double stddev,
-                                               std::uint64_t seed) {
+common::GradientMatrix gaussian_grads(std::size_t n, std::size_t d,
+                                      double mean, double stddev,
+                                      std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<std::vector<float>> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    out.push_back(rng.normal_vector(d, mean, stddev));
+  common::GradientMatrix out(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto row = rng.normal_vector(d, mean, stddev);
+    std::ranges::copy(row, out.row(i).begin());
+  }
   return out;
+}
+
+// Every coordinate of every row, for whole-matrix element-wise edits.
+std::span<float> elements(common::GradientMatrix& g) {
+  return {g.data(), g.rows() * g.cols()};
 }
 
 std::unique_ptr<agg::Aggregator> make_gar(const std::string& name) {
@@ -90,9 +97,8 @@ class EquivarianceSweep : public ::testing::TestWithParam<std::string> {};
 TEST_P(EquivarianceSweep, TranslationEquivariant) {
   const auto name = GetParam();
   const auto g = gaussian_grads(11, 16, 0.0, 1.0, 23);
-  const std::vector<float> shift(16, 2.5f);
   auto shifted = g;
-  for (auto& v : shifted) v = vec::add(v, shift);
+  for (auto& v : elements(shifted)) v += 2.5f;
   Rng r1(5), r2(5);
   agg::GarContext c1, c2;
   c1.assumed_byzantine = c2.assumed_byzantine = 2;
@@ -108,7 +114,7 @@ TEST_P(EquivarianceSweep, PositiveScaleEquivariant) {
   const auto name = GetParam();
   const auto g = gaussian_grads(11, 16, 0.3, 1.0, 29);
   auto scaled = g;
-  for (auto& v : scaled) vec::scale(v, 3.0);
+  vec::scale(elements(scaled), 3.0);
   Rng r1(5), r2(5);
   agg::GarContext c1, c2;
   c1.assumed_byzantine = c2.assumed_byzantine = 2;
@@ -137,10 +143,10 @@ TEST(CoordinateBounds, RobustRulesStayInsideValueEnvelope) {
     ctx.rng = &rng;
     const auto out = make_gar(name)->aggregate(g, ctx);
     for (std::size_t j = 0; j < 32; ++j) {
-      float lo = g[0][j], hi = g[0][j];
-      for (const auto& gi : g) {
-        lo = std::min(lo, gi[j]);
-        hi = std::max(hi, gi[j]);
+      float lo = g.at(0, j), hi = g.at(0, j);
+      for (std::size_t i = 0; i < g.rows(); ++i) {
+        lo = std::min(lo, g.at(i, j));
+        hi = std::max(hi, g.at(i, j));
       }
       EXPECT_GE(out[j], lo) << name;
       EXPECT_LE(out[j], hi) << name;
@@ -149,9 +155,10 @@ TEST(CoordinateBounds, RobustRulesStayInsideValueEnvelope) {
 }
 
 TEST(PermutationInvariance, CoordinateRulesIgnoreClientOrder) {
-  auto g = gaussian_grads(12, 24, 0.1, 1.0, 37);
-  auto shuffled = g;
-  std::reverse(shuffled.begin(), shuffled.end());
+  const auto g = gaussian_grads(12, 24, 0.1, 1.0, 37);
+  auto reversed = g.row_views();
+  std::reverse(reversed.begin(), reversed.end());
+  const auto shuffled = common::GradientMatrix::from_views(reversed);
   for (const auto& name : {"Mean", "TrMean", "Median", "GeoMed"}) {
     agg::GarContext ctx;
     ctx.assumed_byzantine = 3;
@@ -178,10 +185,12 @@ TEST(ClippedMeanProperty, OutputNormNeverExceedsBound) {
 
 TEST(LieSweep, StrongerZMeansFewerMaliciousKept) {
   const auto benign = gaussian_grads(40, 2048, 0.3, 0.8, 41);
+  const auto benign_views = benign.row_views();
   auto kept_at = [&](double z) {
-    auto g = benign;
-    const auto gm = attacks::LieAttack::craft_vector(benign, z);
-    for (int i = 0; i < 10; ++i) g.push_back(gm);
+    const auto gm = attacks::LieAttack::craft_vector(benign_views, z);
+    auto rows = benign_views;
+    rows.insert(rows.end(), 10, gm);
+    const auto g = common::GradientMatrix::from_views(rows);
     core::SignGuard sg(core::plain_config());
     sg.aggregate(g, agg::GarContext{});
     std::size_t kept = 0;
@@ -210,11 +219,15 @@ TEST_P(ByzMeanInnerSweep, MeanIdentityHoldsForEveryInnerAttack) {
   const auto benign = gaussian_grads(16, 64, 0.1, 1.0, 43);
   const auto byz = gaussian_grads(4, 64, 0.1, 1.0, 44);
   Rng rng(45);
-  const attacks::AttackInput in =
-      attacks::make_attack_input(benign, byz, 20, 4, &rng);
-  const auto out = attack.craft(in.ctx);
-  std::vector<std::vector<float>> all(out.begin(), out.end());
-  all.insert(all.end(), benign.begin(), benign.end());
+  const auto benign_views = benign.row_views();
+  const auto byz_views = byz.row_views();
+  const auto out = attack.craft({.benign_grads = benign_views,
+                                 .byz_honest_grads = byz_views,
+                                 .n_total = 20,
+                                 .n_byzantine = 4,
+                                 .rng = &rng});
+  std::vector<attacks::GradientView> all(out.begin(), out.end());
+  all.insert(all.end(), benign_views.begin(), benign_views.end());
   const auto mean = vec::mean_of(all);
   for (std::size_t j = 0; j < 64; ++j)
     EXPECT_NEAR(mean[j], out[0][j], 1e-3) << inner_name;
@@ -231,15 +244,19 @@ TEST_P(PerturbationSweep, MinMaxConstraintHoldsForEveryPerturbation) {
   const auto benign = gaussian_grads(12, 128, 0.2, 1.0, 47);
   const auto byz = gaussian_grads(3, 128, 0.2, 1.0, 48);
   Rng rng(49);
-  const attacks::AttackInput in =
-      attacks::make_attack_input(benign, byz, 15, 3, &rng);
+  const auto benign_views = benign.row_views();
+  const auto byz_views = byz.row_views();
   attacks::MinMaxAttack attack(p);
-  const auto out = attack.craft(in.ctx);
+  const auto out = attack.craft({.benign_grads = benign_views,
+                                 .byz_honest_grads = byz_views,
+                                 .n_total = 15,
+                                 .n_byzantine = 3,
+                                 .rng = &rng});
   double max_to_benign = 0.0, max_pair = 0.0;
-  for (std::size_t i = 0; i < benign.size(); ++i) {
-    max_to_benign = std::max(max_to_benign, vec::dist2(out[0], benign[i]));
-    for (std::size_t j = i + 1; j < benign.size(); ++j)
-      max_pair = std::max(max_pair, vec::dist2(benign[i], benign[j]));
+  for (std::size_t i = 0; i < benign.rows(); ++i) {
+    max_to_benign = std::max(max_to_benign, vec::dist2(out[0], benign.row(i)));
+    for (std::size_t j = i + 1; j < benign.rows(); ++j)
+      max_pair = std::max(max_pair, vec::dist2(benign.row(i), benign.row(j)));
   }
   EXPECT_LE(max_to_benign, max_pair * (1.0 + 1e-6));
 }

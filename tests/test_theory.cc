@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "attacks/lie.h"
+#include "common/gradient_matrix.h"
 #include "common/gradient_stats.h"
 #include "common/quantiles.h"
 #include "common/rng.h"
@@ -19,14 +20,15 @@
 namespace signguard {
 namespace {
 
-std::vector<std::vector<float>> gaussian_grads(std::size_t n, std::size_t d,
-                                               double mean, double stddev,
-                                               std::uint64_t seed) {
+common::GradientMatrix gaussian_grads(std::size_t n, std::size_t d,
+                                      double mean, double stddev,
+                                      std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<std::vector<float>> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    out.push_back(rng.normal_vector(d, mean, stddev));
+  common::GradientMatrix out(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto row = rng.normal_vector(d, mean, stddev);
+    std::ranges::copy(row, out.row(i).begin());
+  }
   return out;
 }
 
@@ -36,11 +38,11 @@ TEST(Proposition1, LieCloserThanSomeHonestGradient) {
   const std::size_t n = 20, d = 2048;
   const auto g = gaussian_grads(n, d, 0.2, 1.0, 1);
   const auto avg = vec::mean_of(g);
-  const auto gm = attacks::LieAttack::craft_vector(g, 0.3);
+  const auto gm = attacks::LieAttack::craft_vector(g.row_views(), 0.3);
   const double lie_dist = vec::dist2(gm, avg);
   bool exists = false;
-  for (const auto& gi : g)
-    if (lie_dist < vec::dist2(gi, avg)) exists = true;
+  for (std::size_t i = 0; i < n; ++i)
+    if (lie_dist < vec::dist2(g.row(i), avg)) exists = true;
   EXPECT_TRUE(exists);
   // Stronger empirical form of the proof's bound: the LIE distance is
   // below z^2 * (1 + 1/n) * sigma^2 * d with sigma = 1.
@@ -53,11 +55,11 @@ TEST(Proposition1, LieMoreSimilarThanSomeHonestGradient) {
   const std::size_t n = 20, d = 2048;
   const auto g = gaussian_grads(n, d, 0.2, 1.0, 2);
   const auto avg = vec::mean_of(g);
-  const auto gm = attacks::LieAttack::craft_vector(g, 0.3);
+  const auto gm = attacks::LieAttack::craft_vector(g.row_views(), 0.3);
   const double lie_cos = vec::cosine(gm, avg);
   bool exists = false;
-  for (const auto& gi : g)
-    if (lie_cos > vec::cosine(gi, avg)) exists = true;
+  for (std::size_t i = 0; i < n; ++i)
+    if (lie_cos > vec::cosine(g.row(i), avg)) exists = true;
   EXPECT_TRUE(exists);
 }
 
@@ -70,7 +72,7 @@ TEST(Equation3, SignReversalCondition) {
   // And on a simulated population with per-coordinate moments:
   const auto g = gaussian_grads(50, 512, 0.2, 1.0, 3);
   const auto moments = vec::coordinate_moments(g);
-  const auto gm = attacks::LieAttack::craft_vector(g, 1.0);
+  const auto gm = attacks::LieAttack::craft_vector(g.row_views(), 1.0);
   std::size_t flipped = 0, eligible = 0;
   for (std::size_t j = 0; j < gm.size(); ++j) {
     if (moments.mean[j] > 0.0f) {
@@ -89,15 +91,16 @@ TEST(Equation3, SignReversalCondition) {
 // with mean mu > 0, positive fraction collapses as z grows.
 TEST(Fig2Claim, LieShiftsSignStatistics) {
   const auto g = gaussian_grads(50, 4096, 0.3, 1.0, 4);
+  const auto views = g.row_views();
   const SignStats honest = sign_statistics(vec::mean_of(g));
   double prev_pos = 1.0;
   for (const double z : {0.3, 0.8, 1.5, 3.0}) {
-    const auto gm = attacks::LieAttack::craft_vector(g, z);
+    const auto gm = attacks::LieAttack::craft_vector(views, z);
     const SignStats s = sign_statistics(gm);
     EXPECT_LE(s.pos, prev_pos + 1e-9);  // monotone collapse with z
     prev_pos = s.pos;
   }
-  const auto gm_strong = attacks::LieAttack::craft_vector(g, 3.0);
+  const auto gm_strong = attacks::LieAttack::craft_vector(views, 3.0);
   const SignStats strong = sign_statistics(gm_strong);
   EXPECT_GT(honest.pos, 0.5);
   EXPECT_LT(strong.pos, 0.05);
@@ -147,14 +150,18 @@ TEST(Lemma1, NonIidDeviationBound) {
 // sup term of the assumption) even under corruption.
 TEST(Assumption2, SignGuardBiasWithinPairwiseSup) {
   const std::size_t n = 20, m = 4, d = 2048;
-  auto g = gaussian_grads(n - m, d, 0.3, 0.8, 6);
-  const auto benign_mean = vec::mean_of(g);
+  // Benign rows first; the m LIE rows overwrite the tail.
+  auto g = gaussian_grads(n, d, 0.3, 0.8, 6);
+  const auto views = g.row_views();
+  const auto benign = std::span(views).first(n - m);
+  const auto benign_mean = vec::mean_of(benign);
   double sup_pair = 0.0;
-  for (std::size_t i = 0; i < g.size(); ++i)
-    for (std::size_t j = i + 1; j < g.size(); ++j)
-      sup_pair = std::max(sup_pair, vec::dist(g[i], g[j]));
-  const auto gm = attacks::LieAttack::craft_vector(g, 1.0);
-  for (std::size_t i = 0; i < m; ++i) g.push_back(gm);
+  for (std::size_t i = 0; i < n - m; ++i)
+    for (std::size_t j = i + 1; j < n - m; ++j)
+      sup_pair = std::max(sup_pair, vec::dist(g.row(i), g.row(j)));
+  const auto gm = attacks::LieAttack::craft_vector(benign, 1.0);
+  for (std::size_t i = n - m; i < n; ++i)
+    std::ranges::copy(gm, g.row(i).begin());
 
   core::SignGuard sg(core::plain_config());
   const auto out = sg.aggregate(g, agg::GarContext{});
@@ -179,7 +186,8 @@ TEST(Proposition1, NormOfAverageBelowMaxNorm) {
   const auto g = gaussian_grads(16, 512, 0.1, 1.0, 7);
   const auto avg = vec::mean_of(g);
   double max_norm = 0.0;
-  for (const auto& gi : g) max_norm = std::max(max_norm, vec::norm(gi));
+  for (std::size_t i = 0; i < g.rows(); ++i)
+    max_norm = std::max(max_norm, vec::norm(g.row(i)));
   EXPECT_LE(vec::norm(avg), max_norm);
 }
 
