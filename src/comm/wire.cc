@@ -1,5 +1,6 @@
 #include "comm/wire.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 
@@ -60,9 +61,7 @@ DecodeStatus check_structure(const Codec& codec,
   }
   if (off != buf.size()) return DecodeStatus::kTrailingBytes;
 
-  if (get_u64(h + 20) !=
-      common::fnv1a64(buf.data() + kWireHeaderSize,
-                      buf.size() - kWireHeaderSize))
+  if (get_u64(h + 20) != wire_checksum(buf))
     return DecodeStatus::kChecksumMismatch;
   return DecodeStatus::kOk;
 }
@@ -107,6 +106,11 @@ const char* to_string(DecodeStatus status) {
   return "unknown";
 }
 
+std::uint64_t wire_checksum(std::span<const std::uint8_t> buf) {
+  const std::size_t skip = std::min(buf.size(), kWireHeaderSize);
+  return common::xxh64(buf.data() + skip, buf.size() - skip);
+}
+
 std::size_t encoded_size(const Codec& codec, std::size_t d) {
   return wire_layout(codec, d).total;
 }
@@ -146,8 +150,7 @@ void encode_into(const Codec& codec, std::span<const float> row,
         }
       });
 
-  put_u64(h + 20, common::fnv1a64(out.data() + kWireHeaderSize,
-                                  l.total - kWireHeaderSize));
+  put_u64(h + 20, wire_checksum(out));
 }
 
 DecodeStatus decode_into(const Codec& codec,

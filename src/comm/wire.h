@@ -9,7 +9,8 @@
 //            5..8   reserved, must be zero
 //            8..16  d — coordinate count (u64 LE)
 //           16..20  chunk size — coords per chunk (u32 LE)
-//           20..28  FNV-1a64 checksum over every byte after the header
+//           20..28  wire_checksum: XXH64 (seed 0, u64 LE) of every byte
+//                   after the header
 //   record:  u32 LE payload length, then the codec's chunk payload
 //
 // Because every codec's chunk payload size is a pure function of the
@@ -77,6 +78,12 @@ std::size_t encoded_size(const Codec& codec, std::size_t d);
 void encode_into(const Codec& codec, std::span<const float> row,
                  std::vector<std::uint8_t>& out,
                  std::vector<CodecScratch>& scratch);
+
+// The payload checksum stored in header bytes 20..28: common::xxh64 of
+// every byte after the header (of no bytes when `buf` is shorter than
+// the header). Encode writes it, and decode_into and validate refuse a
+// buffer whose stored value differs.
+std::uint64_t wire_checksum(std::span<const std::uint8_t> buf);
 
 // Decodes `buf` straight into `row` (a GradientMatrix row of the
 // expected dimension). On any status but kOk the row's contents are

@@ -14,7 +14,7 @@ namespace signguard::fl {
 namespace {
 
 constexpr char kMagic[4] = {'S', 'G', 'C', 'K'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;  // see checkpoint.h on version 1
 constexpr std::size_t kHeaderSize = 24;
 
 [[noreturn]] void fail(const std::string& what, const std::string& path) {
@@ -29,7 +29,7 @@ void write_checkpoint_file(const std::string& path,
   header.raw(kMagic, sizeof kMagic);
   header.u32(kVersion);
   header.u64(payload.size());
-  header.u64(common::fnv1a64(payload));
+  header.u64(common::xxh64(payload.data(), payload.size()));
 
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
@@ -75,7 +75,8 @@ std::string read_checkpoint_file(const std::string& path) {
   const std::uint64_t sum = r.u64();
   if (len != bytes.size() - kHeaderSize) fail("payload length mismatch", path);
   std::string payload = bytes.substr(kHeaderSize);
-  if (common::fnv1a64(payload) != sum) fail("checksum mismatch", path);
+  if (common::xxh64(payload.data(), payload.size()) != sum)
+    fail("checksum mismatch", path);
   return payload;
 }
 

@@ -6,10 +6,13 @@
 //
 //   offset  size  field
 //   0       4     magic "SGCK"
-//   4       4     format version (u32, currently 1)
+//   4       4     format version (u32, currently 2)
 //   8       8     payload length (u64)
-//   16      8     FNV-1a64 of the payload bytes
+//   16      8     XXH64 (seed 0) of the payload bytes
 //   24      n     payload (the trainer's serialized state)
+//
+// Version 1 stored FNV-1a64 in the checksum field; such a file is refused
+// as "unsupported format version" rather than read as a corrupt one.
 //
 // Writes are atomic: the blob goes to "<path>.tmp", is flushed and
 // fsync'd, then rename(2)'d over the destination — a crash mid-save

@@ -27,7 +27,11 @@ inline float elem(const float* p, std::size_t ld, Trans t, std::size_t row,
 // lane batch holds, never the per-accumulator addition order, and
 // -ffp-contract=off keeps mul+add unfused in every clone — so the AVX2
 // clone is bit-identical to the baseline and to the plain triple loop.
-#if defined(__x86_64__) && defined(__has_attribute)
+// ThreadSanitizer builds take the baseline only: target_clones emits an
+// IFUNC resolver that runs during relocation, before the TSan runtime is
+// up, and crashes every binary that links this file before main.
+#if defined(__x86_64__) && defined(__has_attribute) && \
+    !defined(__SANITIZE_THREAD__)
 #if __has_attribute(target_clones)
 #define SIGNGUARD_GEMM_CLONES \
   __attribute__((target_clones("default", "avx2")))

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -347,6 +348,15 @@ struct TraceLog {
   }
 };
 
+std::string read_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
 TEST(Checkpoint, FileRoundTripAndCorruptionDetection) {
   const std::string path = tmp_path("roundtrip.ckpt");
   const std::string payload = std::string("the quick brown fox") +
@@ -354,16 +364,44 @@ TEST(Checkpoint, FileRoundTripAndCorruptionDetection) {
   write_checkpoint_file(path, payload);
   EXPECT_TRUE(checkpoint_exists(path));
   EXPECT_EQ(read_checkpoint_file(path), payload);
-  // Flip one payload byte: the checksum must catch it.
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(24 + 4);
-    f.put('X');
+  // Every single-bit flip — magic, version, length, checksum or payload
+  // — must be refused.
+  const std::string good = read_file(path);
+  ASSERT_EQ(good.size(), 24 + payload.size());
+  for (std::size_t bit = 0; bit < 8 * good.size(); ++bit) {
+    std::string bad = good;
+    bad[bit / 8] = static_cast<char>(bad[bit / 8] ^ (1 << (bit % 8)));
+    write_file(path, bad);
+    EXPECT_THROW(read_checkpoint_file(path), std::runtime_error)
+        << "bit=" << bit;
   }
-  EXPECT_THROW(read_checkpoint_file(path), std::runtime_error);
   std::remove(path.c_str());
   EXPECT_FALSE(checkpoint_exists(path));
   EXPECT_THROW(read_checkpoint_file(path), std::runtime_error);
+}
+
+// Format version 1 sealed the payload with FNV-1a. Such a file must be
+// refused as another format, not reported as a checksum mismatch (which
+// reads as disk corruption).
+TEST(Checkpoint, VersionOneFileIsAnUnsupportedVersion) {
+  const std::string path = tmp_path("v1.ckpt");
+  const std::string payload = "trainer state from a version-1 build";
+  common::ByteWriter v1;
+  v1.raw("SGCK", 4);
+  v1.u32(1);
+  v1.u64(payload.size());
+  v1.u64(common::fnv1a64(payload));
+  v1.raw(payload.data(), payload.size());
+  write_file(path, v1.bytes());
+  try {
+    read_checkpoint_file(path);
+    ADD_FAILURE() << "a version-1 checkpoint was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported format version"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, KillAndResumeIsBitwiseIdentical) {

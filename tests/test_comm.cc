@@ -321,8 +321,7 @@ TEST(CommCodec, SpecValidation) {
 // *internally consistent* — exactly what a Byzantine client, which
 // controls its own bytes, would ship.
 void fix_checksum(std::vector<std::uint8_t>& buf) {
-  const std::uint64_t sum = common::fnv1a64(
-      buf.data() + comm::kWireHeaderSize, buf.size() - comm::kWireHeaderSize);
+  const std::uint64_t sum = comm::wire_checksum(buf);
   for (int i = 0; i < 8; ++i)
     buf[20 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
 }
@@ -542,6 +541,30 @@ TEST(CommWire, ValidateAgreesWithDecodeOnAdversarialCorpus) {
     trailing.push_back(0xab);
     fix_checksum(trailing);
     EXPECT_EQ(agree(trailing), DecodeStatus::kTrailingBytes);
+  }
+}
+
+// A single flipped bit anywhere in an honest buffer — header, length
+// prefix, payload or the checksum itself — must be refused, by
+// decode_into and validate alike. The chaos engine's bit-flip arrivals
+// rely on this: a flipped uplink is a reject, never a silently different
+// gradient. d = 200 at chunk 64 leaves a short tail chunk.
+TEST(CommWire, EverySingleBitFlipIsRejected) {
+  Rng rng(47);
+  const std::size_t d = 200;
+  for (const auto kind : kAllKinds) {
+    const auto codec = comm::make_codec(spec_of(kind, 64, 0.25));
+    auto buf = encode(*codec, make_row(d, 0, rng));
+    ASSERT_EQ(decode_status(*codec, buf, d), DecodeStatus::kOk);
+    for (std::size_t bit = 0; bit < 8 * buf.size(); ++bit) {
+      const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+      buf[bit / 8] ^= mask;
+      const DecodeStatus dec = decode_status(*codec, buf, d);
+      EXPECT_NE(dec, DecodeStatus::kOk) << codec->name() << " bit=" << bit;
+      EXPECT_EQ(comm::validate(*codec, buf, d), dec)
+          << codec->name() << " bit=" << bit;
+      buf[bit / 8] ^= mask;
+    }
   }
 }
 

@@ -1,13 +1,16 @@
-// Unit tests for the common substrate: RNG, vector ops, order statistics,
-// gradient statistics and the table printer.
+// Unit tests for the common substrate: RNG, hashing, vector ops, order
+// statistics, gradient statistics and the table printer.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <string_view>
 
 #include "common/gradient_stats.h"
+#include "common/hash.h"
 #include "common/quantiles.h"
 #include "common/rng.h"
 #include "common/table.h"
@@ -85,6 +88,30 @@ TEST(Rng, SampleWithoutReplacementClampsK) {
   Rng rng(5);
   const auto s = rng.sample_without_replacement(5, 50);
   EXPECT_EQ(s.size(), 5u);
+}
+
+// Published XXH64 seed-0 vectors. The lengths reach every path: empty,
+// the byte tail alone, and a 32-byte stripe followed by the 8-byte,
+// 4-byte and byte tails.
+TEST(Hash, Xxh64KnownAnswers) {
+  const struct {
+    std::string_view input;
+    std::uint64_t expected;
+  } cases[] = {
+      {"", 0xEF46DB3751D8E999ULL},
+      {"a", 0xD24EC4F1A98C6E5BULL},
+      {"abc", 0x44BC2CF5AD770999ULL},
+      {"Nobody inspects the spammish repetition", 0xFBCEA83C8A378BF1ULL},
+      {"The quick brown fox jumps over the lazy dog", 0x0B242D361FDA71BCULL},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(common::xxh64(c.input.data(), c.input.size()), c.expected)
+        << '"' << c.input << '"';
+    // Loads are unaligned-safe: the same bytes at offset 1 hash equal.
+    const std::string shifted = " " + std::string(c.input);
+    EXPECT_EQ(common::xxh64(shifted.data() + 1, c.input.size()), c.expected)
+        << '"' << c.input << "\" at offset 1";
+  }
 }
 
 TEST(VecOps, DotAndNorm) {

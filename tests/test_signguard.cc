@@ -21,7 +21,6 @@
 #include "comm/wire.h"
 #include "common/gradient_matrix.h"
 #include "common/gradient_stats.h"
-#include "common/hash.h"
 #include "common/parallel.h"
 #include "common/vecops.h"
 #include "core/filters.h"
@@ -530,9 +529,7 @@ TEST(SignGuardWire, HostileBytesAreRefusedBeforeTheStatisticsPass) {
   Rng rng(7);
   const std::size_t d = 100;
   const auto fix = [](std::vector<std::uint8_t>& buf) {
-    const std::uint64_t sum =
-        common::fnv1a64(buf.data() + comm::kWireHeaderSize,
-                        buf.size() - comm::kWireHeaderSize);
+    const std::uint64_t sum = comm::wire_checksum(buf);
     for (int i = 0; i < 8; ++i)
       buf[20 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
   };
