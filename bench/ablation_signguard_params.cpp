@@ -5,10 +5,10 @@
 //   - clustering algorithm: Mean-Shift (adaptive #clusters) vs 2-means
 //   - similarity feature: none / cosine / distance
 //
-// This backs DESIGN.md's design-choice notes: the defense is flat across
-// coordinate fractions (cheap sampling suffices), and Mean-Shift's
-// adaptive cluster count is what lets it absorb multi-modal attacks where
-// fixed k=2 can split the benign majority instead.
+// It prints two tables: for each coordinate fraction, the best accuracy
+// and the fraction of malicious gradients kept under LIE and ByzMean;
+// for each clusterer x similarity pair, the best accuracy under LIE,
+// ByzMean and SignFlip.
 
 #include "bench_common.h"
 #include "common/table.h"
@@ -33,8 +33,7 @@ std::unique_ptr<core::SignGuard> make_variant(double coord_frac,
 
 int main(int argc, char** argv) {
   using namespace signguard;
-  (void)argc;
-  (void)argv;
+  bench::parse_flags(argc, argv, {});
   const auto scale = fl::scale_from_env();
   bench::banner("Extension: SignGuard hyperparameter ablation (MNIST-like)",
                 scale);

@@ -1,68 +1,55 @@
 #pragma once
-// Shared plumbing for the paper-experiment bench binaries: scale banner,
-// simple argv filters (--dataset=, --defense=, --attack=) so individual
-// rows/cells can be re-run in isolation, and wall-clock reporting.
+// Shared plumbing for the bench binaries: strict flag parsing on
+// fl::CliFlag (the paper benches' --dataset=/--defense=/--attack=
+// filters re-run single rows or cells), the scale banner, and
+// wall-clock reporting.
 
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "common/format.h"
 #include "fl/experiment.h"
+#include "fl/sweep.h"
 
 namespace signguard::bench {
 
-// Parses "--key=value" occurrences of `key` from argv; empty = no filter.
-inline std::vector<std::string> arg_values(int argc, char** argv,
-                                           const std::string& key) {
-  std::vector<std::string> out;
-  const std::string prefix = "--" + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind(prefix, 0) == 0) out.push_back(arg.substr(prefix.size()));
+// Applies `flags` to argv; a malformed value or an unknown flag (any
+// flag at all when `flags` is empty) prints "--flag=value: reason" and
+// exits 1 before the bench does any work.
+inline void parse_flags(int argc, char** argv,
+                        const std::vector<fl::CliFlag>& flags) {
+  try {
+    fl::apply_flags(flags, std::vector<std::string>(argv + 1, argv + argc));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(1);
   }
-  return out;
 }
 
-inline bool keep(const std::vector<std::string>& filter,
-                 const std::string& value) {
-  if (filter.empty()) return true;
-  for (const auto& f : filter)
-    if (f == value) return true;
-  return false;
-}
-
-// Last "--key=value" occurrence, or `fallback` when absent.
-inline std::string arg_value(int argc, char** argv, const std::string& key,
-                             const std::string& fallback = "") {
-  const auto all = arg_values(argc, argv, key);
-  return all.empty() ? fallback : all.back();
-}
-
-// Bare "--key" flag (no value).
-inline bool has_flag(int argc, char** argv, const std::string& key) {
-  const std::string flag = "--" + key;
-  for (int i = 1; i < argc; ++i)
-    if (flag == argv[i]) return true;
-  return false;
-}
-
-// Splits "a,b,c" on commas, dropping empty tokens (so "a,,b," is
-// {"a","b"} and a stray trailing comma cannot create a phantom entry).
-inline std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t begin = 0;
-  while (begin <= s.size()) {
-    const std::size_t comma = s.find(',', begin);
-    const std::size_t end = comma == std::string::npos ? s.size() : comma;
-    if (end > begin) out.push_back(s.substr(begin, end - begin));
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  return out;
+// "--name=VALUE", repeatable: narrows `items` (the bench's full list) to
+// the values given, kept in list order. A value not in the full list is
+// rejected with the list.
+inline fl::CliFlag filter_flag(std::string name,
+                               std::vector<std::string>& items) {
+  std::string known;
+  for (const auto& item : items) (known += known.empty() ? "" : ", ") += item;
+  return {std::move(name), "NAME", "", "one of: " + known,
+          [&items, all = items, known,
+           picked = std::vector<std::string>()](const std::string& v) mutable {
+            if (std::find(all.begin(), all.end(), v) == all.end())
+              throw std::invalid_argument("\"" + v + "\" is not one of: " +
+                                          known);
+            picked.push_back(v);
+            items.clear();
+            for (const auto& item : all)
+              if (std::find(picked.begin(), picked.end(), item) != picked.end())
+                items.push_back(item);
+          }};
 }
 
 inline void banner(const char* experiment, fl::Scale scale) {
@@ -92,8 +79,7 @@ inline void report_wall(const Stopwatch& w) {
 
 namespace signguard::obs {
 
-// Shared best-of-repeats timing harness for the microbench binaries
-// (previously each one carried its own time_usec copy). After `warmup`
+// The microbench suites' best-of-repeats timer. After `warmup`
 // unmeasured runs, repeats batches of `batch` ops until `min_ms` of
 // budget is spent, keeping the fastest per-op batch average — expensive
 // ops naturally get one measurement, cheap ones repeat until scheduler
@@ -118,13 +104,6 @@ class StopwatchReporter {
     } while (budget.seconds() * 1e3 < min_ms_);
     return best;
   }
-
-  double min_ms() const { return min_ms_; }
-  void set_min_ms(double min_ms) { min_ms_ = min_ms; }
-
-  // Canonical JSON number rendering for reported measurements (%.9g) —
-  // the bench write_json emitters all go through this.
-  static std::string json_num(double v) { return common::fmt_g9(v); }
 
  private:
   double min_ms_;

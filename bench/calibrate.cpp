@@ -3,10 +3,11 @@
 
 #include <cstdio>
 
-#include "fl/experiment.h"
+#include "bench_common.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace signguard;
+  bench::parse_flags(argc, argv, {});
   for (const auto kind :
        {fl::WorkloadKind::kMnistLike, fl::WorkloadKind::kFashionLike,
         fl::WorkloadKind::kCifarLike, fl::WorkloadKind::kAgNewsLike}) {

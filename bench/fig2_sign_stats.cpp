@@ -79,8 +79,7 @@ void run_workload(fl::WorkloadKind kind, const char* title,
 }  // namespace
 
 int main(int argc, char** argv) {
-  (void)argc;
-  (void)argv;
+  bench::parse_flags(argc, argv, {});
   const auto scale = fl::scale_from_env();
   bench::banner("Fig. 2: sign statistics of honest vs LIE gradients", scale);
   bench::Stopwatch total;

@@ -20,39 +20,35 @@ namespace {
 using namespace signguard;
 
 const std::vector<double> kFractions = {0.1, 0.2, 0.3, 0.4};
-const std::vector<std::string> kDefenses = {"Median", "TrMean", "Multi-Krum",
-                                            "DnC", "SignGuard-Sim"};
-const std::vector<std::string> kAttacks = {"ByzMean", "SignFlip", "LIE",
-                                           "MinMax", "MinSum"};
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace signguard;
+  std::vector<std::string> datasets = {"Fashion-like", "CIFAR-like"};
+  std::vector<std::string> defenses = {"Median", "TrMean", "Multi-Krum", "DnC",
+                                       "SignGuard-Sim"};
+  std::vector<std::string> attacks = {"ByzMean", "SignFlip", "LIE", "MinMax",
+                                      "MinSum"};
+  bench::parse_flags(argc, argv,
+                     {bench::filter_flag("dataset", datasets),
+                      bench::filter_flag("defense", defenses),
+                      bench::filter_flag("attack", attacks)});
   const auto scale = fl::scale_from_env();
   bench::banner("Fig. 4: attack impact vs Byzantine fraction", scale);
-  const auto dataset_filter = bench::arg_values(argc, argv, "dataset");
-  const auto defense_filter = bench::arg_values(argc, argv, "defense");
-  const auto attack_filter = bench::arg_values(argc, argv, "attack");
-
-  const std::vector<fl::WorkloadKind> kinds = {fl::WorkloadKind::kFashionLike,
-                                               fl::WorkloadKind::kCifarLike};
 
   std::vector<fl::ScenarioSpec> specs;
-  for (const auto kind : kinds) {
-    if (!bench::keep(dataset_filter, fl::workload_name(kind))) continue;
+  for (const auto& title : datasets) {
     // Baseline: no attack, plain mean, no Byzantine clients.
     fl::ScenarioSpec base;
-    base.workload = kind;
+    base.workload = fl::workload_kind_from_name(title);
     base.byzantine_frac = 0.0;
     specs.push_back(base);
-    for (const auto& defense : kDefenses) {
-      if (!bench::keep(defense_filter, defense)) continue;
-      for (const auto& attack : kAttacks) {
-        if (!bench::keep(attack_filter, attack)) continue;
+    for (const auto& defense : defenses) {
+      for (const auto& attack : attacks) {
         for (const double f : kFractions) {
           fl::ScenarioSpec s;
-          s.workload = kind;
+          s.workload = base.workload;
           s.gar = defense;
           s.attack = attack;
           s.byzantine_frac = f;
@@ -80,22 +76,18 @@ int main(int argc, char** argv) {
          r.spec.attack + "|" + TextTable::fmt(r.spec.byzantine_frac, 2)] =
         r.best_accuracy;
 
-  for (const auto kind : kinds) {
-    const std::string title = fl::workload_name(kind);
-    if (!bench::keep(dataset_filter, title)) continue;
+  for (const auto& title : datasets) {
     const auto base_it =
         best.find(title + "|Mean|NoAttack|" + TextTable::fmt(0.0, 2));
     const double baseline = base_it == best.end() ? 0.0 : base_it->second;
     std::printf("[%s] baseline accuracy (no attack, Mean): %.2f%%\n",
                 title.c_str(), baseline);
-    for (const auto& defense : kDefenses) {
-      if (!bench::keep(defense_filter, defense)) continue;
+    for (const auto& defense : defenses) {
       std::vector<std::string> header = {"Attack \\ Byz%"};
       for (const double f : kFractions)
         header.push_back(TextTable::fmt(100.0 * f, 0) + "%");
       TextTable table(header);
-      for (const auto& attack : kAttacks) {
-        if (!bench::keep(attack_filter, attack)) continue;
+      for (const auto& attack : attacks) {
         std::vector<std::string> row = {attack};
         for (const double f : kFractions) {
           const auto it = best.find(title + "|" + defense + "|" + attack +

@@ -64,8 +64,7 @@ void run_workload(fl::WorkloadKind kind, const char* title,
 
 int main(int argc, char** argv) {
   using namespace signguard;
-  (void)argc;
-  (void)argv;
+  bench::parse_flags(argc, argv, {});
   const auto scale = fl::scale_from_env();
   bench::banner("Fig. 5: defenses under time-varying attacks", scale);
   bench::Stopwatch total;

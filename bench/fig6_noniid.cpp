@@ -16,7 +16,7 @@ namespace {
 using namespace signguard;
 
 void run_workload(fl::WorkloadKind kind, const char* title, fl::Scale scale,
-                  const std::vector<std::string>& attack_filter) {
+                  const std::vector<std::string>& attacks) {
   fl::Workload w = fl::make_workload(kind, fl::ModelProfile::kGrid, scale);
   w.config.noniid = true;
 
@@ -24,10 +24,8 @@ void run_workload(fl::WorkloadKind kind, const char* title, fl::Scale scale,
   const std::vector<std::string> defenses = {"TrMean", "Multi-Krum",
                                              "Bulyan", "DnC",
                                              "SignGuard-Sim"};
-  const std::vector<std::string> attacks = {"SignFlip", "LIE", "ByzMean"};
 
   for (const auto& attack_name : attacks) {
-    if (!bench::keep(attack_filter, attack_name)) continue;
     std::vector<std::string> header = {"GAR \\ s"};
     for (const double s : skews)
       header.push_back("s=" + TextTable::fmt(s, 1));
@@ -53,18 +51,20 @@ void run_workload(fl::WorkloadKind kind, const char* title, fl::Scale scale,
 
 int main(int argc, char** argv) {
   using namespace signguard;
+  std::vector<std::string> datasets = {"Fashion-like", "CIFAR-like"};
+  std::vector<std::string> attacks = {"SignFlip", "LIE", "ByzMean"};
+  bench::parse_flags(argc, argv,
+                     {bench::filter_flag("dataset", datasets),
+                      bench::filter_flag("attack", attacks)});
   const auto scale = fl::scale_from_env();
   bench::banner("Fig. 6: non-IID robustness", scale);
-  const auto dataset_filter = bench::arg_values(argc, argv, "dataset");
-  const auto attack_filter = bench::arg_values(argc, argv, "attack");
 
   bench::Stopwatch total;
-  if (bench::keep(dataset_filter, "Fashion-like"))
-    run_workload(fl::WorkloadKind::kFashionLike, "Fashion-like (Fig. 6a)",
-                 scale, attack_filter);
-  if (bench::keep(dataset_filter, "CIFAR-like"))
-    run_workload(fl::WorkloadKind::kCifarLike, "CIFAR-like (Fig. 6b)",
-                 scale, attack_filter);
+  for (const auto& name : datasets)
+    run_workload(fl::workload_kind_from_name(name),
+                 name == "Fashion-like" ? "Fashion-like (Fig. 6a)"
+                                        : "CIFAR-like (Fig. 6b)",
+                 scale, attacks);
   bench::report_wall(total);
   return 0;
 }

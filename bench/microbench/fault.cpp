@@ -1,72 +1,39 @@
-// Chaos-engine microbench: what the fault model costs and what it does to
-// robustness. Emits machine-readable JSON (default BENCH_fault.json) with
+// fault suite: what the chaos engine costs and what it does to
+// robustness, on one pool thread (determinism across thread counts is
+// pinned by tests/test_chaos.cc):
 //   - robustness: SignGuard-vs-SignFlip best accuracy plus the fault
 //     accounting (churn, deadline misses, lost uplinks, retry overhead)
 //     across the fault-profile presets (none/lan/wan/flaky/mobile),
 //   - engine: raw chaos-engine query throughput — the per-(client, round)
 //     overhead the trainer pays for uplink simulation and churn lookups,
 //   - checkpoint: save/restore throughput of the crash-consistent
-//     checkpoint path (checksummed + fsync'd atomic writes),
-//   - recovery: a kill-at-round-r + resume run compared bitwise against
-//     the uninterrupted run via per-round aggregate checksums.
+//     checkpoint path (checksummed + fsync'd atomic writes), with a
+//     payload round-trip self-check,
+//   - recovery: a kill-at-round-8 + resume run compared bitwise against
+//     the uninterrupted run via per-round aggregate checksums — a
+//     self-check, so the run cannot pass while crash recovery silently
+//     breaks.
 //
-// Usage:
-//   ./fault_microbench [--json=BENCH_fault.json] [--rounds=16]
-//
-// The recovery self-check is always on: any divergence between the
-// resumed and uninterrupted traces makes the binary exit non-zero, so CI
-// cannot stay green while crash recovery silently breaks.
+// Entries: no params, usec 0; the value is in the entry's unit.
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
-#include "common/hash.h"
-#include "common/parallel.h"
 #include "data/synth_image.h"
 #include "fl/chaos.h"
 #include "fl/checkpoint.h"
 #include "fl/experiment.h"
 #include "fl/trainer.h"
+#include "microbench.h"
 #include "nn/models.h"
 
-namespace signguard {
+namespace signguard::microbench {
 namespace {
 
 using bench::Stopwatch;
 
-struct Entry {
-  std::string group, name;
-  double value = 0.0;
-  std::string unit;
-};
-
-std::vector<Entry> entries;
-
-void record(const std::string& group, const std::string& name, double value,
-            const std::string& unit) {
-  entries.push_back({group, name, value, unit});
-  std::printf("%-12s %-28s %14.4f %s\n", group.c_str(), name.c_str(), value,
-              unit.c_str());
-}
-
-void write_json(const std::string& path) {
-  std::ofstream out(path);
-  out << "{\n  \"schema\": \"signguard/fault_microbench/v1\",\n"
-      << "  \"threads\": " << common::thread_count() << ",\n  \"entries\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    out << "    {\"group\": \"" << e.group << "\", \"name\": \"" << e.name
-        << "\", \"value\": " << obs::StopwatchReporter::json_num(e.value)
-        << ", \"unit\": \"" << e.unit << "\"}"
-        << (i + 1 < entries.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s (%zu entries)\n", path.c_str(), entries.size());
-}
+constexpr std::size_t kRounds = 16;
 
 data::TrainTest bench_data() {
   data::SynthImageConfig cfg;
@@ -76,11 +43,11 @@ data::TrainTest bench_data() {
   return data::make_synth_image(cfg);
 }
 
-fl::TrainerConfig base_config(std::size_t rounds) {
+fl::TrainerConfig base_config() {
   fl::TrainerConfig cfg;
   cfg.n_clients = 24;
   cfg.byzantine_frac = 0.25;
-  cfg.rounds = rounds;
+  cfg.rounds = kRounds;
   cfg.batch_size = 8;
   cfg.lr = 0.2;
   cfg.eval_every = 4;
@@ -95,9 +62,9 @@ fl::ModelFactory bench_model() {
 
 // ---- accuracy & fault accounting across the profile presets ----------------
 
-void bench_robustness(const data::TrainTest& tt, std::size_t rounds) {
+void bench_robustness(Run& run, const data::TrainTest& tt) {
   for (const auto& name : fl::fault_profile_names()) {
-    fl::TrainerConfig cfg = base_config(rounds);
+    fl::TrainerConfig cfg = base_config();
     cfg.chaos.profile = fl::fault_profile_from_name(name);
     if (!cfg.chaos.profile.none()) {
       // A deadline four medians out and mild churn: faults visible every
@@ -111,29 +78,28 @@ void bench_robustness(const data::TrainTest& tt, std::size_t rounds) {
     const fl::TrainingResult res =
         trainer.run(*attack, fl::make_aggregator("SignGuard", 1), nullptr);
     const double wall_ms = w.seconds() * 1e3;
-    record("robustness", name + "_best_acc", res.best_accuracy, "%");
-    record("robustness", name + "_wall", wall_ms, "ms");
-    if (cfg.chaos.active()) {
-      const double transmitted = double(rounds * cfg.n_clients) -
-                                 double(res.churned_total);
-      record("robustness", name + "_churned", double(res.churned_total),
-             "client-rounds");
-      record("robustness", name + "_deadline_misses",
-             double(res.deadline_miss_total), "uplinks");
-      record("robustness", name + "_lost", double(res.lost_uplink_total),
-             "uplinks");
-      if (transmitted > 0)
-        record("robustness", name + "_attempts_per_uplink",
-               double(res.uplink_attempts) / transmitted, "x");
-      record("robustness", name + "_sim_round_time",
-             res.sim_time_ms / double(rounds), "ms");
-    }
+    run.record("robustness", name + "_best_acc", res.best_accuracy, "%");
+    run.record("robustness", name + "_wall", wall_ms, "ms");
+    if (!cfg.chaos.active()) continue;
+    const double transmitted =
+        double(kRounds * cfg.n_clients) - double(res.churned_total);
+    run.record("robustness", name + "_churned", double(res.churned_total),
+               "client-rounds");
+    run.record("robustness", name + "_deadline_misses",
+               double(res.deadline_miss_total), "uplinks");
+    run.record("robustness", name + "_lost", double(res.lost_uplink_total),
+               "uplinks");
+    if (transmitted > 0)
+      run.record("robustness", name + "_attempts_per_uplink",
+                 double(res.uplink_attempts) / transmitted, "x");
+    run.record("robustness", name + "_sim_round_time",
+               res.sim_time_ms / double(kRounds), "ms");
   }
 }
 
 // ---- raw engine query throughput -------------------------------------------
 
-void bench_engine() {
+void bench_engine(Run& run) {
   fl::ChaosConfig cfg;
   cfg.profile = fl::fault_profile_from_name("wan");
   cfg.deadline_ms = 500.0;
@@ -146,22 +112,23 @@ void bench_engine() {
   for (std::size_t i = 0; i < kQueries; ++i)
     sink = sink +
            engine.simulate_uplink(i % kClients, i / kClients).elapsed_ms;
-  record("engine", "simulate_uplink", double(kQueries) / wu.seconds() / 1e6,
-         "Mqueries/s");
+  run.record("engine", "simulate_uplink",
+             double(kQueries) / wu.seconds() / 1e6, "Mqueries/s");
   // Churn lookups hit the lazily built per-client schedule cache after
   // the first touch — this measures the steady-state (cached) rate.
   std::size_t up = 0;
   Stopwatch wc;
   for (std::size_t i = 0; i < kQueries; ++i)
     up += engine.client_up(i % kClients, i / kClients) ? 1 : 0;
-  record("engine", "client_up", double(kQueries) / wc.seconds() / 1e6,
-         "Mqueries/s");
-  record("engine", "client_up_fraction", double(up) / double(kQueries), "");
+  run.record("engine", "client_up", double(kQueries) / wc.seconds() / 1e6,
+             "Mqueries/s");
+  run.record("engine", "client_up_fraction", double(up) / double(kQueries),
+             "");
 }
 
 // ---- checkpoint file I/O ---------------------------------------------------
 
-void bench_checkpoint_io() {
+void bench_checkpoint_io(Run& run) {
   const std::string path = "/tmp/signguard_fault_bench.ckpt";
   // A payload the size of a mid-size trainer checkpoint (model parameters
   // dominate): 32 MB of non-trivial bytes.
@@ -176,12 +143,9 @@ void bench_checkpoint_io() {
   const std::string back = fl::read_checkpoint_file(path);
   const double load_s = wr.seconds();
   std::remove(path.c_str());
-  if (back != payload) {
-    std::fprintf(stderr, "FAIL: checkpoint payload round-trip mismatch\n");
-    std::exit(1);
-  }
-  record("checkpoint", "save", mb / save_s, "MB/s");
-  record("checkpoint", "restore", mb / load_s, "MB/s");
+  run.check(back == payload, "checkpoint payload round-trip mismatch");
+  run.record("checkpoint", "save", mb / save_s, "MB/s");
+  run.record("checkpoint", "restore", mb / load_s, "MB/s");
 }
 
 // ---- kill + resume self-check ----------------------------------------------
@@ -202,17 +166,17 @@ std::vector<std::uint64_t> run_traced(fl::TrainerConfig cfg,
   return checksums;
 }
 
-bool bench_recovery(const data::TrainTest& tt, std::size_t rounds) {
+void bench_recovery(Run& run, const data::TrainTest& tt) {
   const std::string path = "/tmp/signguard_fault_bench_resume.ckpt";
   std::remove(path.c_str());
-  fl::TrainerConfig cfg = base_config(rounds);
+  fl::TrainerConfig cfg = base_config();
   cfg.chaos.profile = fl::fault_profile_from_name("flaky");
   cfg.chaos.deadline_ms = 300.0;
   cfg.chaos.churn_leave_prob = 0.1;
 
   const std::vector<std::uint64_t> ref = run_traced(cfg, tt);
 
-  const std::size_t kill_at = rounds / 2;
+  const std::size_t kill_at = kRounds / 2;
   const std::size_t ckpt_every = 3;
   cfg.checkpoint.path = path;
   cfg.checkpoint.every = ckpt_every;
@@ -235,38 +199,21 @@ bool bench_recovery(const data::TrainTest& tt, std::size_t rounds) {
                                       killed.begin() + durable);
   stitched.insert(stitched.end(), resumed.begin(), resumed.end());
   const bool ok = stitched == ref && killed.size() == kill_at &&
-                  resumed.size() == rounds - durable;
-  record("recovery", "kill_run_wall", killed_ms, "ms");
-  record("recovery", "resume_run_wall", resumed_ms, "ms");
-  record("recovery", "bitwise_identical", ok ? 1.0 : 0.0, "");
-  if (!ok)
-    std::fprintf(stderr,
-                 "FAIL: kill+resume trace diverges from the uninterrupted "
-                 "run (ref %zu rounds, stitched %zu)\n",
-                 ref.size(), stitched.size());
-  return ok;
+                  resumed.size() == kRounds - durable;
+  run.record("recovery", "kill_run_wall", killed_ms, "ms");
+  run.record("recovery", "resume_run_wall", resumed_ms, "ms");
+  run.record("recovery", "bitwise_identical", ok ? 1.0 : 0.0, "");
+  run.check(ok, "kill+resume trace diverges from the uninterrupted run");
 }
 
 }  // namespace
-}  // namespace signguard
 
-int main(int argc, char** argv) {
-  using namespace signguard;
-  std::printf("== fault_microbench ==\n");
-  // Single-thread: the numbers (and BENCH_fault.json) stay comparable
-  // across machines with different core counts, and determinism is
-  // separately pinned across thread counts by tests/test_chaos.cc.
-  common::set_thread_count(1);
-  const std::string json_path =
-      bench::arg_value(argc, argv, "json", "BENCH_fault.json");
-  const std::size_t rounds = std::strtoull(
-      bench::arg_value(argc, argv, "rounds", "16").c_str(), nullptr, 10);
-
+void fault_suite(Run& run) {
   const data::TrainTest tt = bench_data();
-  bench_robustness(tt, rounds);
-  bench_engine();
-  bench_checkpoint_io();
-  const bool ok = bench_recovery(tt, rounds);
-  write_json(json_path);
-  return ok ? 0 : 1;
+  bench_robustness(run, tt);
+  bench_engine(run);
+  bench_checkpoint_io(run);
+  bench_recovery(run, tt);
 }
+
+}  // namespace signguard::microbench

@@ -1,0 +1,193 @@
+// train suite: the library GEMM against the plain-loop oracle
+// (tests/oracles.h — the pre-GEMM scalar path), then per-layer kernel
+// latency and end-to-end client-round throughput for the MLP / CNN / RNN
+// workloads on the library path. Gated: the library GEMM's speedup over
+// the oracle loop at the CNN workload's conv GEMM shapes, the guard
+// against the tiled kernel regressing toward the scalar loop.
+//
+// Entries: params {backend}: "tiled" for the library kernel, "ref" for
+// the oracle loop, "tiled_vs_ref" for a speedup row (value = oracle
+// time / library time, usec = library time).
+
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "fl/client.h"
+#include "fl/experiment.h"
+#include "microbench.h"
+#include "nn/conv.h"
+#include "nn/gemm.h"
+#include "nn/models.h"
+#include "nn/rnn.h"
+#include "nn/workspace.h"
+#include "oracles.h"
+
+namespace signguard::microbench {
+namespace {
+
+void bench_layer(Run& run, const std::string& name, nn::Layer& layer,
+                 const nn::Tensor& x) {
+  nn::Workspace ws;
+  nn::Tensor y, gy, gx;
+  ws.begin_pass();
+  layer.forward(x, y, ws);
+  gy.resize(y.shape());
+  for (std::size_t i = 0; i < gy.numel(); ++i)
+    gy[i] = float(i % 7) * 0.1f - 0.3f;
+  const double fwd = run.timer.time_usec([&] {
+    ws.begin_pass();
+    layer.forward(x, y, ws);
+  });
+  run.record("layer", name + "_fwd", {{"backend", "tiled"}}, fwd, 1e6 / fwd,
+             "runs/s");
+  // Rewind the scratch cursor each iteration so repeated backwards
+  // replay onto the same workspace slots instead of growing the arena
+  // (which would fold allocation cost into the timing).
+  const std::size_t after_fwd = ws.mark();
+  const double bwd = run.timer.time_usec([&] {
+    ws.rewind(after_fwd);
+    layer.zero_grad();
+    layer.backward(gy, gx, ws);
+  });
+  run.record("layer", name + "_bwd", {{"backend", "tiled"}}, bwd, 1e6 / bwd,
+             "runs/s");
+}
+
+void bench_layers(Run& run) {
+  Rng rng(1);
+  {
+    nn::Linear lin(256, 128, rng);
+    nn::Tensor x({32, 256});
+    for (auto& v : x.flat()) v = static_cast<float>(rng.normal());
+    bench_layer(run, "linear_32x256x128", lin, x);
+  }
+  {
+    // The flagship MLP's wide layer at its batch of 8: the forward is the
+    // skinny NT product against a 4 MB weight.
+    nn::Linear lin(768, 1300, rng);
+    nn::Tensor x({8, 768});
+    for (auto& v : x.flat()) v = static_cast<float>(rng.normal());
+    bench_layer(run, "linear_8x768x1300", lin, x);
+  }
+  {
+    nn::Conv2d conv(6, 12, rng);
+    nn::Tensor x({8, 6, 16, 16});
+    for (auto& v : x.flat()) v = static_cast<float>(rng.normal());
+    bench_layer(run, "conv_8x6x16x16_oc12", conv, x);
+  }
+  {
+    nn::RnnTanh rnn(16, 32, rng, nn::RnnOutput::kMeanPool);
+    nn::Tensor x({8, 16, 16});
+    for (auto& v : x.flat()) v = static_cast<float>(rng.normal());
+    bench_layer(run, "rnn_8x16_e16_h32", rnn, x);
+  }
+}
+
+using GemmFn = void (*)(std::size_t, std::size_t, std::size_t, const float*,
+                        std::size_t, const float*, std::size_t, float*,
+                        std::size_t, bool);
+
+// One GEMM call in both implementations; operands are row-major with
+// the tightest leading dimensions for the orientation.
+struct GemmCall {
+  GemmFn library, oracle;
+  std::size_t m, n, k;
+  bool transpose_a, transpose_b, accumulate;
+};
+
+// Times `calls` back to back on the oracle loops, then on the library
+// kernels, and records both and their speedup.
+void bench_gemm_set(Run& run, const std::string& name,
+                    const std::vector<GemmCall>& calls) {
+  Rng rng(2);
+  std::vector<std::vector<float>> a, b, c;
+  double flops = 0.0;
+  for (const GemmCall& g : calls) {
+    a.push_back(rng.normal_vector(g.m * g.k));
+    b.push_back(rng.normal_vector(g.k * g.n));
+    c.emplace_back(g.m * g.n, 0.0f);
+    flops += 2.0 * double(g.m) * g.n * g.k;
+  }
+  const auto time = [&](bool oracle_loop) {
+    return run.timer.time_usec([&] {
+      for (std::size_t i = 0; i < calls.size(); ++i) {
+        const GemmCall& g = calls[i];
+        (oracle_loop ? g.oracle : g.library)(
+            g.m, g.n, g.k, a[i].data(), g.transpose_a ? g.m : g.k,
+            b[i].data(), g.transpose_b ? g.k : g.n, c[i].data(), g.n,
+            g.accumulate);
+      }
+    });
+  };
+  const double ref_usec = time(true);
+  const double tiled_usec = time(false);
+  run.record("gemm", name, {{"backend", "ref"}}, ref_usec,
+             flops / (ref_usec * 1e-6) / 1e9, "GFLOP/s");
+  run.record("gemm", name, {{"backend", "tiled"}}, tiled_usec,
+             flops / (tiled_usec * 1e-6) / 1e9, "GFLOP/s");
+  run.record("speedup", name, {{"backend", "tiled_vs_ref"}}, tiled_usec,
+             ref_usec / tiled_usec, "x");
+}
+
+// End-to-end: one client-round = sample a batch, forward, loss, backward,
+// flatten the gradient — exactly fl::Client::compute_gradient_into.
+void bench_client_round(Run& run, const std::string& name, fl::Workload w) {
+  nn::Model model = w.model_factory(13);
+  std::vector<std::size_t> shard(w.data.train.size());
+  for (std::size_t i = 0; i < shard.size(); ++i) shard[i] = i;
+  fl::Client client(&w.data.train, std::move(shard), 17);
+  std::vector<float> grad(model.parameter_count());
+  const double usec = run.timer.time_usec([&] {
+    client.compute_gradient_into(grad, model, w.config.batch_size,
+                                 w.config.weight_decay, false);
+  });
+  run.record("client_round", name, {{"backend", "tiled"}}, usec, 1e6 / usec,
+             "runs/s");
+}
+
+}  // namespace
+
+void train_suite(Run& run) {
+  for (const std::size_t d : {128ul, 256ul})
+    bench_gemm_set(run, "gemm_nn_" + std::to_string(d),
+                   {{nn::gemm_nn, oracle::gemm_nn, d, d, d, false, false,
+                     false}});
+  // The CNN workload's conv GEMMs (make_small_cnn(16): conv1 6 channels
+  // over a 16x16 map from 1 input channel, conv2 12 over 8x8 from 6) for
+  // one sample of its batch-8 client round: forward y = W cols, backward
+  // gW += gy cols^T, and conv2's input gradient W^T gy (conv1, the first
+  // layer, skips it).
+  bench_gemm_set(
+      run, "cnn_conv",
+      {{nn::gemm_nn, oracle::gemm_nn, 6, 256, 9, false, false, false},
+       {nn::gemm_nt, oracle::gemm_nt, 6, 9, 256, false, true, true},
+       {nn::gemm_nn, oracle::gemm_nn, 12, 64, 54, false, false, false},
+       {nn::gemm_nt, oracle::gemm_nt, 12, 54, 64, false, true, true},
+       {nn::gemm_tn, oracle::gemm_tn, 54, 64, 12, true, false, false}});
+  bench_layers(run);
+  const auto workload = [](fl::WorkloadKind kind, fl::ModelProfile profile) {
+    return fl::make_workload(kind, profile, fl::Scale::kSmoke);
+  };
+  bench_client_round(
+      run, "mlp",
+      workload(fl::WorkloadKind::kMnistLike, fl::ModelProfile::kGrid));
+  bench_client_round(
+      run, "cnn",
+      workload(fl::WorkloadKind::kMnistLike, fl::ModelProfile::kPaper));
+  bench_client_round(
+      run, "rnn",
+      workload(fl::WorkloadKind::kAgNewsLike, fl::ModelProfile::kPaper));
+  // The flagship round's client: the d=1,012,710 768-1300-10 MLP on
+  // CIFAR-like data at batch 8.
+  fl::Workload flagship =
+      workload(fl::WorkloadKind::kCifarLike, fl::ModelProfile::kGrid);
+  flagship.model_factory = [](std::uint64_t seed) {
+    return nn::make_mlp(768, 1300, 10, seed);
+  };
+  flagship.config.batch_size = 8;
+  bench_client_round(run, "flagship_mlp", std::move(flagship));
+}
+
+}  // namespace signguard::microbench

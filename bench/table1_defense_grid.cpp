@@ -9,6 +9,8 @@
 //
 // Usage: table1_defense_grid [--dataset=MNIST-like] [--defense=SignGuard]
 //                            [--attack=LIE] [--jsonl=FILE]
+// Each filter is repeatable and must name a row of the table; a typo
+// exits 1 before anything runs.
 // Scale via SIGNGUARD_SCALE=smoke|default|full; concurrency via
 // SIGNGUARD_THREADS.
 
@@ -19,27 +21,26 @@
 
 int main(int argc, char** argv) {
   using namespace signguard;
+  fl::SweepGrid grid;
+  grid.attacks = fl::table1_attacks();
+  grid.gars = fl::table1_defenses();
+  std::vector<std::string> datasets;
+  for (const auto kind : fl::all_workloads())
+    datasets.push_back(fl::workload_name(kind));
+  std::string jsonl_path;
+  bench::parse_flags(argc, argv,
+                     {bench::filter_flag("dataset", datasets),
+                      bench::filter_flag("defense", grid.gars),
+                      bench::filter_flag("attack", grid.attacks),
+                      {"jsonl", "FILE", "", "sweep JSONL to FILE",
+                       [&](const std::string& v) { jsonl_path = v; }}});
+  grid.workloads.clear();
+  for (const auto& name : datasets)
+    grid.workloads.push_back(fl::workload_kind_from_name(name));
+
   const auto scale = fl::scale_from_env();
   bench::banner("Table I: defenses x attacks, IID, 20% Byzantine", scale);
-
-  const auto dataset_filter = bench::arg_values(argc, argv, "dataset");
-  const auto defense_filter = bench::arg_values(argc, argv, "defense");
-  const auto attack_filter = bench::arg_values(argc, argv, "attack");
-
-  fl::SweepGrid grid;
-  grid.workloads.clear();
-  for (const auto kind : fl::all_workloads())
-    if (bench::keep(dataset_filter, fl::workload_name(kind)))
-      grid.workloads.push_back(kind);
-  grid.attacks.clear();
-  for (const auto& a : fl::table1_attacks())
-    if (bench::keep(attack_filter, a)) grid.attacks.push_back(a);
-  grid.gars.clear();
-  for (const auto& d : fl::table1_defenses())
-    if (bench::keep(defense_filter, d)) grid.gars.push_back(d);
-
   std::ofstream jsonl_file;
-  const std::string jsonl_path = bench::arg_value(argc, argv, "jsonl");
   if (!jsonl_path.empty()) {
     jsonl_file.open(jsonl_path);
     if (!jsonl_file) {

@@ -13,19 +13,18 @@
 
 int main(int argc, char** argv) {
   using namespace signguard;
+  std::vector<std::string> attacks = {"ByzMean", "SignFlip", "LIE", "MinMax",
+                                      "MinSum"};
+  bench::parse_flags(argc, argv, {bench::filter_flag("attack", attacks)});
   const auto scale = fl::scale_from_env();
   bench::banner(
       "Table II: honest/malicious selected rates (CIFAR-like workload)",
       scale);
 
-  const auto attack_filter = bench::arg_values(argc, argv, "attack");
-
   fl::Workload w =
       fl::make_workload(fl::WorkloadKind::kCifarLike,
                         fl::ModelProfile::kGrid, scale);
 
-  const std::vector<std::string> attacks = {"ByzMean", "SignFlip", "LIE",
-                                            "MinMax", "MinSum"};
   const std::vector<std::string> variants = {"SignGuard", "SignGuard-Sim",
                                              "SignGuard-Dist"};
 
@@ -39,7 +38,6 @@ int main(int argc, char** argv) {
   fl::Trainer trainer(w.data, w.model_factory, w.config);
   bench::Stopwatch total;
   for (const auto& attack_name : attacks) {
-    if (!bench::keep(attack_filter, attack_name)) continue;
     std::vector<std::string> row = {attack_name};
     for (const auto& variant : variants) {
       auto attack = fl::make_attack(attack_name);

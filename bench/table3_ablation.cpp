@@ -18,11 +18,10 @@
 
 int main(int argc, char** argv) {
   using namespace signguard;
+  bench::parse_flags(argc, argv, {});
   const auto scale = fl::scale_from_env();
   bench::banner("Table III: SignGuard component ablation (CIFAR-like)",
                 scale);
-  (void)argc;
-  (void)argv;
 
   fl::Workload w = fl::make_workload(fl::WorkloadKind::kCifarLike,
                                      fl::ModelProfile::kGrid, scale);

@@ -1,9 +1,10 @@
 #pragma once
 // Deterministic synthetic 3-channel image data — the offline stand-in for
-// CIFAR-10 (substitution #1 in DESIGN.md). Each class owns a colour/texture
-// field: per-channel sinusoidal gratings with class-specific frequency,
-// phase and orientation plus a colour bias. Harder than the grayscale task
-// (more noise, overlapping textures), mirroring CIFAR-10 vs MNIST.
+// CIFAR-10 ("Substitutions" in docs/ARCHITECTURE.md). Each class owns a
+// colour/texture field: per-channel sinusoidal gratings with
+// class-specific frequency, phase and orientation plus a colour bias.
+// Harder than the grayscale task (more noise, overlapping textures),
+// mirroring CIFAR-10 vs MNIST.
 
 #include <cstdint>
 

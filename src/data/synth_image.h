@@ -1,9 +1,9 @@
 #pragma once
 // Deterministic synthetic grayscale image classification data — the
-// offline stand-in for MNIST / Fashion-MNIST (substitution #1 in
-// DESIGN.md). Each class owns a procedurally generated archetype pattern
-// (a sum of random Gaussian blobs); samples are noisy, randomly shifted
-// copies of their class archetype. The `difficulty` noise level separates
+// offline stand-in for MNIST / Fashion-MNIST ("Substitutions" in
+// docs/ARCHITECTURE.md). Each class owns a procedurally generated
+// archetype pattern (a sum of random Gaussian blobs); samples are noisy,
+// randomly shifted copies of their class archetype. The `difficulty` noise level separates
 // the "MNIST-like" (easy) and "Fashion-like" (harder) variants.
 
 #include <cstdint>

@@ -1,8 +1,8 @@
 #pragma once
 // Deterministic synthetic topic-classification text data — the offline
-// stand-in for AG-News (substitution #1 in DESIGN.md). Each of the 4
-// classes owns a set of topic tokens; a document is a fixed-length token
-// sequence mixing topic tokens with shared background vocabulary.
+// stand-in for AG-News ("Substitutions" in docs/ARCHITECTURE.md). Each of
+// the 4 classes owns a set of topic tokens; a document is a fixed-length
+// token sequence mixing topic tokens with shared background vocabulary.
 
 #include <cstdint>
 

@@ -26,7 +26,7 @@ std::string to_string(Scale s);
 std::string runtime_summary(Scale s);
 
 // The paper's four evaluation workloads (§V-A), backed by this repo's
-// synthetic stand-in datasets (DESIGN.md substitution #1).
+// synthetic stand-in datasets (docs/ARCHITECTURE.md, "Substitutions").
 enum class WorkloadKind { kMnistLike, kFashionLike, kCifarLike, kAgNewsLike };
 
 // kGrid: fast dense/bag models for the wide sweeps (Table I, Fig. 4/6);

@@ -2,8 +2,8 @@
 // The parameter server of Algorithm 1: collects the round's gradients,
 // runs the configured gradient aggregation rule, and applies the global
 // update with momentum SGD (momentum is applied server-side; see
-// DESIGN.md substitution #3 for why this is equivalent in the paper's
-// one-local-iteration full-participation setting).
+// "Substitutions" in docs/ARCHITECTURE.md for why this is equivalent in
+// the paper's one-local-iteration full-participation setting).
 
 #include <memory>
 #include <span>

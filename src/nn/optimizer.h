@@ -2,10 +2,10 @@
 // SGD with momentum over flat parameter buffers, plus the weight-decay
 // helper clients apply when forming their gradient message.
 //
-// Placement note (documented in DESIGN.md): with one local iteration and
-// full participation (the paper's §V-C setting), client-side momentum
-// buffers evolve identically on every client, so the library applies
-// momentum once at the server.
+// Placement note (docs/ARCHITECTURE.md, "Substitutions"): with one local
+// iteration and full participation (the paper's §V-C setting), every
+// client's momentum buffer runs the same recursion over the same rounds,
+// so the library applies momentum once, at the server.
 
 #include <span>
 #include <vector>

@@ -9,8 +9,8 @@
 // deterministic counter plane (obs/metrics.h) or any golden output.
 //
 // Cost model: with tracing disabled (the default), a Span is one relaxed
-// atomic load and a branch — bench/obs_microbench pins the disabled-path
-// overhead of a fully instrumented SignGuard round at <= 2%. Tracing is
+// atomic load and a branch — the microbench obs suite pins the
+// disabled-path overhead of a fully instrumented SignGuard round at <= 2%. Tracing is
 // enabled by the SIGNGUARD_TRACE environment variable (any value but ""
 // or "0"), overridable via set_trace_enabled(); building with
 // -DSIGNGUARD_NO_TRACE compiles Span out entirely.

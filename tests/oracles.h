@@ -2,8 +2,8 @@
 // Reference implementations the library kernels are checked against.
 // The library has one runtime path per operation; these are the plain
 // loops that path must reproduce, kept header-only and outside src/ so
-// only the tests and the train/aggregate microbench baselines include
-// them.
+// only the tests and the microbench train/aggregate suite baselines
+// include them.
 //
 //   gemm_nn / gemm_nt / gemm_tn   the per-element triple loop. nn::gemm_*
 //                                 must match it bitwise at every shape

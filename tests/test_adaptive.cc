@@ -287,7 +287,7 @@ TEST(AdaptiveScoreboard, BreaksMultiKrumWhileSignGuardHolds) {
   // The headline result at unit-test scale (exact values are pinned by
   // the determinism contract; thresholds leave margin for platform FP
   // differences). The full-scale scoreboard with the paper-grade bounds
-  // lives in bench/attack_microbench.
+  // lives in the microbench attack suite.
   std::vector<fl::ScenarioSpec> specs;
   const auto add = [&](const char* attack, const char* gar, bool adaptive) {
     fl::ScenarioSpec s;
