@@ -1,22 +1,25 @@
 // aggregate suite: per-GAR server-side latency on the cohort grid
 // n x {50, 256, 1024} x d x {100k, 1M} — the O(n^2 d) pairwise and
-// O(n d log n) coordinate-statistic blocks the Table I defenses pay
-// every round — plus the speedup of the Gram pairwise kernel over the
-// direct pair loops of tests/oracles.h. Gated: that speedup at n=256,
+// O(n d log^2 n) coordinate-statistic blocks the Table I defenses pay
+// every round — plus two speedups over the tests/oracles.h loops, both
+// gated: the Gram pairwise kernel over the direct pair loops at n=256,
 // d=1M, where vec::pairwise_dist2_packed is nearly all of Multi-Krum's
-// time, the guard against the Gram path regressing toward the scalar
-// pairwise loops.
+// time (the guard against a regression toward scalar pairwise loops),
+// and TrMean over its per-column std::sort oracle at n=256, d=100k (the
+// guard against the sorting network's compare-exchange loop falling
+// back to scalar code).
 //
 // One pool thread: the numbers compare kernel structure (GEMM tiling vs
-// scalar loops, column panels vs strided walks), not core counts.
+// scalar loops, sorting networks vs per-column sorts), not core counts.
 // Shapes a rule cannot afford are skipped loudly (printed, never
 // silently dropped): the O(n^2 d) and O(iters * n d) rules skip the
 // 1024 x 1M cell, which only the O(n d) family (Mean/TrMean/Median/
 // SignGuard) runs. --max-n skips the larger cohorts.
 //
 // Entries: params {backend, n, d}; backend "gram" for the library,
-// "direct" for the oracle loops, "gram_vs_direct" for a speedup row
-// (value = direct time / gram time, usec = gram time).
+// "direct" and "sort" for the oracle loops, "gram_vs_direct" and
+// "network_vs_sort" for the speedup rows (value = oracle time / library
+// time, usec = library time).
 
 #include <cstdlib>
 #include <string>
@@ -66,6 +69,7 @@ void aggregate_suite(Run& run) {
     for (const std::size_t n : {50ul, 256ul, 1024ul}) {
       if (!run.fits(n, "gar")) continue;
       const auto m = make_matrix(n, d);
+      double trmean_usec = 0.0;
       for (const auto& gar : kGars) {
         if (!runs_at(gar, n, d)) {
           std::printf("%-8s %-14s skipped at n=%zu d=%zu (cost cap)\n",
@@ -75,6 +79,20 @@ void aggregate_suite(Run& run) {
         const double usec = time_gar(run, gar, m);
         run.record("gar", gar, {{"backend", "gram"}, {"n", n}, {"d", d}},
                    usec, 1e6 / usec, "runs/s");
+        if (gar == "TrMean") trmean_usec = usec;
+      }
+
+      // TrMean vs the oracle's per-column sort at the gated cell, with
+      // the trim time_gar uses.
+      if (n == 256 && d == 100'000) {
+        const double sort_usec = run.timer.time_usec([&] {
+          if (oracle::trimmed_mean(m, n / 5).empty()) std::abort();
+        });
+        run.record("gar", "TrMean", {{"backend", "sort"}, {"n", n}, {"d", d}},
+                   sort_usec, 1e6 / sort_usec, "runs/s");
+        run.record("speedup", "trmean_256x100k",
+                   {{"backend", "network_vs_sort"}, {"n", n}, {"d", d}},
+                   trmean_usec, sort_usec / trmean_usec, "x");
       }
 
       // Gram-vs-direct pairwise kernel wherever the direct loops are

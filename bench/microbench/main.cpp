@@ -117,6 +117,8 @@ const Gate kGates[] = {
      "x"},
     {"aggregate", "speedup", "pairwise_dist2_256x1M",
      "backend=gram_vs_direct n=256 d=1000000", 256, true, 2.01, "x"},
+    {"aggregate", "speedup", "trmean_256x100k",
+     "backend=network_vs_sort n=256 d=100000", 256, true, 4.96, "x"},
     {"comm", "ratio", "sign1", "d=1000000 threads=1", 0, true, 16, "x"},
     {"comm", "decode", "sign1", "d=1000000 threads=1", 0, true, 1.0, "GB/s"},
     {"comm", "filter-bytes", "sign1", "d=1000000 threads=1", 0, true, 5, "x"},

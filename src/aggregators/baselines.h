@@ -68,7 +68,8 @@ class MultiKrumAggregator : public Aggregator {
 
 // Bulyan (El Mhamdi et al., ICML'18): iterative Krum selection of
 // theta = n - 2m gradients, then per-coordinate mean of the
-// beta = theta - 2m values closest to the coordinate median.
+// beta = theta - 2m values closest to the coordinate median (on a
+// distance tie, the lower value first).
 class BulyanAggregator : public Aggregator {
  public:
   std::vector<float> aggregate(const common::GradientMatrix& grads,

@@ -1,14 +1,53 @@
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "aggregators/baselines.h"
 #include "aggregators/internal.h"
 #include "common/gradient_stats.h"
-#include "common/quantiles.h"
 #include "common/vecops.h"
 #include "obs/trace.h"
 
 namespace signguard::agg {
+namespace {
+
+// Mean of the k values of sorted column c closest to its median, summed
+// in the order they are picked: ascending distance |x - med|, and the
+// lower value first on a distance tie (a stable sort by distance of the
+// ascending column). Distances only grow walking outward from the middle
+// ranks, so the picks are a merge of the two walks; a run of equal
+// distances below the median is taken from its lowest rank up.
+float median_window_mean(const vec::SortedTile& t, std::size_t c,
+                         std::size_t k) {
+  const std::size_t n = t.rows;
+  const std::size_t mid = n / 2;
+  const double med =
+      n % 2 == 1 ? double(t.at(mid, c))
+                 : 0.5 * (double(t.at(mid - 1, c)) + double(t.at(mid, c)));
+  const auto dist = [&](std::size_t r) {
+    return std::abs(double(t.at(r, c)) - med);
+  };
+  // Ranks [below, above) are taken; `below` walks down, `above` up.
+  std::size_t below = mid, above = mid;
+  std::size_t taken = 0;
+  double acc = 0.0;
+  while (taken < k) {
+    if (below > 0 && (above == n || dist(below - 1) <= dist(above))) {
+      const double run = dist(below - 1);
+      std::size_t first = below - 1;
+      while (first > 0 && dist(first - 1) == run) --first;
+      for (std::size_t r = first; r < below && taken < k; ++r, ++taken)
+        acc += double(t.at(r, c));
+      below = first;
+    } else {
+      acc += double(t.at(above++, c));
+      ++taken;
+    }
+  }
+  return static_cast<float>(acc / double(k));
+}
+
+}  // namespace
 
 std::vector<float> BulyanAggregator::aggregate(
     const common::GradientMatrix& grads, const GarContext& ctx) {
@@ -48,9 +87,8 @@ std::vector<float> BulyanAggregator::aggregate(
   }
 
   // Phase 2: per coordinate, average the beta = theta - 2m selected values
-  // closest to the coordinate median. The selected rows are transposed
-  // tile-by-tile into contiguous column panels (vec::for_each_column), so
-  // the selection statistic never walks the matrix at stride d.
+  // closest to the coordinate median, read from the selected rows'
+  // sorted column tiles.
   obs::count(obs::Stage::kFilter, obs::Counter::kFilterAdmits,
              selected_.size());
   obs::count(obs::Stage::kFilter, obs::Counter::kFilterRejects,
@@ -58,12 +96,10 @@ std::vector<float> BulyanAggregator::aggregate(
   const std::size_t beta =
       std::max<std::size_t>(1, theta > 2 * m ? theta - 2 * m : 1);
   std::vector<float> out(grads.cols());
-  thread_local std::vector<double> column;
-  vec::for_each_column(
-      grads, selected_, [&](std::size_t j, std::span<float> col) {
-        column.assign(col.begin(), col.end());
-        out[j] = static_cast<float>(stats::mean_around_median(column, beta));
-      });
+  vec::for_each_sorted_tile(grads, selected_, [&](const vec::SortedTile& t) {
+    for (std::size_t c = 0; c < t.width; ++c)
+      out[t.first_col + c] = median_window_mean(t, c, beta);
+  });
   return out;
 }
 

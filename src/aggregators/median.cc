@@ -1,5 +1,3 @@
-#include <algorithm>
-
 #include "aggregators/baselines.h"
 #include "aggregators/internal.h"
 #include "common/vecops.h"
@@ -14,22 +12,12 @@ std::vector<float> MedianAggregator::aggregate(
   obs::Span span("agg/median", std::int64_t(n));
   std::vector<float> out(grads.cols());
   const std::size_t mid = n / 2;
-  // Column-panel sweep: fixed-width column tiles are transposed once into
-  // a contiguous per-worker panel (vec::for_each_column), then each
-  // column is an in-place nth_element over contiguous floats — no
-  // per-coordinate stride-d gather. The column holds the same values in
-  // the same row order as the old per-coordinate copy, so the selected
-  // median is bitwise unchanged.
-  vec::for_each_column(grads, {}, [&](std::size_t j, std::span<float> col) {
-    std::nth_element(col.begin(), col.begin() + std::ptrdiff_t(mid),
-                     col.end());
-    if (n % 2 == 1) {
-      out[j] = col[mid];
-    } else {
-      const float lo =
-          *std::max_element(col.begin(), col.begin() + std::ptrdiff_t(mid));
-      out[j] = 0.5f * (lo + col[mid]);
-    }
+  // The middle rank of each sorted column, or the float mean of the two
+  // middle ranks for even n.
+  vec::for_each_sorted_tile(grads, {}, [&](const vec::SortedTile& t) {
+    for (std::size_t c = 0; c < t.width; ++c)
+      out[t.first_col + c] =
+          n % 2 == 1 ? t.at(mid, c) : 0.5f * (t.at(mid - 1, c) + t.at(mid, c));
   });
   return out;
 }

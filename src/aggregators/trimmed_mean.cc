@@ -16,22 +16,16 @@ std::vector<float> TrimmedMeanAggregator::aggregate(
   const std::size_t trim =
       std::min(ctx.assumed_byzantine, (n - 1) / 2);
   std::vector<float> out(grads.cols());
-  // Column-panel sweep over contiguous columns (vec::for_each_column),
-  // with selection instead of a full sort: two nth_element cuts isolate
-  // the middle ranks, and only that kept segment is sorted so the
-  // accumulation still runs in ascending value order — the same partial
-  // sums, bit for bit, as sorting the whole column.
-  vec::for_each_column(grads, {}, [&](std::size_t j, std::span<float> col) {
-    const auto keep_begin = col.begin() + std::ptrdiff_t(trim);
-    const auto keep_end = col.begin() + std::ptrdiff_t(n - trim);
-    if (trim > 0) {
-      std::nth_element(col.begin(), keep_begin, col.end());
-      std::nth_element(keep_begin, keep_end - 1, col.end());
-    }
-    std::sort(keep_begin, keep_end);
-    double acc = 0.0;
-    for (auto it = keep_begin; it != keep_end; ++it) acc += *it;
-    out[j] = static_cast<float>(acc / double(n - 2 * trim));
+  // Each column's kept ranks [trim, n - trim) are summed in ascending
+  // order into one double, a whole sorted tile of columns per rank.
+  vec::for_each_sorted_tile(grads, {}, [&](const vec::SortedTile& t) {
+    double acc[vec::kSortTileCols] = {};
+    for (std::size_t r = trim; r < n - trim; ++r)
+      for (std::size_t c = 0; c < vec::kSortTileCols; ++c)
+        acc[c] += double(t.at(r, c));
+    for (std::size_t c = 0; c < t.width; ++c)
+      out[t.first_col + c] =
+          static_cast<float>(acc[c] / double(n - 2 * trim));
   });
   return out;
 }

@@ -60,27 +60,6 @@ double quantile(std::span<const double> xs, double q) {
   return vlo * (1.0 - frac) + vhi * frac;
 }
 
-double trimmed_mean(std::span<const double> xs, std::size_t trim) {
-  assert(xs.size() > 2 * trim);
-  std::vector<double> v(xs.begin(), xs.end());
-  std::sort(v.begin(), v.end());
-  double acc = 0.0;
-  for (std::size_t i = trim; i < v.size() - trim; ++i) acc += v[i];
-  return acc / double(v.size() - 2 * trim);
-}
-
-double mean_around_median(std::span<const double> xs, std::size_t k) {
-  assert(k >= 1 && k <= xs.size());
-  const double med = median(xs);
-  std::vector<double> v(xs.begin(), xs.end());
-  std::sort(v.begin(), v.end(), [med](double a, double b) {
-    return std::abs(a - med) < std::abs(b - med);
-  });
-  double acc = 0.0;
-  for (std::size_t i = 0; i < k; ++i) acc += v[i];
-  return acc / double(k);
-}
-
 double mean(std::span<const double> xs) {
   assert(!xs.empty());
   double acc = 0.0;

@@ -1,7 +1,8 @@
 #pragma once
-// Order statistics over small scalar samples: medians, quantiles and
-// trimmed means. These back the coordinate-wise robust aggregation rules
-// and SignGuard's norm-median reference.
+// Order statistics over small scalar samples: medians, quantiles, mean
+// and standard deviation. These back SignGuard's norm-median reference
+// and the similarity filters; the coordinate-wise rules read ranks from
+// vec::for_each_sorted_tile instead.
 
 #include <cstddef>
 #include <span>
@@ -20,14 +21,6 @@ double median(std::span<const float> xs);
 // so q == 1.0 is safe even when FP round-off pushes ceil(pos) past the
 // last element. Returns quiet NaN on an empty sample.
 double quantile(std::span<const double> xs, double q);
-
-// Mean after removing the `trim` smallest and `trim` largest entries.
-// Precondition: xs.size() > 2 * trim.
-double trimmed_mean(std::span<const double> xs, std::size_t trim);
-
-// Mean of the k values closest to the median of xs (Bulyan's coordinate
-// step). Precondition: 1 <= k <= xs.size().
-double mean_around_median(std::span<const double> xs, std::size_t k);
 
 // Arithmetic mean; Precondition: non-empty.
 double mean(std::span<const double> xs);

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "common/clones.h"
 #include "common/parallel.h"
 #include "nn/gemm.h"
 
@@ -293,32 +294,78 @@ CoordinateMoments coordinate_moments(const common::GradientMatrix& g) {
   return coordinate_moments(std::span<const std::span<const float>>(rows));
 }
 
-void for_each_column(
-    const common::GradientMatrix& g, std::span<const std::size_t> rows,
-    const std::function<void(std::size_t, std::span<float>)>& fn) {
+namespace {
+
+// After a comparator, rank `lo` holds the smaller key and rank `hi` the
+// larger.
+struct Comparator {
+  std::uint32_t lo, hi;
+};
+
+// Batcher's odd-even merge sort for the next power of two >= n, pruned
+// to the comparators whose two ends are both below n. A pruned one
+// would compare a rank below n with +inf padding above it and never move
+// a key, so the pruned network still sorts n keys. n = 1024 gives 24,063
+// comparators.
+std::vector<Comparator> batcher_network(std::size_t n) {
+  std::vector<Comparator> net;
+  for (std::size_t p = 1; p < n; p <<= 1)
+    for (std::size_t k = p; k >= 1; k >>= 1)
+      for (std::size_t j = k % p; j + k < n; j += 2 * k)
+        for (std::size_t i = 0; i < std::min(k, n - j - k); ++i)
+          if ((i + j) / (2 * p) == (i + j + k) / (2 * p))
+            net.push_back({std::uint32_t(i + j), std::uint32_t(i + j + k)});
+  return net;
+}
+
+// One comparator over every column of a tile at once: lane-wise
+// min/max of two rows of kSortTileCols keys, as a masked xor swap that
+// GCC vectorizes at -O3 on any x86-64 (baseline SSE2 has no 32-bit
+// integer min/max instruction, so a std::min/std::max loop would stay
+// scalar and branchy there).
+inline void compare_exchange(std::int32_t* __restrict lo,
+                             std::int32_t* __restrict hi) {
+  for (std::size_t c = 0; c < kSortTileCols; ++c) {
+    const std::int32_t a = lo[c];
+    const std::int32_t b = hi[c];
+    const std::int32_t swap = (a ^ b) & -std::int32_t(b < a);
+    lo[c] = a ^ swap;
+    hi[c] = b ^ swap;
+  }
+}
+
+SIGNGUARD_AVX2_CLONES
+void sort_tile(std::int32_t* keys, const Comparator* net, std::size_t size) {
+  for (std::size_t q = 0; q < size; ++q)
+    compare_exchange(keys + net[q].lo * kSortTileCols,
+                     keys + net[q].hi * kSortTileCols);
+}
+
+}  // namespace
+
+void for_each_sorted_tile(const common::GradientMatrix& g,
+                          std::span<const std::size_t> rows,
+                          const std::function<void(const SortedTile&)>& fn) {
   const std::size_t d = g.cols();
   const std::size_t n = rows.empty() ? g.rows() : rows.size();
   if (n == 0 || d == 0) return;
-  // Panel width: 64 columns x n rows. The transposition pass reads each
-  // source row segment sequentially (one cache-line touch per line) and
-  // scatters into 64 write streams — n * 256 bytes of panel, L2-resident
-  // for any realistic cohort size.
-  constexpr std::size_t kPanelCols = 64;
-  const std::size_t tiles = (d + kPanelCols - 1) / kPanelCols;
+  assert(n <= UINT32_MAX);  // comparator ranks are 32-bit
+  const auto net = batcher_network(n);
+  const std::size_t tiles = (d + kSortTileCols - 1) / kSortTileCols;
   common::parallel_chunks(
       tiles, [&](std::size_t t_begin, std::size_t t_end, std::size_t) {
-        std::vector<float> panel(kPanelCols * n);
+        std::vector<std::int32_t> keys(n * kSortTileCols, 0);
         for (std::size_t t = t_begin; t < t_end; ++t) {
-          const std::size_t j0 = t * kPanelCols;
-          const std::size_t j1 = std::min(d, j0 + kPanelCols);
-          const std::size_t w = j1 - j0;
+          const std::size_t j0 = t * kSortTileCols;
+          const std::size_t w = std::min(kSortTileCols, d - j0);
           for (std::size_t r = 0; r < n; ++r) {
-            const auto row = g.row(rows.empty() ? r : rows[r]);
+            const float* src = g.row(rows.empty() ? r : rows[r]).data() + j0;
+            std::int32_t* dst = keys.data() + r * kSortTileCols;
             for (std::size_t c = 0; c < w; ++c)
-              panel[c * n + r] = row[j0 + c];
+              dst[c] = total_order_key(std::bit_cast<std::int32_t>(src[c]));
           }
-          for (std::size_t c = 0; c < w; ++c)
-            fn(j0 + c, std::span<float>(panel.data() + c * n, n));
+          sort_tile(keys.data(), net.data(), net.size());
+          fn(SortedTile{j0, w, n, keys.data()});
         }
       });
 }

@@ -6,7 +6,9 @@
 // matrix-level kernels at the bottom of this header run on the shared
 // thread pool (common/parallel.h) with thread-count-invariant results.
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -133,18 +135,43 @@ std::vector<float> weighted_mean_of_subset(
 // Coordinate-wise mean/stddev in one fused pass over the matrix.
 CoordinateMoments coordinate_moments(const common::GradientMatrix& g);
 
-// ---- column panels ---------------------------------------------------------
-// Cache-blocked column-statistic sweep: transposes fixed-width column
-// tiles of g — restricted to `rows` when non-empty, all rows otherwise —
-// into a per-worker panel, then calls fn(j, column) for every coordinate
-// j with that column's values contiguous and mutable (selection
-// algorithms may permute them), ordered by position in `rows`. Each tile
-// reads the source row-major (every cache line touched once) instead of
-// the per-coordinate stride-d walk, and each coordinate is produced by
-// exactly one worker, so results are thread-count-invariant whenever fn
-// is deterministic.
-void for_each_column(
-    const common::GradientMatrix& g, std::span<const std::size_t> rows,
-    const std::function<void(std::size_t, std::span<float>)>& fn);
+// ---- sorted column tiles ---------------------------------------------------
+// The coordinate-wise order statistics (TrMean, Median, Bulyan stage 2)
+// read ranks from tiles of kSortTileCols columns, all sorted at once by
+// one branchless network (see for_each_sorted_tile).
+
+inline constexpr std::size_t kSortTileCols = 64;
+
+// IEEE-754 totalOrder as a signed int32 order: negative floats get their
+// magnitude bits flipped, so -NaN < -inf < ... < -0.0 < +0.0 < ... <
+// +inf < +NaN. The map is its own inverse.
+inline std::int32_t total_order_key(std::int32_t bits) {
+  return bits ^ ((bits >> 31) & 0x7FFFFFFF);
+}
+
+// Columns [first_col, first_col + width) of the swept rows, each sorted
+// ascending under totalOrder: at(r, c) is rank r of the tile's column c.
+struct SortedTile {
+  std::size_t first_col;
+  std::size_t width;  // <= kSortTileCols; the last tile may be partial
+  std::size_t rows;
+  const std::int32_t* keys;  // rows x kSortTileCols keys, row-major
+
+  float at(std::size_t rank, std::size_t c) const {
+    return std::bit_cast<float>(
+        total_order_key(keys[rank * kSortTileCols + c]));
+  }
+};
+
+// Loads each kSortTileCols-column tile of g row-major as totalOrder keys
+// (every row, or the rows in `rows` when non-empty), sorts all its
+// columns with one Batcher odd-even merge network (lane-wise integer
+// min/max, no data-dependent branch) and calls fn with it. Columns of
+// a partial tile past `width` hold padding. Each tile is sorted by one
+// worker, and a sorted column does not depend on the row order, so
+// results are thread-count-invariant whenever fn is deterministic.
+void for_each_sorted_tile(const common::GradientMatrix& g,
+                          std::span<const std::size_t> rows,
+                          const std::function<void(const SortedTile&)>& fn);
 
 }  // namespace signguard::vec

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/clones.h"
 #include "common/parallel.h"
 #include "obs/metrics.h"
 
@@ -27,24 +28,11 @@ inline float elem(const float* p, std::size_t ld, Trans t, std::size_t row,
 // lane batch holds, never the per-accumulator addition order, and
 // -ffp-contract=off keeps mul+add unfused in every clone — so the AVX2
 // clone is bit-identical to the baseline and to the plain triple loop.
-// ThreadSanitizer builds take the baseline only: target_clones emits an
-// IFUNC resolver that runs during relocation, before the TSan runtime is
-// up, and crashes every binary that links this file before main.
-#if defined(__x86_64__) && defined(__has_attribute) && \
-    !defined(__SANITIZE_THREAD__)
-#if __has_attribute(target_clones)
-#define SIGNGUARD_GEMM_CLONES \
-  __attribute__((target_clones("default", "avx2")))
-#endif
-#endif
-#ifndef SIGNGUARD_GEMM_CLONES
-#define SIGNGUARD_GEMM_CLONES
-#endif
-
+//
 // One kMr x kNr C tile: kMr*kNr independent accumulators held in
 // registers; the k loop is sequential per accumulator, so each output
 // element sees the triple loop's exact addition order.
-SIGNGUARD_GEMM_CLONES
+SIGNGUARD_AVX2_CLONES
 void micro_kernel(std::size_t k, const float* pa, const float* pb, float* c,
                   std::size_t ldc, bool accumulate) {
   float acc[kMr][kNr];

@@ -18,8 +18,19 @@
 //   median_pairwise_cosine        the per-client scalar similarity proxy
 //                                 behind median_pairwise_cosines
 //                                 (test_common).
+//   trimmed_mean / median         per-column full sorts under IEEE-754
+//   bulyan_coordinate             totalOrder. TrMean, Median and Bulyan
+//                                 stage 2 must match them bitwise,
+//                                 signed zeros included; a NaN result
+//                                 must be NaN on both sides
+//                                 (test_aggregate_scale,
+//                                 test_failure_injection).
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -148,6 +159,71 @@ inline double median_pairwise_cosine(const common::GradientMatrix& grads,
   for (std::size_t j = 0; j < grads.rows(); ++j)
     if (j != self) sims.push_back(vec::cosine(grads.row(self), grads.row(j)));
   return stats::median(sims);
+}
+
+// ---- coordinate-wise rules -------------------------------------------------
+
+// IEEE-754 totalOrder: -NaN < -inf < ... < -0.0 < +0.0 < ... < +inf <
+// +NaN. Sign-magnitude bits: negatives order by descending magnitude.
+inline bool total_order_less(float a, float b) {
+  const auto x = std::bit_cast<std::int32_t>(a);
+  const auto y = std::bit_cast<std::int32_t>(b);
+  if ((x < 0) != (y < 0)) return x < 0;
+  return x < 0 ? x > y : x < y;
+}
+
+// Coordinate j of every row, sorted ascending under totalOrder.
+inline std::vector<float> sorted_column(const common::GradientMatrix& g,
+                                        std::size_t j) {
+  std::vector<float> column(g.rows());
+  for (std::size_t i = 0; i < g.rows(); ++i) column[i] = g.at(i, j);
+  std::sort(column.begin(), column.end(), total_order_less);
+  return column;
+}
+
+// Per column: ranks [trim, n - trim) summed in ascending order into one
+// double, divided by the kept count.
+inline std::vector<float> trimmed_mean(const common::GradientMatrix& g,
+                                       std::size_t trim) {
+  const std::size_t n = g.rows();
+  std::vector<float> out(g.cols());
+  for (std::size_t j = 0; j < g.cols(); ++j) {
+    const auto column = sorted_column(g, j);
+    double acc = 0.0;
+    for (std::size_t r = trim; r < n - trim; ++r) acc += double(column[r]);
+    out[j] = static_cast<float>(acc / double(n - 2 * trim));
+  }
+  return out;
+}
+
+// Per column: rank n/2, or 0.5f * (rank n/2 - 1 + rank n/2) for even n.
+inline std::vector<float> median(const common::GradientMatrix& g) {
+  const std::size_t n = g.rows(), mid = n / 2;
+  std::vector<float> out(g.cols());
+  for (std::size_t j = 0; j < g.cols(); ++j) {
+    const auto column = sorted_column(g, j);
+    out[j] = n % 2 == 1 ? column[mid]
+                        : 0.5f * (column[mid - 1] + column[mid]);
+  }
+  return out;
+}
+
+// Bulyan stage 2 on one coordinate of the selected rows: the median (in
+// double) of the totalOrder-sorted column, then a stable sort by
+// distance |x - med| — ties keep the lower value first — and the mean of
+// the first beta values in that order.
+inline float bulyan_coordinate(std::vector<float> column, std::size_t beta) {
+  std::sort(column.begin(), column.end(), total_order_less);
+  const std::size_t n = column.size(), mid = n / 2;
+  const double med =
+      n % 2 == 1 ? double(column[mid])
+                 : 0.5 * (double(column[mid - 1]) + double(column[mid]));
+  std::stable_sort(column.begin(), column.end(), [med](float a, float b) {
+    return std::abs(double(a) - med) < std::abs(double(b) - med);
+  });
+  double acc = 0.0;
+  for (std::size_t i = 0; i < beta; ++i) acc += double(column[i]);
+  return static_cast<float>(acc / double(beta));
 }
 
 }  // namespace signguard::oracle

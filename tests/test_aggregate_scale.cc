@@ -1,16 +1,21 @@
 // Aggregation-at-scale suite: the Gram (GEMM-backed) pairwise kernels vs
 // the direct pair loops of tests/oracles.h, the packed-triangle
-// PairwiseDistances, the column-panel coordinate statistics, and the
+// PairwiseDistances, the sorted-tile coordinate statistics (TrMean,
+// Median, Bulyan stage 2) vs their full-sort oracles, and the
 // selection-based quantile/Krum-ranking satellites. Gram-vs-oracle
 // comparisons are tolerance-based (float GEMM vs double pair loops);
-// everything within the library — thread counts, packed vs dense, panel
-// vs per-coordinate — must be bitwise.
+// everything else — thread counts, packed vs dense, sorted tiles vs
+// full sorts — must be bitwise.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "aggregators/baselines.h"
 #include "common/gradient_matrix.h"
@@ -109,93 +114,149 @@ TEST(GramPairwise, PackedTriangleMatchesDenseBitwise) {
       EXPECT_EQ(pd.dist2(i, j), dense[i * n + j]) << i << " " << j;
 }
 
-// ---- column panels vs the seed per-coordinate scan -------------------------
+// ---- sorted column tiles vs the full-sort oracles --------------------------
 
-// The pre-panel Median: per coordinate, gather the column then
-// nth_element — the bitwise oracle.
-std::vector<float> seed_median(const common::GradientMatrix& g) {
-  const std::size_t n = g.rows(), d = g.cols();
-  std::vector<float> out(d);
-  const std::size_t mid = n / 2;
-  std::vector<float> column(n);
-  for (std::size_t j = 0; j < d; ++j) {
-    for (std::size_t i = 0; i < n; ++i) column[i] = g.at(i, j);
-    std::nth_element(column.begin(), column.begin() + std::ptrdiff_t(mid),
-                     column.end());
-    if (n % 2 == 1) {
-      out[j] = column[mid];
-    } else {
-      const float lo = *std::max_element(
-          column.begin(), column.begin() + std::ptrdiff_t(mid));
-      out[j] = 0.5f * (lo + column[mid]);
-    }
+// Cohorts around the network's power-of-two boundaries and the 64-column
+// tile width.
+constexpr std::size_t kCohorts[] = {1,  2,  3,   10,  50, 63,
+                                    64, 65, 255, 256, 257};
+
+// d = 130: two full 64-column tiles and a partial one. Every third row
+// repeats the row before it. Column 5 holds signed zeros only, column 6
+// zeros and denormals among normals; with `non_finite`, columns 70 and
+// 129 cycle through every special value, ±inf and NaN of both signs
+// included. With `grid`, values are rounded to multiples of 1/4 so
+// distances to a column median tie all the time.
+common::GradientMatrix panel_matrix(std::size_t n, std::uint64_t seed,
+                                    bool non_finite, bool grid) {
+  auto m = gaussian_matrix(n, 130, 0.0, 1.0, seed);
+  if (grid)
+    for (std::size_t i = 0; i < n; ++i)
+      for (auto& v : m.row(i)) v = std::round(v * 4.0f) / 4.0f;
+  for (std::size_t i = 2; i < n; i += 3)
+    std::ranges::copy(m.row(i - 1), m.row(i).begin());
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {0.0f, -0.0f, 1e-40f, -1e-40f, 1e-45f,
+                            kInf, -kInf, kNaN,   -kNaN};
+  for (std::size_t i = 0; i < n; ++i) {
+    m.at(i, 5) = i % 2 == 0 ? -0.0f : 0.0f;
+    if (i % 5 != 0) m.at(i, 6) = specials[i % 5];
+    if (!non_finite) continue;
+    m.at(i, 70) = specials[(7 * i) % 9];
+    if (i % 2 == 0) m.at(i, 129) = specials[(i / 2) % 9];
   }
-  return out;
+  return m;
 }
 
-// The pre-panel TrimmedMean: full sort, ascending accumulation.
-std::vector<float> seed_trimmed_mean(const common::GradientMatrix& g,
-                                     std::size_t trim) {
-  const std::size_t n = g.rows(), d = g.cols();
-  std::vector<float> out(d);
-  std::vector<float> column(n);
-  for (std::size_t j = 0; j < d; ++j) {
-    for (std::size_t i = 0; i < n; ++i) column[i] = g.at(i, j);
-    std::sort(column.begin(), column.end());
-    double acc = 0.0;
-    for (std::size_t i = trim; i < n - trim; ++i) acc += column[i];
-    out[j] = static_cast<float>(acc / double(n - 2 * trim));
-  }
-  return out;
+// An n x 1 matrix holding `values`.
+common::GradientMatrix column_matrix(std::initializer_list<float> values) {
+  common::GradientMatrix m(values.size(), 1);
+  std::size_t i = 0;
+  for (const float v : values) m.at(i++, 0) = v;
+  return m;
 }
 
-TEST(ColumnPanels, MedianMatchesSeedBitwise) {
-  agg::GarContext ctx;
-  agg::MedianAggregator median;
-  for (const std::size_t n : {5ul, 8ul, 33ul}) {
-    // d = 130 spans two 64-wide panels plus a partial tile; duplicated
-    // values exercise nth_element tie handling.
-    auto m = gaussian_matrix(n, 130, 0.0, 1.0, 31 + n);
-    for (std::size_t i = 0; i + 1 < n; i += 2) m.at(i, 7) = m.at(i + 1, 7);
-    const auto expected = seed_median(m);
-    const auto got = median.aggregate(m, ctx);
-    ASSERT_EQ(got.size(), expected.size());
-    for (std::size_t j = 0; j < got.size(); ++j)
-      EXPECT_EQ(got[j], expected[j]) << "n=" << n << " j=" << j;
-  }
-}
-
-TEST(ColumnPanels, TrimmedMeanMatchesSeedBitwise) {
-  agg::MedianAggregator median;
-  for (const std::size_t n : {5ul, 9ul, 24ul}) {
-    for (const std::size_t trim : {0ul, 1ul, 3ul}) {
-      if (n <= 2 * trim) continue;
-      agg::GarContext ctx;
-      ctx.assumed_byzantine = trim;
-      agg::TrimmedMeanAggregator tm;
-      const auto m = gaussian_matrix(n, 130, 0.5, 2.0, 41 + n + trim);
-      const auto expected = seed_trimmed_mean(m, trim);
-      const auto got = tm.aggregate(m, ctx);
-      for (std::size_t j = 0; j < got.size(); ++j)
-        EXPECT_EQ(got[j], expected[j])
-            << "n=" << n << " trim=" << trim << " j=" << j;
-    }
+// Bitwise equality, so zero signs count; any two NaNs are equal, since
+// the sign of a NaN produced from two NaN operands depends on operand
+// order, which the compiler may swap.
+void expect_same_bits(const std::vector<float>& got,
+                      const std::vector<float>& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t j = 0; j < got.size(); ++j) {
+    if (std::isnan(got[j]) && std::isnan(want[j])) continue;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(got[j]),
+              std::bit_cast<std::uint32_t>(want[j]))
+        << what << " j=" << j << ": " << got[j] << " vs " << want[j];
   }
 }
 
-TEST(ColumnPanels, SweepIsThreadCountInvariant) {
+TEST(ColumnPanels, MedianMatchesOracleBitwise) {
   ThreadGuard guard;
-  agg::GarContext ctx;
-  ctx.assumed_byzantine = 3;
   agg::MedianAggregator median;
+  for (const std::size_t n : kCohorts) {
+    const auto m = panel_matrix(n, 31 + n, /*non_finite=*/true, false);
+    const auto expected = oracle::median(m);
+    for (const std::size_t threads : {1ul, 4ul}) {
+      common::set_thread_count(threads);
+      expect_same_bits(median.aggregate(m, {}), expected,
+                       "n=" + std::to_string(n) +
+                           " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(ColumnPanels, TrimmedMeanMatchesOracleBitwise) {
+  ThreadGuard guard;
+  // Known answer: the extremes go, 1 + 2 + 3 stay.
+  EXPECT_EQ(oracle::trimmed_mean(column_matrix({100, 1, 2, 3, -100}), 1),
+            std::vector<float>{2.0f});
   agg::TrimmedMeanAggregator tm;
-  const auto m = gaussian_matrix(17, 300, 0.0, 1.0, 51);
-  common::set_thread_count(1);
-  const auto med_t1 = median.aggregate(m, ctx);
-  const auto tm_t1 = tm.aggregate(m, ctx);
-  common::set_thread_count(4);
-  EXPECT_EQ(median.aggregate(m, ctx), med_t1);
-  EXPECT_EQ(tm.aggregate(m, ctx), tm_t1);
+  for (const std::size_t n : kCohorts) {
+    const auto m = panel_matrix(n, 41 + n, /*non_finite=*/true, false);
+    for (const std::size_t byz : {0ul, 1ul, n / 5, n}) {
+      agg::GarContext ctx;
+      ctx.assumed_byzantine = byz;
+      const auto expected =
+          oracle::trimmed_mean(m, std::min(byz, (n - 1) / 2));
+      for (const std::size_t threads : {1ul, 4ul}) {
+        common::set_thread_count(threads);
+        expect_same_bits(tm.aggregate(m, ctx), expected,
+                         "n=" + std::to_string(n) +
+                             " byz=" + std::to_string(byz) +
+                             " threads=" + std::to_string(threads));
+      }
+    }
+  }
+}
+
+TEST(ColumnPanels, BulyanMatchesOracleBitwise) {
+  ThreadGuard guard;
+  // Known answers: median 11, the 3 closest are 10, 11, 12; and on the
+  // distance tie between -1 and 1 the lower value is picked.
+  EXPECT_EQ(oracle::bulyan_coordinate({0.0f, 10.0f, 11.0f, 12.0f, 100.0f}, 3),
+            11.0f);
+  EXPECT_EQ(oracle::bulyan_coordinate({1.0f, 0.0f, -1.0f}, 2), -0.5f);
+  agg::BulyanAggregator bulyan;
+  // A run of equal distances below the median: Krum keeps the first four
+  // rows, med = 0.5 * (2e-38 + 2) rounds to 1, and 1e-38, 2e-38 and 2 all
+  // sit at distance 1 after rounding, so beta = 1 keeps the lowest.
+  agg::GarContext two;
+  two.assumed_byzantine = 2;
+  EXPECT_EQ(bulyan.aggregate(column_matrix({1e-38f, 2e-38f, 2, 3, 100, 200,
+                                            -100, -200}),
+                             two),
+            std::vector<float>{1e-38f});
+  auto kept = bulyan.last_selected();
+  std::sort(kept.begin(), kept.end());
+  EXPECT_EQ(kept, (std::vector<std::size_t>{0, 1, 2, 3}));
+  for (const std::size_t n : kCohorts) {
+    // Krum distances are not defined on inf/NaN rows; ties come from the
+    // 1/4 grid, the repeated rows and the zero columns.
+    const auto m = panel_matrix(n, 51 + n, /*non_finite=*/false, true);
+    agg::GarContext ctx;
+    ctx.assumed_byzantine = n / 5;
+    for (const std::size_t threads : {1ul, 4ul}) {
+      common::set_thread_count(threads);
+      const auto got = bulyan.aggregate(m, ctx);
+      const auto selected = bulyan.last_selected();
+      const std::size_t mm = std::min(n / 5, (n - 1) / 2);
+      const std::size_t beta = selected.size() > 2 * mm
+                                   ? selected.size() - 2 * mm
+                                   : 1;
+      std::vector<float> expected(m.cols());
+      std::vector<float> column(selected.size());
+      for (std::size_t j = 0; j < m.cols(); ++j) {
+        for (std::size_t k = 0; k < selected.size(); ++k)
+          column[k] = m.at(selected[k], j);
+        expected[j] = oracle::bulyan_coordinate(column, beta);
+      }
+      expect_same_bits(got, expected,
+                       "n=" + std::to_string(n) +
+                           " threads=" + std::to_string(threads));
+    }
+  }
 }
 
 // ---- Krum ranking / Bulyan mask satellites ---------------------------------
@@ -284,7 +345,7 @@ TEST(BulyanMask, ExcludeMaskSelectionMatchesEraseLoopBitwise) {
   EXPECT_EQ(std::count(selected.begin(), selected.end(), 0u), 0);
 }
 
-// ---- aggregate-level Gram behaviour ---------------------------------------
+// ---- aggregate-level Gram behaviour ----------------------------------------
 
 TEST(GramAggregation, KrumAndBulyanAreThreadCountInvariant) {
   ThreadGuard guard;

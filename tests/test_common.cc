@@ -200,17 +200,6 @@ TEST(Quantiles, QuantileInterpolation) {
   EXPECT_DOUBLE_EQ(stats::quantile(xs, 0.25), 1.0);
 }
 
-TEST(Quantiles, TrimmedMeanDropsExtremes) {
-  const std::vector<double> xs = {100.0, 1.0, 2.0, 3.0, -100.0};
-  EXPECT_DOUBLE_EQ(stats::trimmed_mean(xs, 1), 2.0);
-}
-
-TEST(Quantiles, MeanAroundMedian) {
-  const std::vector<double> xs = {0.0, 10.0, 11.0, 12.0, 100.0};
-  // median 11; the 3 closest are 10, 11, 12.
-  EXPECT_DOUBLE_EQ(stats::mean_around_median(xs, 3), 11.0);
-}
-
 TEST(Quantiles, MeanAndStddev) {
   const std::vector<double> xs = {1.0, 3.0};
   EXPECT_DOUBLE_EQ(stats::mean(xs), 2.0);

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "aggregators/baselines.h"
@@ -16,6 +19,7 @@
 #include "fl/experiment.h"
 #include "fl/trainer.h"
 #include "nn/models.h"
+#include "oracles.h"
 
 namespace signguard {
 namespace {
@@ -73,17 +77,34 @@ TEST(FailureInjection, SignGuardRejectsZeroGradientsFromMinority) {
 }
 
 TEST(FailureInjection, MedianSurvivesNaNMinority) {
-  // Coordinate-wise median with a NaN minority: std::nth_element with
-  // NaNs is UB-adjacent in general; our pipeline's contract is that
-  // SignGuard-style norm screening happens first. This test documents
-  // that the *robust mean family* (trimmed mean over finite values)
-  // stays finite when NaNs are pre-filtered.
-  const auto g = gaussian_grads(9, 64, 0.5, 0.2, 4);
-  core::NormFilterResult screen = core::norm_filter(g, {});
-  EXPECT_EQ(screen.accepted.size(), 9u);
+  // 12 benign rows, 3 rows of +NaN and 3 of -NaN. Under totalOrder +NaN
+  // sorts above +inf and -NaN below -inf, so the NaN rows fill the ranks
+  // at both ends: the median's middle ranks and TrMean's kept ranks
+  // [trim, n - trim) stay finite while trim >= 3.
+  auto g = gaussian_grads(12, 64, 0.5, 0.2, 4, 6,
+                          std::numeric_limits<float>::quiet_NaN());
+  for (std::size_t i = 15; i < 18; ++i)
+    std::ranges::fill(g.row(i), -std::numeric_limits<float>::quiet_NaN());
+  const auto bits = [](const std::vector<float>& v) {
+    std::vector<std::uint32_t> out(v.size());
+    std::ranges::transform(v, out.begin(), [](float x) {
+      return std::bit_cast<std::uint32_t>(x);
+    });
+    return out;
+  };
   agg::MedianAggregator median;
-  const auto out = median.aggregate(g, agg::GarContext{});
-  EXPECT_TRUE(all_finite(out));
+  const auto med = median.aggregate(g, agg::GarContext{});
+  EXPECT_TRUE(all_finite(med));
+  EXPECT_EQ(bits(med), bits(oracle::median(g)));
+  agg::TrimmedMeanAggregator tm;
+  for (const std::size_t trim : {3ul, 5ul}) {
+    agg::GarContext ctx;
+    ctx.assumed_byzantine = trim;
+    const auto out = tm.aggregate(g, ctx);
+    EXPECT_TRUE(all_finite(out)) << "trim=" << trim;
+    EXPECT_EQ(bits(out), bits(oracle::trimmed_mean(g, trim)))
+        << "trim=" << trim;
+  }
 }
 
 // A Byzantine attack that sends NaN payloads through the full trainer.
