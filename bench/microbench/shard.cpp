@@ -5,10 +5,7 @@
 //   1. flat vs sharded at n=1024, d=100k — the largest cell the flat
 //      O(n^2 d) Multi-Krum still affords, so the tree's speedup is
 //      measured, not projected;
-//   2. end-to-end ShardedAggregator rounds at n=4096, d=100k, S=16 —
-//      including a sign1 wire cell routed through comm::decode_shard_into
-//      (per-shard decode of exactly the shard's uplinks, never the flat
-//      round matrix);
+//   2. end-to-end ShardedAggregator rounds at n=4096, d=100k, S=16;
 //   3. a streaming n=65536, d=32768, S=256 robust-aggregation round with
 //      20% Byzantine clients: rows are generated shard by shard, each
 //      shard filtered by its own Multi-Krum, partials merged at the root
@@ -35,8 +32,6 @@
 #include <vector>
 
 #include "aggregators/sharded.h"
-#include "comm/shard.h"
-#include "comm/wire.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/shard_stats.h"
@@ -107,7 +102,7 @@ void streaming_round(Run& run, std::size_t n, std::size_t d, std::size_t S) {
   common::GradientMatrix shard_aggs(S, d);
   common::ShardPartial root;
   common::ShardPartial honest_ref;  // flat honest mean, for the check
-  std::vector<std::size_t> survivors(S, 0);
+  std::size_t kept = 0;  // survivors over all shards
 
   double gen_sec = 0.0, agg_sec = 0.0;
   Stopwatch total;
@@ -129,12 +124,11 @@ void streaming_round(Run& run, std::size_t n, std::size_t d, std::size_t S) {
     ctx.rng = &shard_rng;
     const auto out = rule->aggregate(shard_mat, ctx);
     const auto sel = rule->last_selected();
-    survivors[s] = sel.empty() ? per : sel.size();
+    const std::size_t survivors = sel.empty() ? per : sel.size();
     std::copy(out.begin(), out.end(), shard_aggs.row(s).begin());
-    common::accumulate_stats(root, shard_mat, {});
-    root.survivors += survivors[s];
-    common::accumulate_row(root, shard_aggs.row(s), double(survivors[s]));
+    common::accumulate_row(root, shard_aggs.row(s), double(survivors));
     agg_sec += aw.seconds();
+    kept += survivors;
   }
   const auto merged = common::finalize_mean(root);
   const double total_sec = total.seconds();
@@ -146,7 +140,7 @@ void streaming_round(Run& run, std::size_t n, std::size_t d, std::size_t S) {
   const double ref = vec::norm(honest_mean);
   std::printf("stream     n=%zu: honest-mean dist %.3f (|honest| %.3f), "
               "%zu/%zu survivors\n",
-              n, err, ref, root.survivors, root.clients);
+              n, err, ref, kept, S * per);
   if (!run.check(err < 0.25 * ref,
                  "streaming n=" + std::to_string(n) + " round is not robust"))
     return;
@@ -204,39 +198,6 @@ void shard_suite(Run& run) {
       run.record("sharded", gar, shape(n, d, S), usec, 1e6 / usec,
                  "rounds/s");
     }
-
-    // Wire cell: encode the round once (sign1), then route each shard's
-    // uplinks through comm::decode_shard_into — the per-shard decode path
-    // the 65536-client deployment would use instead of a flat decode.
-    comm::CompressionSpec spec;
-    spec.codec = comm::CodecKind::kSign1;
-    const auto codec = comm::make_codec(spec);
-    std::vector<std::vector<std::uint8_t>> uplinks(n);
-    std::vector<comm::CodecScratch> scratch;
-    const double enc_usec = run.timer.time_usec([&] {
-      common::parallel_for(n, [&](std::size_t i) {
-        comm::encode_into(*codec, m.row(i), uplinks[i], scratch);
-      });
-    });
-    run.record("wire", "sign1_encode_round", shape(n, d, 1), enc_usec,
-               1e6 / enc_usec, "rounds/s");
-
-    std::vector<std::size_t> ids;
-    common::GradientMatrix shard_mat;
-    const std::size_t per = n / S;
-    const double dec_usec = run.timer.time_usec([&] {
-      std::size_t rejected = 0;
-      for (std::size_t s = 0; s < S; ++s) {
-        ids.clear();
-        for (std::size_t i = 0; i < per; ++i) ids.push_back(s * per + i);
-        rejected +=
-            comm::decode_shard_into(*codec, uplinks, ids, d, shard_mat)
-                .rejected;
-      }
-      if (rejected != 0) std::abort();  // honest round: all must decode
-    });
-    run.record("wire", "sign1_decode_shards", shape(n, d, S), dec_usec,
-               1e6 / dec_usec, "rounds/s");
   }
 
   // Tier 3: the cohort size the flat path cannot run.

@@ -8,6 +8,7 @@
 #include "aggregators/internal.h"
 #include "common/hash.h"
 #include "common/parallel.h"
+#include "common/shard_stats.h"
 #include "obs/trace.h"
 
 namespace signguard::agg {
@@ -67,9 +68,6 @@ std::vector<float> ShardedAggregator::aggregate(
   const std::size_t S = std::min(std::max<std::size_t>(cfg_.shards, 1), n);
   obs::Span span("agg/sharded", std::int64_t(n));
 
-  partial_ = common::ShardPartial{};
-  if (cfg_.collect_stats) accumulate_stats(partial_, grads, {});
-
   if (S <= 1) {
     // Flat fallback: delegate with the caller's context untouched — no
     // assignment shuffle, no extra RNG draws — so a shard count of 1 is
@@ -79,7 +77,6 @@ std::vector<float> ShardedAggregator::aggregate(
     selected_ = rule.last_selected();
     shard_sizes_.assign(1, n);
     shard_survivors_.assign(1, selected_.empty() ? n : selected_.size());
-    partial_.survivors += shard_survivors_[0];
     obs::count(obs::Stage::kMerge, obs::Counter::kShardSurvivors,
                shard_survivors_[0]);
     return out;
@@ -137,7 +134,6 @@ std::vector<float> ShardedAggregator::aggregate(
 
     const auto local = rule.last_selected();
     shard_survivors_[s] = local.empty() ? size_s : local.size();
-    partial_.survivors += shard_survivors_[s];
     obs::count(obs::Stage::kMerge, obs::Counter::kShardSurvivors,
                shard_survivors_[s]);
     for (const std::size_t i : local) selected_.push_back(ids[i]);
@@ -151,9 +147,9 @@ std::vector<float> ShardedAggregator::aggregate(
     return median_.aggregate(shard_aggs_, mctx);
   }
   // Survivor-weighted mean of the shard aggregates, accumulated in shard
-  // order through the mergeable-partial machinery. A shard that admitted
-  // nobody still reports size_s survivors above (non-selecting rules)
-  // or a positive count, so the total weight is always > 0 here.
+  // order into the root accumulator. A shard that admitted nobody still
+  // reports size_s survivors above (non-selecting rules) or a positive
+  // count, so the total weight is always > 0 here.
   common::ShardPartial root;
   for (std::size_t s = 0; s < S; ++s)
     accumulate_row(root, shard_aggs_.row(s), double(shard_survivors_[s]));

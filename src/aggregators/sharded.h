@@ -28,7 +28,6 @@
 
 #include "aggregators/aggregator.h"
 #include "aggregators/baselines.h"
-#include "common/shard_stats.h"
 
 namespace signguard::agg {
 
@@ -45,10 +44,6 @@ ShardMerge shard_merge_from_name(const std::string& name);
 struct ShardedConfig {
   std::size_t shards = 1;  // <= 1 (or >= n falling back to n) shards
   ShardMerge merge = ShardMerge::kWeightedMean;
-  // When set, every aggregate() call also folds the round's mergeable
-  // statistics (sign counts, squared-norm sums) into last_partial() —
-  // one extra O(n d) pass, off by default.
-  bool collect_stats = false;
 };
 
 class ShardedAggregator : public Aggregator {
@@ -100,8 +95,6 @@ class ShardedAggregator : public Aggregator {
   const std::vector<std::size_t>& last_shard_survivors() const {
     return shard_survivors_;
   }
-  // Merged round statistics; only populated when cfg.collect_stats.
-  const common::ShardPartial& last_partial() const { return partial_; }
 
  private:
   Aggregator& shard_rule(std::size_t s);
@@ -115,7 +108,6 @@ class ShardedAggregator : public Aggregator {
   std::vector<std::size_t> selected_;
   std::vector<std::size_t> shard_sizes_;
   std::vector<std::size_t> shard_survivors_;
-  common::ShardPartial partial_;
   common::GradientMatrix shard_mat_;   // gathered shard rows (reused)
   common::GradientMatrix shard_aggs_;  // S x d shard outputs (reused)
 };

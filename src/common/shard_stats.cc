@@ -3,90 +3,8 @@
 #include <cassert>
 
 #include "common/parallel.h"
-#include "common/vecops.h"
 
 namespace signguard::common {
-
-SignStats ShardSignCounts::to_stats() const {
-  SignStats s;
-  const std::uint64_t t = total();
-  if (t == 0) return s;
-  const double n = double(t);
-  s.pos = double(pos) / n;
-  s.zero = double(zero) / n;
-  s.neg = double(neg) / n;
-  return s;
-}
-
-namespace {
-
-inline void count_value(float v, ShardSignCounts& c) {
-  if (v > 0.0f)
-    ++c.pos;
-  else if (v < 0.0f)
-    ++c.neg;
-  else
-    ++c.zero;
-}
-
-}  // namespace
-
-ShardSignCounts shard_sign_counts(std::span<const float> g) {
-  ShardSignCounts c;
-  for (const float v : g) count_value(v, c);
-  return c;
-}
-
-ShardSignCounts shard_sign_counts(std::span<const float> g,
-                                  std::span<const std::size_t> coords) {
-  ShardSignCounts c;
-  for (const std::size_t j : coords) {
-    assert(j < g.size());
-    count_value(g[j], c);
-  }
-  return c;
-}
-
-ShardSignCounts shard_sign_counts(const GradientMatrix& g,
-                                  std::span<const std::size_t> coords) {
-  std::vector<ShardSignCounts> per_row(g.rows());
-  parallel_for(g.rows(), [&](std::size_t i) {
-    per_row[i] = coords.empty() ? shard_sign_counts(g.row(i))
-                                : shard_sign_counts(g.row(i), coords);
-  });
-  ShardSignCounts c;
-  for (const auto& r : per_row) c.merge(r);
-  return c;
-}
-
-void ShardPartial::merge(const ShardPartial& o) {
-  clients += o.clients;
-  survivors += o.survivors;
-  signs.merge(o.signs);
-  norm2_sum += o.norm2_sum;
-  weight += o.weight;
-  if (o.sum.empty()) return;
-  if (sum.empty()) sum.assign(o.sum.size(), 0.0);
-  assert(sum.size() == o.sum.size());
-  parallel_chunks(sum.size(),
-                  [&](std::size_t begin, std::size_t end, std::size_t) {
-                    for (std::size_t j = begin; j < end; ++j)
-                      sum[j] += o.sum[j];
-                  });
-}
-
-void accumulate_stats(ShardPartial& p, const GradientMatrix& g,
-                      std::span<const std::size_t> coords) {
-  p.clients += g.rows();
-  p.signs.merge(shard_sign_counts(g, coords));
-  // Per-row squared norms fan out; the fold runs in row order so the
-  // double sum is reproducible.
-  std::vector<double> n2(g.rows());
-  parallel_for(g.rows(), [&](std::size_t i) {
-    n2[i] = vec::dot(g.row(i), g.row(i));
-  });
-  for (const double v : n2) p.norm2_sum += v;
-}
 
 void accumulate_row(ShardPartial& p, std::span<const float> row, double w) {
   if (p.sum.empty()) p.sum.assign(row.size(), 0.0);

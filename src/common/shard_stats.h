@@ -1,79 +1,19 @@
 #pragma once
-// Shard-mergeable gradient statistics for the hierarchical aggregation
-// tree (docs/ARCHITECTURE.md "Sharded aggregation"). The paper's
-// filtering inputs are sums — element-sign counts, squared norms,
-// weighted coordinate sums — so a round partitioned into shards can
-// compute one partial per shard and merge them at the root: integer
-// counts merge exactly (counts(A) + counts(B) == counts(A ∪ B)), and the
-// double accumulators merge bitwise-deterministically as long as partials
-// are folded in canonical shard order, matching the engine's
-// thread-count-invariance contract.
+// The root-merge accumulator of the hierarchical aggregation tree
+// (docs/ARCHITECTURE.md "Sharded aggregation"): a weighted coordinate
+// sum that the tree's wmean merge folds the shard aggregates into, one
+// shard at a time in canonical shard order, so the double sums — and the
+// merged mean — are bitwise reproducible for any SIGNGUARD_THREADS.
 
-#include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
-#include "common/gradient_matrix.h"
-#include "common/gradient_stats.h"
-
 namespace signguard::common {
 
-// Element-sign counts — the integer-domain form of SignStats. Unlike the
-// proportions, counts add exactly across any partition of rows or
-// coordinates, which is what makes the paper's sign statistics
-// decomposable over shards.
-struct ShardSignCounts {
-  std::uint64_t pos = 0;
-  std::uint64_t zero = 0;
-  std::uint64_t neg = 0;
-
-  std::uint64_t total() const { return pos + zero + neg; }
-  void merge(const ShardSignCounts& o) {
-    pos += o.pos;
-    zero += o.zero;
-    neg += o.neg;
-  }
-  // Count -> proportion conversion with the same double division as
-  // sign_statistics, so to_stats() of merged counts equals the flat
-  // SignStats bitwise. All-zero counts map to the all-zero SignStats.
-  SignStats to_stats() const;
-};
-
-// Sign counts over all coordinates of g / over a coordinate subset.
-ShardSignCounts shard_sign_counts(std::span<const float> g);
-ShardSignCounts shard_sign_counts(std::span<const float> g,
-                                  std::span<const std::size_t> coords);
-// Cohort counts over every row of a shard matrix, restricted to `coords`
-// when non-empty (per-row passes fan out over the pool; the fold over
-// rows is exact integer addition, so order cannot matter).
-ShardSignCounts shard_sign_counts(const GradientMatrix& g,
-                                  std::span<const std::size_t> coords);
-
-// One shard's partial aggregation state. Everything is a sum: two
-// partials over disjoint row sets merge into the partial of the union —
-// exactly for the counts, in canonical shard order for the double
-// accumulators.
 struct ShardPartial {
-  std::size_t clients = 0;    // rows this shard processed
-  std::size_t survivors = 0;  // rows its local filter admitted
-  ShardSignCounts signs;      // cohort sign counts over the shard's rows
-  double norm2_sum = 0.0;     // sum of squared row l2 norms, fixed row order
-  double weight = 0.0;        // total weight accumulated into `sum`
-  std::vector<double> sum;    // sum of weight_i * row_i; empty until used
-
-  // Folds `o` into this partial. Count fields add exactly; `sum` adds
-  // coordinate-wise (each coordinate owned by one pool worker), so merge
-  // order must be canonical for bitwise reproducibility of the doubles.
-  void merge(const ShardPartial& o);
+  double weight = 0.0;      // total weight accumulated into `sum`
+  std::vector<double> sum;  // sum of weight_i * row_i; empty until used
 };
-
-// Folds a whole shard matrix into the partial's filter-input statistics:
-// clients, sign counts over `coords` (empty = all coordinates) and the
-// squared-norm sum. Does not touch survivors/weight/sum — those
-// accumulate the filtered rows via accumulate_row.
-void accumulate_stats(ShardPartial& p, const GradientMatrix& g,
-                      std::span<const std::size_t> coords);
 
 // sum += w * row; weight += w. Coordinate-parallel with each coordinate
 // produced by exactly one worker; rows must arrive in canonical order

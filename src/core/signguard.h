@@ -15,11 +15,13 @@
 // does not need to know the Byzantine fraction.
 
 // Compressed-domain entry point: when the uplinks arrive through a
-// comm codec, aggregate_wire() runs the same two filters on statistics
+// comm codec, aggregate_wire() runs the same pipeline on statistics
 // computed straight from the wire bytes (comm/stats.h) and decodes ONLY
 // the trusted set, chunk by chunk, straight into the clipped mean —
 // bitwise-identical admission decisions and aggregate to the
-// decode-everything path, at a fraction of the bytes touched.
+// decode-everything path, at a fraction of the bytes touched. Both entry
+// points run one Algorithm-2 body; they differ only in the round source
+// that supplies its row norms, sign clusters and survivor mean.
 
 #include <cstdint>
 #include <memory>
@@ -83,7 +85,7 @@ class SignGuard : public agg::Aggregator {
   void serialize_state(common::ByteWriter& w) const override;
   void restore_state(common::ByteReader& r) override;
 
-  // Diagnostics from the last aggregate() call.
+  // Diagnostics from the last aggregate() or aggregate_wire() call.
   const NormFilterResult& last_norm_filter() const { return last_norm_; }
   const SignClusterResult& last_sign_cluster() const { return last_cluster_; }
   const std::vector<float>& previous_aggregate() const {
@@ -94,6 +96,16 @@ class SignGuard : public agg::Aggregator {
   void reset();
 
  private:
+  // Algorithm 2 on one round of d-coordinate rows. `source` is one of
+  // signguard.cc's two round sources (the dense matrix or the wire
+  // bytes) and supplies the row norms, the sign-cluster result and the
+  // weighted survivor mean; the screening, S1 ∩ S2 and its fallbacks,
+  // the filter-stage counters, the clip weights and the cross-round
+  // state are written here, once.
+  template <class Source>
+  std::vector<float> filter_and_aggregate(const Source& source,
+                                          std::size_t d);
+
   SignGuardConfig cfg_;
   Rng rng_;
   std::vector<float> prev_aggregate_;

@@ -217,9 +217,9 @@ const std::vector<std::string>& table1_attacks() {
 
 const std::vector<std::string>& table1_defenses() {
   static const std::vector<std::string> kDefenses = {
-      "Mean",   "TrMean", "Median",    "GeoMed",
-      "Multi-Krum", "Bulyan", "DnC",       "SignGuard",
-      "SignGuard-Sim", "SignGuard-Dist"};
+      "Mean",   "TrMean",  "Median",    "GeoMed",        "Multi-Krum",
+      "Bulyan", "DnC",     "SignSGD",   "SignGuard",     "SignGuard-Sim",
+      "SignGuard-Dist"};
   return kDefenses;
 }
 

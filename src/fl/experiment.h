@@ -56,9 +56,9 @@ Workload make_workload(WorkloadKind kind, ModelProfile profile, Scale scale);
 // "Reverse".
 std::unique_ptr<attacks::Attack> make_attack(const std::string& name);
 
-// GAR factory. Names (Table I rows): "Mean", "TrMean", "Median", "GeoMed",
-// "Multi-Krum", "Bulyan", "DnC", "SignGuard", "SignGuard-Sim",
-// "SignGuard-Dist".
+// GAR factory. Names (Table I rows, table1_defenses()): "Mean", "TrMean",
+// "Median", "GeoMed", "Multi-Krum", "Bulyan", "DnC", "SignSGD",
+// "SignGuard", "SignGuard-Sim", "SignGuard-Dist".
 std::unique_ptr<agg::Aggregator> make_aggregator(const std::string& name,
                                                  std::uint64_t seed = 2022);
 

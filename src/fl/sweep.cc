@@ -234,7 +234,7 @@ Field scalar(V SweepGrid::*g, V ScenarioSpec::*s, const char* flag,
           }};
 }
 
-// --gars: "table1" expands to every Table-I defense, in row order.
+// --gars: "table1" expands to table1_defenses(), in row order.
 Field gar_list() {
   Field f = list(&SweepGrid::gars, &ScenarioSpec::gar, "gars",
                  "Mean,Median,SignGuard",
@@ -242,11 +242,11 @@ Field gar_list() {
                  parse_name);
   f.set = [set = f.set](SweepGrid& grid, const std::string& v) {
     std::string gars;
-    for (const std::string& gar : split_csv(v))
-      (gars += ',') += gar != "table1" ? gar
-                                       : "Mean,TrMean,Median,GeoMed,Multi-Krum,"
-                                         "Bulyan,DnC,SignSGD,SignGuard-Sim,"
-                                         "SignGuard-Dist,SignGuard";
+    for (const std::string& gar : split_csv(v)) {
+      const std::vector<std::string> one = {gar};
+      for (const std::string& g : gar == "table1" ? table1_defenses() : one)
+        (gars += ',') += g;
+    }
     set(grid, gars);
   };
   return f;

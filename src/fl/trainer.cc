@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -14,9 +15,7 @@
 #include "common/gradient_matrix.h"
 #include "common/hash.h"
 #include "common/parallel.h"
-#include "common/quantiles.h"
 #include "common/serial.h"
-#include "common/vecops.h"
 #include "core/filters.h"
 #include "core/signguard.h"
 #include "fl/client.h"
@@ -708,21 +707,17 @@ class RoundPipeline {
       return;
     }
     if (cfg_.quorum.action == DegradeAction::kClippedMean) {
-      // Norm-clipped mean over the finite-norm accepted rows, with their
-      // median norm as the bound — SignGuard's own aggregation step minus
-      // its filters. Falls through when nothing finite arrived.
-      const std::vector<double> norms = vec::row_norms(round_grads_);
-      std::vector<std::size_t> finite;
-      std::vector<double> fnorms;
-      for (std::size_t i = 0; i < s.participants; ++i)
-        if (std::isfinite(norms[i])) {
-          finite.push_back(i);
-          fnorms.push_back(norms[i]);
-        }
-      if (!finite.empty()) {
+      // Norm-clipped mean over the finite-norm rows, with their median
+      // norm as the bound — SignGuard's own aggregation step minus its
+      // filters: an unbounded norm band admits every finite row. Falls
+      // through when nothing finite arrived.
+      const core::NormFilterResult finite = core::norm_filter(
+          round_grads_, {0.0, std::numeric_limits<double>::infinity()});
+      if (!finite.accepted.empty()) {
         s.applied = &server_.apply_aggregate(
-            core::clipped_mean(round_grads_, finite, stats::median(fnorms),
-                               /*clip=*/true, norms));
+            core::clipped_mean(round_grads_, finite.accepted,
+                               finite.median_norm, /*clip=*/true,
+                               finite.norms));
         s.outcome = RoundOutcome::kFallbackClippedMean;
         return;
       }

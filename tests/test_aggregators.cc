@@ -11,25 +11,12 @@
 #include "aggregators/signsgd.h"
 #include "common/rng.h"
 #include "common/vecops.h"
+#include "fixtures.h"
 
 namespace signguard::agg {
 namespace {
 
 using common::GradientMatrix;
-
-// n rows drawn in order from one Rng: a fixture's first k rows do not
-// depend on how many rows follow, so tests overwrite trailing rows with
-// outliers.
-GradientMatrix gaussian_grads(std::size_t n, std::size_t d, double mean,
-                              double stddev, std::uint64_t seed) {
-  Rng rng(seed);
-  GradientMatrix out(n, d);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto row = rng.normal_vector(d, mean, stddev);
-    std::ranges::copy(row, out.row(i).begin());
-  }
-  return out;
-}
 
 GradientMatrix matrix(const std::vector<std::vector<float>>& rows) {
   return GradientMatrix::from_vectors(rows);

@@ -18,22 +18,12 @@
 #include "attacks/time_varying.h"
 #include "common/gradient_matrix.h"
 #include "common/vecops.h"
+#include "fixtures.h"
 
 namespace signguard::attacks {
 namespace {
 
 using common::GradientMatrix;
-
-GradientMatrix gaussian_grads(std::size_t n, std::size_t d, double mean,
-                              double stddev, std::uint64_t seed) {
-  Rng rng(seed);
-  GradientMatrix out(n, d);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto row = rng.normal_vector(d, mean, stddev);
-    std::ranges::copy(row, out.row(i).begin());
-  }
-  return out;
-}
 
 // The AttackContext over two fixture matrices. It owns the row-view
 // arrays the context borrows, so it is built in place (typically as the

@@ -18,21 +18,10 @@
 #include "common/rng.h"
 #include "common/vecops.h"
 #include "fl/experiment.h"
+#include "fixtures.h"
 
 namespace signguard {
 namespace {
-
-common::GradientMatrix gaussian_matrix(std::size_t n, std::size_t d,
-                                       double mean, double stddev,
-                                       std::uint64_t seed) {
-  Rng rng(seed);
-  common::GradientMatrix m(n, d);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto v = rng.normal_vector(d, mean, stddev);
-    std::copy(v.begin(), v.end(), m.row(i).begin());
-  }
-  return m;
-}
 
 TEST(Degenerate, EmptyRoundThrowsTypedErrorForEveryDefense) {
   const common::GradientMatrix empty(0, 5);
@@ -63,7 +52,7 @@ TEST(Degenerate, RaggedRowsThrowTypedErrorAtTheMatrixBoundary) {
 }
 
 TEST(Degenerate, SingleClientRoundIsWellDefined) {
-  const auto grads = gaussian_matrix(1, 7, 0.3, 1.0, 23);
+  const auto grads = gaussian_grads(1, 7, 0.3, 1.0, 23);
   for (const auto& name : fl::table1_defenses()) {
     auto gar = fl::make_aggregator(name, 17);
     Rng rng(2);
@@ -77,7 +66,7 @@ TEST(Degenerate, SingleClientRoundIsWellDefined) {
 }
 
 TEST(Degenerate, OversizedByzantineBudgetIsClamped) {
-  const auto grads = gaussian_matrix(4, 8, 0.1, 1.0, 29);
+  const auto grads = gaussian_grads(4, 8, 0.1, 1.0, 29);
   for (const auto& name : fl::table1_defenses()) {
     auto gar = fl::make_aggregator(name, 17);
     Rng rng(3);
@@ -117,7 +106,7 @@ attacks::AttackContext degenerate_round(std::size_t nb, std::size_t m,
   static thread_local common::GradientMatrix rows;
   static thread_local std::vector<attacks::GradientView> benign_views,
       byz_views;
-  rows = gaussian_matrix(nb + m, d, 0.1, 1.0, 91);
+  rows = gaussian_grads(nb + m, d, 0.1, 1.0, 91);
   const auto views = rows.row_views();
   benign_views.assign(views.begin(), views.begin() + std::ptrdiff_t(nb));
   byz_views.assign(views.begin() + std::ptrdiff_t(nb), views.end());

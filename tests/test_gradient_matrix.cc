@@ -20,6 +20,7 @@
 #include "data/synth_image.h"
 #include "fl/experiment.h"
 #include "nn/models.h"
+#include "fixtures.h"
 #include "oracles.h"
 
 namespace signguard {
@@ -34,13 +35,6 @@ std::vector<std::vector<float>> gaussian_rows(std::size_t n, std::size_t d,
   for (std::size_t i = 0; i < n; ++i)
     out.push_back(rng.normal_vector(d, mean, stddev));
   return out;
-}
-
-common::GradientMatrix gaussian_grads(std::size_t n, std::size_t d,
-                                      double mean, double stddev,
-                                      std::uint64_t seed) {
-  return common::GradientMatrix::from_vectors(
-      gaussian_rows(n, d, mean, stddev, seed));
 }
 
 // Restores the automatic pool size when a test body returns.

@@ -26,25 +26,12 @@
 #include "core/filters.h"
 #include "core/signguard.h"
 #include "obs/metrics.h"
+#include "fixtures.h"
 
 namespace signguard::core {
 namespace {
 
 using common::GradientMatrix;
-
-// n rows drawn in order from one Rng: a fixture's first k rows do not
-// depend on how many rows follow, so tests overwrite trailing rows with
-// attackers.
-GradientMatrix gaussian_grads(std::size_t n, std::size_t d, double mean,
-                              double stddev, std::uint64_t seed) {
-  Rng rng(seed);
-  GradientMatrix out(n, d);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto row = rng.normal_vector(d, mean, stddev);
-    std::ranges::copy(row, out.row(i).begin());
-  }
-  return out;
-}
 
 GradientMatrix matrix(const std::vector<std::vector<float>>& rows) {
   return GradientMatrix::from_vectors(rows);
@@ -413,12 +400,13 @@ WireFixture make_wire_round(const comm::CompressionSpec& spec, std::size_t d,
 }
 
 // The wire-path contract: aggregate_wire on the wire bytes produces the
-// bitwise-identical trusted set and aggregate as aggregate() on the
-// decoded matrix — for every codec, chunk size, both clusterers, with
-// and without clipping, any thread count, and round over round (the Rng
-// streams must stay aligned or the two paths diverge after the first
-// call). The streamed survivor mean must also bill exactly the decode
-// traffic of materializing every survivor row.
+// bitwise-identical trusted set, filter-stage admit/reject counters and
+// aggregate as aggregate() on the decoded matrix — for every codec,
+// chunk size, both clusterers, with and without clipping, any thread
+// count, and round over round (the Rng streams must stay aligned or the
+// two paths diverge after the first call). The streamed survivor mean
+// must also bill exactly the decode traffic of materializing every
+// survivor row.
 TEST(SignGuardWire, MatchesDecodePathBitwise) {
   struct ThreadGuard {
     ~ThreadGuard() { common::set_thread_count(0); }
@@ -447,9 +435,14 @@ TEST(SignGuardWire, MatchesDecodePathBitwise) {
             cfg.enable_norm_clipping = clip;
             SignGuard dec(cfg), wire(cfg);
             for (int round = 0; round < 3; ++round) {
-              const auto a = dec.aggregate(f.decoded, gar_ctx());
-              obs::MetricsRegistry reg(false);
-              std::vector<float> b;
+              obs::MetricsRegistry dec_reg(false), reg(false);
+              std::vector<float> a, b;
+              {
+                obs::ScopedMetrics scope(&dec_reg);
+                dec_reg.begin_round(0);
+                a = dec.aggregate(f.decoded, gar_ctx());
+                dec_reg.end_round();
+              }
               {
                 obs::ScopedMetrics scope(&reg);
                 reg.begin_round(0);
@@ -468,9 +461,21 @@ TEST(SignGuardWire, MatchesDecodePathBitwise) {
               ASSERT_EQ(a.size(), b.size());
               ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * 4))
                   << where();
+              const std::uint64_t survivors = wire.last_selected().size();
+              const auto filter = [](const obs::MetricsRegistry& r) {
+                return r.rounds().at(0).counters[std::size_t(
+                    obs::Stage::kFilter)];
+              };
+              for (const auto c :
+                   {obs::Counter::kFilterAdmits, obs::Counter::kFilterRejects})
+                EXPECT_EQ(filter(dec_reg)[std::size_t(c)],
+                          filter(reg)[std::size_t(c)])
+                    << where();
+              EXPECT_EQ(filter(reg)[std::size_t(obs::Counter::kFilterAdmits)],
+                        survivors)
+                  << where();
               // Lazy decode: only the survivors were decoded (the
               // huge-norm row, at least, never was).
-              const std::uint64_t survivors = wire.last_selected().size();
               EXPECT_LT(survivors, f.decoded.rows()) << where();
               EXPECT_EQ(wire.last_decoded_bytes(), survivors * d * 4)
                   << where();
@@ -492,24 +497,29 @@ TEST(SignGuardWire, MatchesDecodePathBitwise) {
 
 TEST(SignGuardWire, AblationTogglesStayBitwiseEqual) {
   const std::size_t d = 777;  // chunk 64 -> 12 full chunks + tail 9
-  const auto f =
-      make_wire_round(wire_spec(comm::CodecKind::kSign1, 64), d, 101);
-  for (int variant = 0; variant < 4; ++variant) {
-    SignGuardConfig cfg = plain_config(55);
-    if (variant == 0) cfg.enable_norm_filter = false;
-    if (variant == 1) cfg.enable_sign_cluster = false;
-    if (variant == 2) cfg.enable_norm_clipping = false;
-    if (variant == 3) {
-      cfg.enable_norm_filter = false;
-      cfg.enable_sign_cluster = false;
-      cfg.enable_norm_clipping = false;
+  for (const auto kind :
+       {comm::CodecKind::kNone, comm::CodecKind::kSign1,
+        comm::CodecKind::kInt8, comm::CodecKind::kTopK}) {
+    const auto f = make_wire_round(wire_spec(kind, 64), d, 101);
+    for (int variant = 0; variant < 4; ++variant) {
+      SignGuardConfig cfg = plain_config(55);
+      if (variant == 0) cfg.enable_norm_filter = false;
+      if (variant == 1) cfg.enable_sign_cluster = false;
+      if (variant == 2) cfg.enable_norm_clipping = false;
+      if (variant == 3) {
+        cfg.enable_norm_filter = false;
+        cfg.enable_sign_cluster = false;
+        cfg.enable_norm_clipping = false;
+      }
+      SignGuard dec(cfg), wire(cfg);
+      const auto a = dec.aggregate(f.decoded, gar_ctx());
+      const auto b = wire.aggregate_wire(f.round(), gar_ctx());
+      const std::string where =
+          std::string(f.codec->name()) + " variant=" + std::to_string(variant);
+      EXPECT_EQ(dec.last_selected(), wire.last_selected()) << where;
+      ASSERT_EQ(a.size(), b.size());
+      EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * 4)) << where;
     }
-    SignGuard dec(cfg), wire(cfg);
-    const auto a = dec.aggregate(f.decoded, gar_ctx());
-    const auto b = wire.aggregate_wire(f.round(), gar_ctx());
-    EXPECT_EQ(dec.last_selected(), wire.last_selected()) << variant;
-    ASSERT_EQ(a.size(), b.size());
-    EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * 4)) << variant;
   }
 }
 

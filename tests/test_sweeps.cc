@@ -16,21 +16,10 @@
 #include "common/gradient_matrix.h"
 #include "common/vecops.h"
 #include "core/signguard.h"
+#include "fixtures.h"
 
 namespace signguard {
 namespace {
-
-common::GradientMatrix gaussian_grads(std::size_t n, std::size_t d,
-                                      double mean, double stddev,
-                                      std::uint64_t seed) {
-  Rng rng(seed);
-  common::GradientMatrix out(n, d);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto row = rng.normal_vector(d, mean, stddev);
-    std::ranges::copy(row, out.row(i).begin());
-  }
-  return out;
-}
 
 // Every coordinate of every row, for whole-matrix element-wise edits.
 std::span<float> elements(common::GradientMatrix& g) {
