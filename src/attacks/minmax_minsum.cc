@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/gradient_stats.h"
 #include "common/vecops.h"
 
 namespace signguard::attacks {
@@ -63,16 +64,16 @@ std::vector<std::vector<float>> craft_perturbed(
   const std::size_t nb = ctx.benign_grads.size();
 
   // Benign-to-benign distance bounds (right-hand sides of Eqs. 14/15),
-  // from one Gram-backed pairwise block over the gathered benign rows.
+  // from one Gram-backed pairwise triangle over the gathered benign rows.
   const auto benign = common::GradientMatrix::from_views(ctx.benign_grads);
-  const auto d2 = vec::pairwise_dist2(benign);
+  const PairwiseDistances pd(benign);
   double max_pair_d2 = 0.0;
   double max_sum_d2 = 0.0;
   for (std::size_t i = 0; i < nb; ++i) {
     double row_sum = 0.0;
     for (std::size_t j = 0; j < nb; ++j) {
-      max_pair_d2 = std::max(max_pair_d2, d2[i * nb + j]);
-      row_sum += d2[i * nb + j];
+      max_pair_d2 = std::max(max_pair_d2, pd.dist2(i, j));
+      row_sum += pd.dist2(i, j);
     }
     max_sum_d2 = std::max(max_sum_d2, row_sum);
   }

@@ -121,14 +121,14 @@ std::vector<double> median_pairwise_distances(
   const std::size_t n = grads.rows();
   std::vector<double> out(n, 0.0);
   if (n < 2) return out;
-  const auto d2 = vec::pairwise_dist2(grads);
+  const PairwiseDistances pd(grads);
   common::parallel_chunks(
       n, [&](std::size_t begin, std::size_t end, std::size_t) {
         std::vector<double> ds;  // one scratch buffer per chunk
         for (std::size_t i = begin; i < end; ++i) {
           ds.clear();
           for (std::size_t j = 0; j < n; ++j)
-            if (j != i) ds.push_back(std::sqrt(d2[i * n + j]));
+            if (j != i) ds.push_back(std::sqrt(pd.dist2(i, j)));
           out[i] = stats::median(ds);
         }
       });

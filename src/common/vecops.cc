@@ -117,26 +117,16 @@ std::vector<double> row_dots(const common::GradientMatrix& g,
 
 namespace {
 
-// Upper-triangle Gram matrix <g_i, g_j> via GEMM: for each 64-row block
-// [i0, i1), one gemm_nt call fills C[i0:i1, i0:n] = G_block * G[i0:]^T —
-// the diagonal and upper triangle only, which halves the flops of a full
-// C = G * G^T against a symmetric result. Every C element still comes
-// from the pinned GEMM accumulation contract (one float accumulator,
-// ascending k), so the entries are bitwise identical to the single full
-// call and thread-count-invariant. When `mirror` is set the lower
-// triangle is filled by reflection for dense consumers; the packed
+// Gram matrix <g_i, g_j>: the diagonal and upper triangle from one
+// nn::gram_upper product (every entry bitwise equal to the full
+// gemm_nt(G, G), so thread-count-invariant). When `mirror` is set the
+// lower triangle is filled by reflection for dense consumers; the packed
 // kernel reads the upper triangle only and skips it.
 std::vector<float> gram_matrix(const common::GradientMatrix& g,
                                bool mirror) {
   const std::size_t n = g.rows();
-  const std::size_t d = g.cols();
   std::vector<float> gram(n * n, 0.0f);
-  constexpr std::size_t kRowBlock = 64;
-  for (std::size_t i0 = 0; i0 < n; i0 += kRowBlock) {
-    const std::size_t i1 = std::min(n, i0 + kRowBlock);
-    nn::gemm_nt(i1 - i0, n - i0, d, g.data() + i0 * d, d, g.data() + i0 * d,
-                d, gram.data() + i0 * n + i0, n, /*accumulate=*/false);
-  }
+  nn::gram_upper(n, g.cols(), g.data(), g.cols(), gram.data(), n);
   if (mirror)
     common::parallel_for(n, [&](std::size_t j) {
       for (std::size_t i = 0; i < j; ++i) gram[j * n + i] = gram[i * n + j];
@@ -159,18 +149,6 @@ inline std::size_t packed_row_offset(std::size_t n, std::size_t i) {
 }
 
 }  // namespace
-
-std::vector<double> pairwise_dist2(const common::GradientMatrix& g) {
-  const std::size_t n = g.rows();
-  std::vector<double> out(n * n, 0.0);
-  if (n < 2) return out;
-  const auto gram = gram_matrix(g, /*mirror=*/true);
-  common::parallel_for(n, [&](std::size_t i) {
-    for (std::size_t j = 0; j < n; ++j)
-      if (j != i) out[i * n + j] = dist2_from_gram(gram, n, i, j);
-  });
-  return out;
-}
 
 std::vector<double> pairwise_dot(const common::GradientMatrix& g) {
   const std::size_t n = g.rows();

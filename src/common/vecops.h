@@ -103,22 +103,21 @@ std::vector<double> row_dots(const common::GradientMatrix& g,
 
 // ---- pairwise geometry -----------------------------------------------------
 // The O(n^2 d) pairwise blocks behind Krum/Bulyan/Min-Max/Min-Sum and the
-// similarity filters come from one n x n Gram matrix built by
-// nn::gemm_nt(G, G) (float accumulation, register-tiled, thread-parallel),
-// with dist2(i, j) = <g_i,g_i> + <g_j,g_j> - 2<g_i,g_j> clamped at 0.
+// similarity filters come from the upper triangle of one n x n Gram
+// matrix built by nn::gram_upper(G) (float accumulation, each entry
+// bitwise the gemm_nt(G, G) entry, thread-parallel), with
+// dist2(i, j) = <g_i,g_i> + <g_j,g_j> - 2<g_i,g_j> clamped at 0.
 // Results are bitwise thread-count-invariant. They differ from the scalar
 // per-pair loops (one double accumulator per entry; tests/oracles.h) by
 // float-vs-double rounding and by cancellation on near-duplicate rows, so
 // that cross-check is tolerance-based, never bitwise.
 
-// Dense symmetric n x n blocks, row-major, diagonal zero / self-dot.
-std::vector<double> pairwise_dist2(const common::GradientMatrix& g);
+// Dense symmetric n x n block of inner products, row-major.
 std::vector<double> pairwise_dot(const common::GradientMatrix& g);
 
 // Packed upper triangle of pairwise squared distances: n*(n-1)/2 entries,
-// (i, j) with i < j at [i*(2n-i-1)/2 + j-i-1] — half the memory of the
-// dense block, the same values as the dense kernel. Backs
-// PairwiseDistances.
+// (i, j) with i < j at [i*(2n-i-1)/2 + j-i-1]. Backs PairwiseDistances,
+// the one distance derivation every consumer reads.
 std::vector<double> pairwise_dist2_packed(const common::GradientMatrix& g);
 
 // Arithmetic mean of all rows / of the rows in `indices` (non-empty).

@@ -73,72 +73,132 @@ void micro_kernel_scratch(std::size_t k, const float* pa, const float* pb,
       c[r * rsc + q * csc] = tile[r * kNr + q];
 }
 
-// Packing scratch, grown once per thread and reused — GEMM calls on the
-// training hot path do no steady-state allocation.
-thread_local std::vector<float> tl_pack_a;
-thread_local std::vector<float> tl_pack_b;
+// Rows [i0, i0 + rows) of op(A) over k in [p0, p0 + kc) as one kMr-tall
+// panel, p-major, lanes past `rows` zero.
+void pack_a_panel(const float* a, std::size_t lda, Trans ta, std::size_t i0,
+                  std::size_t rows, std::size_t p0, std::size_t kc,
+                  float* dst) {
+  for (std::size_t p = 0; p < kc; ++p) {
+    for (std::size_t r = 0; r < rows; ++r)
+      dst[p * kMr + r] = elem(a, lda, ta, i0 + r, p0 + p);
+    for (std::size_t r = rows; r < kMr; ++r) dst[p * kMr + r] = 0.0f;
+  }
+}
 
-// C element (i, j) lives at c[i * rsc + j * csc]: (ldc, 1) for the
-// row-major C of every public entry point, (1, ldc) when gemm_dispatch
-// computes a product as its transpose.
-void gemm_tiled(std::size_t m, std::size_t n, std::size_t k, const float* a,
-                std::size_t lda, Trans ta, const float* b, std::size_t ldb,
-                Trans tb, float* c, std::size_t rsc, std::size_t csc,
-                bool accumulate) {
-  const std::size_t n_panels = (n + kNr - 1) / kNr;
-  // Pack B's kNr-wide panels once, p-major, so the micro-kernel streams
-  // each panel linearly; transposition happens here, which is what keeps
-  // the kernels free of col-major access. The final partial panel is
-  // zero-padded — padded lanes are computed but never stored.
-  if (tl_pack_b.size() < k * n_panels * kNr)
-    tl_pack_b.resize(k * n_panels * kNr);
-  float* pb_base = tl_pack_b.data();
-  for (std::size_t pj = 0; pj < n_panels; ++pj) {
-    const std::size_t j0 = pj * kNr;
+// The k slab [p0, p0 + kc) of op(B)'s n columns as kNr-wide panels, each
+// p-major, so the micro-kernel streams a panel linearly; transposition
+// happens here, which is what keeps the kernels free of col-major access.
+// The final partial panel is zero-padded — padded lanes are computed but
+// never stored.
+void pack_b_slab(const float* b, std::size_t ldb, Trans tb, std::size_t n,
+                 std::size_t p0, std::size_t kc, float* dst) {
+  for (std::size_t j0 = 0; j0 < n; j0 += kNr) {
     const std::size_t cols = std::min(kNr, n - j0);
-    float* dst = pb_base + j0 * k;
-    for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t p = p0; p < p0 + kc; ++p) {
       for (std::size_t q = 0; q < cols; ++q)
         *dst++ = elem(b, ldb, tb, p, j0 + q);
       for (std::size_t q = cols; q < kNr; ++q) *dst++ = 0.0f;
     }
   }
+}
 
-  const std::size_t panels = (m + kMr - 1) / kMr;
-  auto run_panels = [&](std::size_t begin, std::size_t end) {
-    // tl_pack_a resolves to the executing worker's buffer.
-    if (tl_pack_a.size() < k * kMr) tl_pack_a.resize(k * kMr);
-    float* pa = tl_pack_a.data();
-    for (std::size_t pi = begin; pi < end; ++pi) {
+// Packing scratch, grown once per thread and reused — GEMM calls on the
+// training hot path do no steady-state allocation. The B pack holds one
+// slab: at most max(kGemmOneSlabFloats, kGemmSlabK * n) floats.
+thread_local std::vector<float> tl_pack_a;
+thread_local std::vector<float> tl_pack_b;
+
+// The one loop nest behind every product, in the order of Goto and van
+// de Geijn (ACM TOMS 2008) without their n blocking: k is cut into slabs
+// of kGemmSlabK (one slab when the whole packed B is at most
+// kGemmOneSlabFloats; see gemm.h for the cache sizes behind both). Each
+// slab packs B's kc x n slice once, runs every A row panel over it, and
+// leaves C in memory for the next slab. C is each element's float
+// accumulator, so storing it after one slab and loading it at the next
+// keeps the ascending-k addition sequence, and the bits, of one pass.
+//
+// C element (i, j) lives at c[i * rsc + j * csc]: (ldc, 1) for the
+// row-major C of every public entry point, (1, ldc) when gemm_dispatch
+// computes a product as its transpose.
+//
+// `upper` is the Gram product C = G * G^T (a == b == G, ta = kN, tb = kT,
+// m == n): only micro-tiles holding an element on or above the diagonal
+// run, and each A panel (rows i0 .. i0+kMr of G) is copied out of the B
+// pack, where those rows are lanes of B panel i0 / kNr — G is read and
+// packed once per slab for both operands.
+void gemm_tiled(std::size_t m, std::size_t n, std::size_t k, const float* a,
+                std::size_t lda, Trans ta, const float* b, std::size_t ldb,
+                Trans tb, float* c, std::size_t rsc, std::size_t csc,
+                bool accumulate, bool upper) {
+  if (k == 0 && !accumulate)  // no slab runs: the product is a zero matrix
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t j = 0; j < n; ++j) c[i * rsc + j * csc] = 0.0f;
+  const std::size_t n_panels = (n + kNr - 1) / kNr;
+  const std::size_t m_panels = (m + kMr - 1) / kMr;
+  const std::size_t slab =
+      k * n_panels * kNr <= kGemmOneSlabFloats ? k : kGemmSlabK;
+  if (tl_pack_b.size() < slab * n_panels * kNr)
+    tl_pack_b.resize(slab * n_panels * kNr);
+  float* const pb = tl_pack_b.data();
+  // Row panel pi of the triangle runs n_panels - pi / 2 tiles, so the
+  // triangle hands out pairs (t, m_panels - 1 - t) of near-equal work:
+  // parallel_chunks' equal index ranges are then equal shares.
+  const std::size_t tasks = upper ? (m_panels + 1) / 2 : m_panels;
+  const bool fan_out = m * n * k >= kParallelMacs &&
+                       common::thread_count() > 1 &&
+                       !common::in_parallel_region();
+
+  for (std::size_t p0 = 0; p0 < k; p0 += slab) {
+    const std::size_t kc = std::min(slab, k - p0);
+    const bool load_c = accumulate || p0 > 0;
+    pack_b_slab(b, ldb, tb, n, p0, kc, pb);
+
+    auto run_panel = [&](std::size_t pi, float* pa) {
       const std::size_t i0 = pi * kMr;
       const std::size_t rows = std::min(kMr, m - i0);
-      for (std::size_t p = 0; p < k; ++p) {
-        for (std::size_t r = 0; r < rows; ++r)
-          pa[p * kMr + r] = elem(a, lda, ta, i0 + r, p);
-        for (std::size_t r = rows; r < kMr; ++r) pa[p * kMr + r] = 0.0f;
+      if (upper) {
+        // The triangle's A rows are lanes of B panel i0 / kNr (zero past
+        // row n), copied out of the cache-resident pack, not read from G
+        // again.
+        const float* lanes = pb + (i0 / kNr) * kc * kNr + i0 % kNr;
+        for (std::size_t p = 0; p < kc; ++p)
+          for (std::size_t r = 0; r < kMr; ++r)
+            pa[p * kMr + r] = lanes[p * kNr + r];
+      } else {
+        pack_a_panel(a, lda, ta, i0, rows, p0, kc, pa);
       }
-      for (std::size_t pj = 0; pj < n_panels; ++pj) {
+      for (std::size_t pj = upper ? i0 / kNr : 0; pj < n_panels; ++pj) {
         const std::size_t j0 = pj * kNr;
         const std::size_t cols = std::min(kNr, n - j0);
+        const float* pbj = pb + pj * kc * kNr;
         float* ct = c + i0 * rsc + j0 * csc;
         if (rows == kMr && cols == kNr && csc == 1)
-          micro_kernel(k, pa, pb_base + j0 * k, ct, rsc, accumulate);
+          micro_kernel(kc, pa, pbj, ct, rsc, load_c);
         else
-          micro_kernel_scratch(k, pa, pb_base + j0 * k, ct, rsc, csc,
-                               accumulate, rows, cols);
+          micro_kernel_scratch(kc, pa, pbj, ct, rsc, csc, load_c, rows,
+                               cols);
       }
-    }
-  };
-
-  // Whole C rows per worker -> disjoint writes, and every element's value
-  // is independent of the split, so any thread count yields the same bits.
-  if (m * n * k >= kParallelMacs && common::thread_count() > 1 &&
-      !common::in_parallel_region()) {
-    common::parallel_chunks(
-        panels,
-        [&](std::size_t b0, std::size_t e0, std::size_t) { run_panels(b0, e0); });
-  } else {
-    run_panels(0, panels);
+    };
+    auto run_tasks = [&](std::size_t begin, std::size_t end) {
+      // tl_pack_a resolves to the executing worker's buffer.
+      if (tl_pack_a.size() < kc * kMr) tl_pack_a.resize(kc * kMr);
+      float* pa = tl_pack_a.data();
+      for (std::size_t t = begin; t < end; ++t) {
+        run_panel(t, pa);
+        if (upper && m_panels - 1 - t != t) run_panel(m_panels - 1 - t, pa);
+      }
+    };
+    // Whole C rows per worker -> disjoint writes, and every element's
+    // value is independent of the split (each slab's dispatch returns
+    // before the next slab is packed), so any thread count yields the
+    // same bits.
+    if (fan_out)
+      common::parallel_chunks(
+          tasks, [&](std::size_t b0, std::size_t e0, std::size_t) {
+            run_tasks(b0, e0);
+          });
+    else
+      run_tasks(0, tasks);
   }
 }
 
@@ -151,13 +211,6 @@ void gemm_dispatch(std::size_t m, std::size_t n, std::size_t k,
   // compute, eval, ...); a no-op without an attached registry.
   obs::count(obs::Counter::kGemmFlops,
              std::uint64_t(2) * m * n * k);
-  if (k == 0) {
-    // Degenerate inner dimension: the product is a zero matrix.
-    if (!accumulate)
-      for (std::size_t i = 0; i < m; ++i)
-        std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
-    return;
-  }
   if (ta == Trans::kN && tb == Trans::kT && m <= kNr && n > kNr) {
     // A skinny NT product (the batch-8 forward x * W^T against a wide
     // weight) runs as its transpose C^T = B * A^T: the wide operand is
@@ -166,10 +219,11 @@ void gemm_dispatch(std::size_t m, std::size_t n, std::size_t k,
     // Each element multiplies the same operand pairs (IEEE multiplication
     // commutes) and sums them in the same ascending k, so the bits match.
     gemm_tiled(n, m, k, b, ldb, Trans::kN, a, lda, Trans::kT, c, 1, ldc,
-               accumulate);
+               accumulate, /*upper=*/false);
     return;
   }
-  gemm_tiled(m, n, k, a, lda, ta, b, ldb, tb, c, ldc, 1, accumulate);
+  gemm_tiled(m, n, k, a, lda, ta, b, ldb, tb, c, ldc, 1, accumulate,
+             /*upper=*/false);
 }
 
 }  // namespace
@@ -193,6 +247,21 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const float* a,
              std::size_t ldc, bool accumulate) {
   gemm_dispatch(m, n, k, a, lda, Trans::kT, b, ldb, Trans::kN, c, ldc,
                 accumulate);
+}
+
+void gram_upper(std::size_t n, std::size_t k, const float* g,
+                std::size_t ldg, float* c, std::size_t ldc) {
+  if (n == 0) return;
+  // gemm_flops bills the 64-row block schedule, sum over i0 = 0, 64, ...
+  // of 2 * rows * (n - i0) * k (2 * n^2 * k for n <= 64): a fixed function
+  // of (n, k) that the golden traces pin, not the multiply-adds the
+  // triangle runs.
+  std::uint64_t macs = 0;
+  for (std::size_t i0 = 0; i0 < n; i0 += 64)
+    macs += std::uint64_t(std::min<std::size_t>(64, n - i0)) * (n - i0);
+  obs::count(obs::Counter::kGemmFlops, 2 * macs * k);
+  gemm_tiled(n, n, k, g, ldg, Trans::kN, g, ldg, Trans::kT, c, ldc, 1,
+             /*accumulate=*/false, /*upper=*/true);
 }
 
 void add_bias_rows(float* c, std::size_t m, std::size_t n, std::size_t ldc,

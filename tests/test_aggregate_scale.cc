@@ -2,10 +2,10 @@
 // the direct pair loops of tests/oracles.h, the packed-triangle
 // PairwiseDistances, the sorted-tile coordinate statistics (TrMean,
 // Median, Bulyan stage 2) vs their full-sort oracles, and the
-// selection-based quantile/Krum-ranking satellites. Gram-vs-oracle
+// selection-based quantile/Krum-ranking satellites. Gram-vs-direct
 // comparisons are tolerance-based (float GEMM vs double pair loops);
-// everything else — thread counts, packed vs dense, sorted tiles vs
-// full sorts — must be bitwise.
+// everything else — the Gram triangle vs the oracle GEMM loop, thread
+// counts, sorted tiles vs full sorts — must be bitwise.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +24,8 @@
 #include "common/quantiles.h"
 #include "common/rng.h"
 #include "common/vecops.h"
+#include "nn/gemm.h"
+#include "obs/metrics.h"
 #include "oracles.h"
 
 namespace signguard {
@@ -69,7 +71,7 @@ TEST(GramPairwise, AgreeWithinToleranceOnAdversarialInputs) {
 
   const auto d2_direct = oracle::pairwise_dist2(m);
   const auto dot_direct = oracle::pairwise_dot(m);
-  const auto d2_gram = vec::pairwise_dist2(m);
+  const PairwiseDistances d2_gram(m);
   const auto dot_gram = vec::pairwise_dot(m);
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -78,15 +80,15 @@ TEST(GramPairwise, AgreeWithinToleranceOnAdversarialInputs) {
       // loses up to ~norm^2 * 1e-7 to float rounding/cancellation.
       const double scale =
           std::max({1.0, dot_direct[i * n + i], dot_direct[j * n + j]});
-      EXPECT_NEAR(d2_gram[i * n + j], d2_direct[i * n + j], 1e-5 * scale)
+      EXPECT_NEAR(d2_gram.dist2(i, j), d2_direct[i * n + j], 1e-5 * scale)
           << "d2 (" << i << ", " << j << ")";
       EXPECT_NEAR(dot_gram[i * n + j], dot_direct[i * n + j], 1e-5 * scale)
           << "dot (" << i << ", " << j << ")";
-      EXPECT_GE(d2_gram[i * n + j], 0.0) << "clamped at zero";
+      EXPECT_GE(d2_gram.dist2(i, j), 0.0) << "clamped at zero";
     }
   }
   // Zero rows: every quantity involving them is exact on both sides.
-  EXPECT_EQ(d2_gram[4 * n + 5], 0.0);
+  EXPECT_EQ(d2_gram.dist2(4, 5), 0.0);
   EXPECT_EQ(dot_gram[4 * n + 4], 0.0);
 }
 
@@ -94,24 +96,61 @@ TEST(GramPairwise, GramIsThreadCountInvariant) {
   ThreadGuard guard;
   const auto m = adversarial_matrix(193, 22);
   common::set_thread_count(1);
-  const auto d2_t1 = vec::pairwise_dist2(m);
   const auto dot_t1 = vec::pairwise_dot(m);
   const auto packed_t1 = vec::pairwise_dist2_packed(m);
   common::set_thread_count(4);
-  EXPECT_EQ(vec::pairwise_dist2(m), d2_t1);
   EXPECT_EQ(vec::pairwise_dot(m), dot_t1);
   EXPECT_EQ(vec::pairwise_dist2_packed(m), packed_t1);
 }
 
-TEST(GramPairwise, PackedTriangleMatchesDenseBitwise) {
-  const auto m = adversarial_matrix(129, 23);
-  const std::size_t n = m.rows();
-  const auto dense = vec::pairwise_dist2(m);
-  const PairwiseDistances pd(m);
-  ASSERT_EQ(pd.size(), n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      EXPECT_EQ(pd.dist2(i, j), dense[i * n + j]) << i << " " << j;
+// Every Gram entry on or above the diagonal is the GEMM contract's float
+// accumulator, bit for bit the oracle's gemm_nt(G, G): across the 4-row
+// panel and 8-column tile edges, the pairing of row panels into worker
+// shares, 64-row boundaries, and k run as one slab (d up to kGemmSlabK +
+// 1 here) or as several carried in C (d = 8,554, the grid MLP's size).
+// gemm_flops keeps billing the 64-row block schedule the goldens pin.
+TEST(GramPairwise, UpperTriangleMatchesOracleGemmBitwise) {
+  ThreadGuard guard;
+  const std::size_t ns[] = {1, 2, 3, 4, 5, 8, 9, 63, 64, 65, 130, 187};
+  const std::size_t ds[] = {1, 13, nn::kGemmSlabK - 1, nn::kGemmSlabK + 1,
+                            8554};
+  std::uint64_t seed = 300;
+  for (const std::size_t n : ns) {
+    for (const std::size_t d : ds) {
+      const auto m = gaussian_matrix(n, d, 0.1, 1.0, ++seed);
+      std::vector<float> want(n * n);
+      oracle::gemm_nt(n, n, d, m.data(), d, m.data(), d, want.data(), n,
+                      /*accumulate=*/false);
+      for (const std::size_t threads : {1, 4}) {
+        common::set_thread_count(threads);
+        const auto dot = vec::pairwise_dot(m);
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < n; ++i)
+          for (std::size_t j = i; j < n; ++j) {
+            const double expected = want[i * n + j];
+            mismatches += std::bit_cast<std::uint64_t>(dot[i * n + j]) !=
+                          std::bit_cast<std::uint64_t>(expected);
+          }
+        EXPECT_EQ(mismatches, 0u)
+            << "n=" << n << " d=" << d << " threads=" << threads;
+      }
+    }
+  }
+
+  // 2 * (64 * 130 + 64 * 66 + 2 * 2) * 8,554: rows [0, 64), [64, 128)
+  // and [128, 130) against columns [i0, 130).
+  const auto m = gaussian_matrix(130, 8554, 0.1, 1.0, 399);
+  obs::MetricsRegistry reg(false);
+  {
+    obs::ScopedMetrics scope(&reg);
+    reg.begin_round(0);
+    vec::pairwise_dist2_packed(m);
+    reg.end_round();
+  }
+  std::uint64_t flops = 0;
+  for (const auto& stage : reg.totals().counters)
+    flops += stage[std::size_t(obs::Counter::kGemmFlops)];
+  EXPECT_EQ(flops, 214'671'184u);
 }
 
 // ---- sorted column tiles vs the full-sort oracles --------------------------
@@ -261,19 +300,22 @@ TEST(ColumnPanels, BulyanMatchesOracleBitwise) {
 
 // ---- Krum ranking / Bulyan mask satellites ---------------------------------
 
-// Multi-Krum's selection recomputed from a dense dist2 block: each row's
-// score sums its k smallest distances in ascending order (as
+// Multi-Krum's selection recomputed from a packed dist2 triangle: each
+// row's score sums its k smallest distances in ascending order (as
 // PairwiseDistances::krum_score does), then a FULL sort ranks the rows
 // under the aggregator's score-then-index ordering.
-std::vector<std::size_t> krum_selection(const std::vector<double>& d2,
+std::vector<std::size_t> krum_selection(const std::vector<double>& packed,
                                         std::size_t n, std::size_t byz) {
   const std::size_t mm = std::min(byz, (n - 1) / 2);
   const std::size_t k = std::max<std::size_t>(1, n - mm - 2);
   std::vector<double> scores(n);
   for (std::size_t i = 0; i < n; ++i) {
     std::vector<double> row;
-    for (std::size_t j = 0; j < n; ++j)
-      if (j != i) row.push_back(d2[i * n + j]);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      const std::size_t lo = std::min(i, j), hi = std::max(i, j);
+      row.push_back(packed[lo * (2 * n - lo - 1) / 2 + hi - lo - 1]);
+    }
     std::sort(row.begin(), row.end());
     for (std::size_t t = 0; t < std::min(k, row.size()); ++t)
       scores[i] += row[t];
@@ -293,7 +335,7 @@ TEST(KrumRanking, PartialSortSelectionMatchesFullSortOracle) {
   agg::MultiKrumAggregator krum;
   krum.aggregate(m, ctx);
   EXPECT_EQ(krum.last_selected(),
-            krum_selection(vec::pairwise_dist2(m), m.rows(),
+            krum_selection(vec::pairwise_dist2_packed(m), m.rows(),
                            ctx.assumed_byzantine));
 }
 
@@ -375,8 +417,9 @@ TEST(GramAggregation, GramAndOraclePickTheSameKrumSelectionOnSeparatedInputs) {
   agg::MultiKrumAggregator krum;
   krum.aggregate(m, ctx);
   const auto sel_gram = krum.last_selected();
-  EXPECT_EQ(sel_gram, krum_selection(oracle::pairwise_dist2(m), m.rows(),
-                                     ctx.assumed_byzantine));
+  EXPECT_EQ(sel_gram,
+            krum_selection(oracle::pairwise_dist2_packed(m), m.rows(),
+                           ctx.assumed_byzantine));
   for (const auto idx : sel_gram) EXPECT_LT(idx, 10u);
 }
 

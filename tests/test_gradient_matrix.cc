@@ -150,13 +150,14 @@ TEST(MatrixKernels, PairwiseBlocksMatchScalarKernels) {
   }
   // The library accumulates in float via one Gram GEMM — tolerance only
   // (test_aggregate_scale stresses the adversarial cases).
-  const auto d2g = vec::pairwise_dist2(m);
+  const auto d2g = vec::pairwise_dist2_packed(m);
   const auto gramg = vec::pairwise_dot(m);
+  ASSERT_EQ(d2g.size(), packed.size());
+  for (std::size_t q = 0; q < packed.size(); ++q)
+    EXPECT_NEAR(d2g[q], packed[q], 1e-3);
   for (std::size_t i = 0; i < 6; ++i)
-    for (std::size_t j = 0; j < 6; ++j) {
-      EXPECT_NEAR(d2g[i * 6 + j], d2[i * 6 + j], 1e-3);
+    for (std::size_t j = 0; j < 6; ++j)
       EXPECT_NEAR(gramg[i * 6 + j], gram[i * 6 + j], 1e-3);
-    }
 }
 
 TEST(MatrixKernels, MeanAndMomentsMatchRowViewOverloads) {

@@ -80,12 +80,18 @@ void expect_matches_oracle(Kind kind, std::size_t m, std::size_t n,
   }
 }
 
+// k values either side of one and two slab lengths.
+constexpr std::size_t kSlabKs[] = {kGemmSlabK - 1, kGemmSlabK,
+                                   kGemmSlabK + 1, 2 * kGemmSlabK + 3};
+
 TEST(GemmBitwise, TiledMatchesReferenceAcrossShapes) {
   // Degenerate, odd, rectangular, and tile-boundary (multiples of the
-  // 4x8 micro-tile ± 1) shapes for all three orientations.
+  // 4x8 micro-tile ± 1) shapes for all three orientations. At these
+  // widths the slab-length ks still run as one slab.
   const std::size_t ms[] = {1, 3, 4, 5, 8, 9, 17};
   const std::size_t ns[] = {1, 7, 8, 9, 16, 31, 33};
-  const std::size_t ks[] = {1, 2, 13, 64};
+  const std::size_t ks[] = {1,          2,          13,         64,
+                            kSlabKs[0], kSlabKs[1], kSlabKs[2], kSlabKs[3]};
   std::uint64_t seed = 1;
   for (const auto kind : {Kind::kNN, Kind::kNT, Kind::kTN})
     for (const std::size_t m : ms)
@@ -99,14 +105,20 @@ TEST(GemmBitwise, TiledMatchesReferenceAcrossShapes) {
 // The shapes the trainer actually runs: batch-sized m against wide n
 // (the flagship forward gemm_nt(8, 1300, 768) takes the skinny-NT operand
 // swap) and short k (the CNN weight gradients), at 1 and 4 threads; the
-// larger shapes cross the row-panel fan-out threshold.
+// larger shapes cross the row-panel fan-out threshold. A packed B over
+// kGemmOneSlabFloats runs as several k slabs carried in C: n = 1300 at
+// every slab-length k, n = 127 and 128 at k = 2 * kGemmSlabK + 3. Last,
+// one shape on each side of the one-slab threshold: a packed B of exactly
+// kGemmOneSlabFloats (n = 63 pads to 64 columns) runs as one slab, one
+// more k step as five; the skinny NT product packs its 8-row side as B.
 TEST(GemmBitwise, TiledMatchesReferenceAtTrainingShapes) {
   struct ThreadGuard {
     ~ThreadGuard() { common::set_thread_count(0); }
   } threads_guard;
   const std::size_t ms[] = {1, 2, 3, 5, 6, 8};
   const std::size_t ns[] = {9, 127, 128, 1300};
-  const std::size_t ks[] = {8, 9, 54, 768};
+  const std::size_t ks[] = {8,          9,          54,         768,
+                            kSlabKs[0], kSlabKs[1], kSlabKs[2], kSlabKs[3]};
   const std::size_t threads[] = {1, 4};
   std::uint64_t seed = 1000;
   for (const auto kind : {Kind::kNN, Kind::kNT, Kind::kTN})
@@ -116,6 +128,15 @@ TEST(GemmBitwise, TiledMatchesReferenceAtTrainingShapes) {
           for (const bool accumulate : {false, true})
             expect_matches_oracle(kind, m, n, k, accumulate, ++seed,
                                   threads);
+  for (const bool accumulate : {false, true}) {
+    for (const std::size_t k :
+         {kGemmOneSlabFloats / 64, kGemmOneSlabFloats / 64 + 1})
+      for (const auto kind : {Kind::kNN, Kind::kNT, Kind::kTN})
+        expect_matches_oracle(kind, 17, 63, k, accumulate, ++seed, threads);
+    for (const std::size_t k :
+         {kGemmOneSlabFloats / 8, kGemmOneSlabFloats / 8 + 1})
+      expect_matches_oracle(Kind::kNT, 8, 9, k, accumulate, ++seed, threads);
+  }
 }
 
 TEST(GemmBitwise, KZeroWritesOrPreservesC) {
