@@ -82,12 +82,12 @@ void bench_robustness(Run& run, const data::TrainTest& tt) {
     run.record("robustness", name + "_wall", wall_ms, "ms");
     if (!cfg.chaos.active()) continue;
     const double transmitted =
-        double(kRounds * cfg.n_clients) - double(res.churned_total);
-    run.record("robustness", name + "_churned", double(res.churned_total),
+        double(kRounds * cfg.n_clients) - double(res.churned);
+    run.record("robustness", name + "_churned", double(res.churned),
                "client-rounds");
     run.record("robustness", name + "_deadline_misses",
-               double(res.deadline_miss_total), "uplinks");
-    run.record("robustness", name + "_lost", double(res.lost_uplink_total),
+               double(res.deadline_misses), "uplinks");
+    run.record("robustness", name + "_lost", double(res.lost_uplinks),
                "uplinks");
     if (transmitted > 0)
       run.record("robustness", name + "_attempts_per_uplink",

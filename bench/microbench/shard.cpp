@@ -28,13 +28,13 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "aggregators/sharded.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "common/shard_stats.h"
 #include "common/vecops.h"
 #include "fl/experiment.h"
 #include "microbench.h"
@@ -91,6 +91,29 @@ double time_round(Run& run, agg::Aggregator& rule,
   });
 }
 
+// A weighted coordinate mean accumulated one row at a time (the streaming
+// round's root merge and its honest-mean reference): sum += w * row in
+// double, then one divide by the total weight.
+struct WeightedMean {
+  std::vector<double> sum;
+  double weight = 0.0;
+
+  void add(std::span<const float> row, double w) {
+    if (sum.empty()) sum.assign(row.size(), 0.0);
+    common::parallel_chunks(row.size(), [&](std::size_t b, std::size_t e,
+                                            std::size_t) {
+      for (std::size_t j = b; j < e; ++j) sum[j] += w * double(row[j]);
+    });
+    weight += w;
+  }
+  std::vector<float> mean() const {
+    std::vector<float> out(sum.size());
+    for (std::size_t j = 0; j < out.size(); ++j)
+      out[j] = static_cast<float>(sum[j] / weight);
+    return out;
+  }
+};
+
 // Tier 3: the streaming round, no flat matrix ever. Records the
 // generate/aggregate splits and the flat-path estimate after the root
 // output passes the honest-mean check.
@@ -100,8 +123,8 @@ void streaming_round(Run& run, std::size_t n, std::size_t d, std::size_t S) {
 
   common::GradientMatrix shard_mat(per, d);
   common::GradientMatrix shard_aggs(S, d);
-  common::ShardPartial root;
-  common::ShardPartial honest_ref;  // flat honest mean, for the check
+  WeightedMean root;
+  WeightedMean honest_ref;  // flat honest mean, for the check
   std::size_t kept = 0;  // survivors over all shards
 
   double gen_sec = 0.0, agg_sec = 0.0;
@@ -112,7 +135,7 @@ void streaming_round(Run& run, std::size_t n, std::size_t d, std::size_t S) {
     fill_rows(shard_mat, s * per);
     for (std::size_t i = 0; i < per; ++i)
       if ((s * per + i) % 5 != 4)
-        common::accumulate_row(honest_ref, shard_mat.row(i), 1.0);
+        honest_ref.add(shard_mat.row(i), 1.0);
     gen_sec += gw.seconds();
 
     Stopwatch aw;
@@ -126,16 +149,16 @@ void streaming_round(Run& run, std::size_t n, std::size_t d, std::size_t S) {
     const auto sel = rule->last_selected();
     const std::size_t survivors = sel.empty() ? per : sel.size();
     std::copy(out.begin(), out.end(), shard_aggs.row(s).begin());
-    common::accumulate_row(root, shard_aggs.row(s), double(survivors));
+    root.add(shard_aggs.row(s), double(survivors));
     agg_sec += aw.seconds();
     kept += survivors;
   }
-  const auto merged = common::finalize_mean(root);
+  const auto merged = root.mean();
   const double total_sec = total.seconds();
 
   // Robustness, not just completion: the survivor-weighted root mean
   // must sit on the honest mean, far below the -10x poison scale.
-  const auto honest_mean = common::finalize_mean(honest_ref);
+  const auto honest_mean = honest_ref.mean();
   const double err = vec::dist(merged, honest_mean);
   const double ref = vec::norm(honest_mean);
   std::printf("stream     n=%zu: honest-mean dist %.3f (|honest| %.3f), "

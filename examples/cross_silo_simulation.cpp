@@ -47,13 +47,9 @@ int main() {
   attacks::TimeVaryingAttack attack(
       std::max<std::size_t>(1, w.config.rounds / 12), /*seed=*/2026);
 
-  std::size_t dropped = 0, stragglers = 0, skipped = 0;
   const auto res = trainer.run(
       attack, fl::make_aggregator("SignGuard-Sim"),
       [&](const fl::RoundObservation& obs) {
-        dropped += obs.dropped;
-        stragglers += obs.stragglers;
-        skipped += obs.skipped ? 1 : 0;
         if (obs.test_accuracy)
           std::printf("  round %3zu  accuracy %5.2f%%\n", obs.round + 1,
                       *obs.test_accuracy);
@@ -66,6 +62,6 @@ int main() {
               res.selection.rounds);
   std::printf("failures injected: %zu dropouts, %zu stragglers, "
               "%zu rounds without an honest update\n",
-              dropped, stragglers, skipped);
+              res.dropped, res.stragglers, res.skipped_rounds);
   return 0;
 }

@@ -8,7 +8,6 @@
 #include "aggregators/internal.h"
 #include "common/hash.h"
 #include "common/parallel.h"
-#include "common/shard_stats.h"
 #include "obs/trace.h"
 
 namespace signguard::agg {
@@ -146,14 +145,27 @@ std::vector<float> ShardedAggregator::aggregate(
     GarContext mctx;  // coordinate-wise median ignores the context
     return median_.aggregate(shard_aggs_, mctx);
   }
-  // Survivor-weighted mean of the shard aggregates, accumulated in shard
-  // order into the root accumulator. A shard that admitted nobody still
-  // reports size_s survivors above (non-selecting rules) or a positive
-  // count, so the total weight is always > 0 here.
-  common::ShardPartial root;
-  for (std::size_t s = 0; s < S; ++s)
-    accumulate_row(root, shard_aggs_.row(s), double(shard_survivors_[s]));
-  return finalize_mean(root);
+  // Survivor-weighted mean of the shard aggregates: each coordinate sums
+  // weight * value in double, in shard order, then divides once by the
+  // total weight — bitwise reproducible for any SIGNGUARD_THREADS, since
+  // each coordinate is produced by exactly one worker. A shard that
+  // admitted nobody still reports size_s survivors above (non-selecting
+  // rules) or a positive count, so the total weight is always > 0 here.
+  double weight = 0.0;
+  for (std::size_t s = 0; s < S; ++s) weight += double(shard_survivors_[s]);
+  std::vector<double> sum(d, 0.0);
+  std::vector<float> out(d);
+  common::parallel_chunks(d, [&](std::size_t begin, std::size_t end,
+                                 std::size_t) {
+    for (std::size_t s = 0; s < S; ++s) {
+      const double w = double(shard_survivors_[s]);
+      const float* row = shard_aggs_.row(s).data();
+      for (std::size_t j = begin; j < end; ++j) sum[j] += w * double(row[j]);
+    }
+    for (std::size_t j = begin; j < end; ++j)
+      out[j] = static_cast<float>(sum[j] / weight);
+  });
+  return out;
 }
 
 }  // namespace signguard::agg

@@ -128,7 +128,8 @@ class ByteReader {
 // field list drives both a save and a load, so the two cannot drift
 // apart. Each field is written when saving and overwritten when loading,
 // in call order: unsigned integers as u64, bools and enums as u8, doubles
-// as f64, an optional<double> as a presence byte plus the value. A
+// as f64, an optional<double> as a presence byte plus the value, a float
+// vector as a length-prefixed block (ByteWriter::floats). A
 // component with serialize_state/restore_state nests inline, one with a
 // string state()/set_state() (Rng) as a length-prefixed string.
 class ByteIo {
@@ -175,6 +176,10 @@ class ByteIo {
   void field(double& v) {
     if (w_ != nullptr) w_->f64(v);
     else v = r_->f64();
+  }
+  void field(std::vector<float>& v) {
+    if (w_ != nullptr) w_->floats(v);
+    else v = r_->floats();
   }
   void field(std::optional<double>& v) {
     bool has = v.has_value();

@@ -22,11 +22,13 @@
 // loudly, never resume from garbage.
 //
 // What goes IN the payload is the trainer's business (fl/trainer.cc):
-// model parameters, server momentum and previous aggregate, per-client
-// RNG cursors / momentum buffers / loss stats, the trainer's four stream
-// cursors, the GAR's and attack's cross-round state, the result
-// accumulators, and the caller's extra blob (the sweep observer's fold
-// state). The chaos engine (fl/chaos.h) is deliberately absent: its
+// model parameters, server momentum and previous aggregate, the
+// trainer's four stream cursors, per-client RNG cursors / momentum
+// buffers / loss stats, the result accumulators (accuracy history,
+// selection rates, degradation counts and the RoundTally run totals),
+// the GAR's and attack's cross-round state, and the caller's extra blob
+// (the sweep observer's trace fold, round checksums and counter
+// registry). The chaos engine (fl/chaos.h) is deliberately absent: its
 // draws are stateless in (seed, client, round), so rebuilding it from
 // the config reproduces every answer.
 
@@ -54,7 +56,7 @@ struct CheckpointConfig {
   // exactly like a real crash.
   std::size_t halt_after_round = 0;
   // Observer-side state riding inside the checkpoint (the sweep engine
-  // stores its trace fold + captured rounds here, so a resumed scenario
+  // stores its trace fold + round checksums here, so a resumed scenario
   // emits byte-identical JSONL).
   std::function<void(common::ByteWriter&)> save_extra;
   std::function<void(common::ByteReader&)> load_extra;

@@ -15,17 +15,6 @@ Client::Client(const data::Dataset* dataset, std::vector<std::size_t> shard,
   assert(!shard_.empty());
 }
 
-std::vector<float> Client::compute_gradient(nn::Model& model,
-                                            std::size_t batch_size,
-                                            double weight_decay,
-                                            bool flip_labels,
-                                            double client_momentum) {
-  std::vector<float> grad(model.parameter_count());
-  compute_gradient_into(grad, model, batch_size, weight_decay, flip_labels,
-                        client_momentum);
-  return grad;
-}
-
 void Client::compute_gradient_into(std::span<float> out, nn::Model& model,
                                    std::size_t batch_size,
                                    double weight_decay, bool flip_labels,

@@ -22,23 +22,19 @@ class Client {
   Client(const data::Dataset* dataset, std::vector<std::size_t> shard,
          std::uint64_t seed);
 
-  // Mini-batch gradient at the parameters currently loaded in `model`.
+  // Mini-batch gradient at the parameters currently loaded in `model`,
+  // written straight into `out` (a row of the round's GradientMatrix).
   // `flip_labels` implements the label-flip data-poisoning attack.
-  // Weight decay is folded into the returned gradient.
+  // Weight decay is folded into the gradient.
   //
   // `client_momentum` > 0 enables the history-aided mode (Karimireddy et
   // al., ICML'21; the paper's refs [31]-[32]): the client keeps a local
   // buffer v <- beta*v + g across rounds and sends v instead of g, which
   // damps the round-to-round variance attackers like LIE hide behind.
-  std::vector<float> compute_gradient(nn::Model& model,
-                                      std::size_t batch_size,
-                                      double weight_decay, bool flip_labels,
-                                      double client_momentum = 0.0);
-
-  // Same computation, written straight into `out` (a row of the round's
-  // GradientMatrix). Thread-safe across *distinct* clients with distinct
-  // scratch models: all mutable state (rng, momentum buffer, loss stats)
-  // is per-client, so the trainer fans clients out over the pool.
+  //
+  // Thread-safe across *distinct* clients with distinct scratch models:
+  // all mutable state (rng, momentum buffer, loss stats) is per-client,
+  // so the trainer fans clients out over the pool.
   // Precondition: out.size() == model.parameter_count().
   void compute_gradient_into(std::span<float> out, nn::Model& model,
                              std::size_t batch_size, double weight_decay,

@@ -5,7 +5,6 @@
 
 #include "common/parallel.h"
 
-#include "attacks/adaptive.h"
 #include "attacks/byzmean.h"
 #include "attacks/lie.h"
 #include "attacks/minmax_minsum.h"
@@ -176,14 +175,6 @@ std::unique_ptr<attacks::Attack> make_attack(const std::string& name) {
   if (name == "MinMax") return std::make_unique<MinMaxAttack>();
   if (name == "MinSum") return std::make_unique<MinSumAttack>();
   if (name == "Reverse") return std::make_unique<ReverseScalingAttack>(3.0);
-  // Feedback-driven adaptive variants (attacks/adaptive.h): the static
-  // base attack wrapped in amplitude adaptation against the deployed
-  // defense. Registered names so CLI grids and config hashes stay stable.
-  if (name == "AdaptMinMax")
-    return std::make_unique<AdaptiveAttack>(std::make_unique<MinMaxAttack>());
-  if (name == "AdaptLIE")
-    return std::make_unique<AdaptiveAttack>(
-        std::make_unique<LieAttack>(0.3));
   throw std::invalid_argument("unknown attack: " + name);
 }
 

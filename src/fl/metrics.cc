@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/serial.h"
 #include "nn/loss.h"
 
 namespace signguard::fl {
@@ -27,6 +28,27 @@ void SelectionStats::accumulate(std::span<const std::size_t> selected,
   honest_rate = (honest_rate * double(rounds) + h) / double(rounds + 1);
   malicious_rate = (malicious_rate * double(rounds) + b) / double(rounds + 1);
   ++rounds;
+}
+
+RoundTally& RoundTally::operator+=(const RoundTally& o) {
+  dropped += o.dropped;
+  stragglers += o.stragglers;
+  decode_rejects += o.decode_rejects;
+  uplink_bytes += o.uplink_bytes;
+  uplink_dense_bytes += o.uplink_dense_bytes;
+  uplink_decoded_bytes += o.uplink_decoded_bytes;
+  churned += o.churned;
+  deadline_misses += o.deadline_misses;
+  lost_uplinks += o.lost_uplinks;
+  uplink_attempts += o.uplink_attempts;
+  sim_time_ms += o.sim_time_ms;
+  return *this;
+}
+
+void RoundTally::tally_fields(common::ByteIo& io) {
+  io(dropped, stragglers, decode_rejects, uplink_bytes, uplink_dense_bytes,
+     uplink_decoded_bytes, churned, deadline_misses, lost_uplinks,
+     uplink_attempts, sim_time_ms);
 }
 
 double attack_impact(double baseline_accuracy, double achieved_accuracy) {

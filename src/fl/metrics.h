@@ -1,8 +1,8 @@
 #pragma once
-// Training metrics: accuracy evaluation, per-round history, best-accuracy
-// tracking (Table I reports best achieved test accuracy), attack impact
-// (Definition 3), and honest/malicious selection-rate accounting
-// (Table II).
+// Training metrics: the per-round tally a run sums, accuracy evaluation,
+// per-round history, best-accuracy tracking (Table I reports best
+// achieved test accuracy), attack impact (Definition 3), and
+// honest/malicious selection-rate accounting (Table II).
 
 #include <cstddef>
 #include <cstdint>
@@ -11,6 +11,10 @@
 
 #include "data/dataset.h"
 #include "nn/model.h"
+
+namespace signguard::common {
+class ByteIo;
+}
 
 namespace signguard::fl {
 
@@ -31,37 +35,57 @@ struct SelectionStats {
                   std::size_t n_byzantine, std::size_t n_total);
 };
 
-struct TrainingResult {
+// The counts a round incurs and a run sums, declared once: the base of
+// both the per-round RoundObservation and the run's TrainingResult, so
+// the trainer sums a round into the run with one +=. Transport fields are
+// zero while the transport layer is off, chaos fields while the chaos
+// engine is off.
+struct RoundTally {
+  std::size_t dropped = 0;     // clients lost to dropout injection
+  std::size_t stragglers = 0;  // clients whose update arrived too late
+  // Transport accounting. A rejected uplink was still paid for, so it
+  // counts in the byte totals.
+  std::size_t decode_rejects = 0;        // uplinks the wire decoder refused
+  std::uint64_t uplink_bytes = 0;        // encoded bytes sent
+  std::uint64_t uplink_dense_bytes = 0;  // float32 cost of the same updates
+  // Dense bytes the server-side aggregation pipeline materialized from
+  // accepted uplinks: n_eff * 4d on the decode path, only |trusted set|
+  // * 4d on the compressed-domain SignGuard path (comm/stats.h). The
+  // in-place decode of benign rows that feeds the simulated omniscient
+  // attacker is a harness artifact and is not billed here.
+  std::uint64_t uplink_decoded_bytes = 0;
+  // Chaos accounting (fl/chaos.h).
+  std::size_t churned = 0;            // selected clients absent to churn
+  std::size_t deadline_misses = 0;    // uplinks late past the deadline
+  std::size_t lost_uplinks = 0;       // uplinks dropped on every attempt
+  std::uint64_t uplink_attempts = 0;  // transmissions incl. retries
+  // Simulated wall-clock of the uplink phase: the deadline when any
+  // transmitter ran past it, else the slowest DELIVERED uplink's
+  // attempt-chain time. A lost uplink (or, with no deadline, one that
+  // would have been late) never extends the round — a synchronous server
+  // closes the round on the updates it actually received.
+  double sim_time_ms = 0.0;
+
+  RoundTally& operator+=(const RoundTally& o);
+  // One field list for checkpoint save and load (common::ByteIo).
+  void tally_fields(common::ByteIo& io);
+};
+
+// A run's results: the summed RoundTally plus the accuracy history and
+// selection rates the paper's tables report.
+struct TrainingResult : RoundTally {
   std::vector<RoundRecord> history;
   double best_accuracy = 0.0;
   double final_accuracy = 0.0;
   SelectionStats selection;
-  // Uplink transport totals over the whole run (zero while the transport
-  // layer is off): encoded bytes actually sent, the float32 cost of the
-  // same updates, and how many uplinks the wire decoder rejected.
-  std::uint64_t uplink_bytes = 0;
-  std::uint64_t uplink_dense_bytes = 0;
-  std::size_t decode_rejects = 0;
-  // Dense bytes the server-side aggregation pipeline materialized from
-  // accepted uplinks: every accepted uplink's 4d on the decode path,
-  // only the trusted set's on the compressed-domain SignGuard path — the
-  // whole point of filtering on wire bytes.
-  std::uint64_t uplink_decoded_bytes = 0;
   // Degradation accounting (fl/chaos.h): rounds that did not apply a
   // normal aggregate. skipped_rounds counts every skip (quorum-starved
   // plus the no-honest-participant skips that predate the chaos engine);
   // the fallback counters split out the quorum policy's degraded-but-
-  // applied rounds. Sweep summaries read these directly — skipped rounds
-  // used to be visible only through the per-round observer.
+  // applied rounds.
   std::size_t skipped_rounds = 0;
   std::size_t fallback_cmean_rounds = 0;
   std::size_t fallback_prev_rounds = 0;
-  // Chaos totals over the run (zero while the chaos engine is off).
-  std::size_t churned_total = 0;         // client-rounds missed to churn
-  std::size_t deadline_miss_total = 0;   // uplinks that became stragglers
-  std::size_t lost_uplink_total = 0;     // uplinks dropped on every attempt
-  std::uint64_t uplink_attempts = 0;     // transmissions incl. retries
-  double sim_time_ms = 0.0;              // summed simulated round time
   // True when the run stopped early at CheckpointConfig::halt_after_round
   // (the simulated-kill switch) rather than completing cfg.rounds.
   bool halted = false;

@@ -324,8 +324,8 @@ const std::vector<Axis>& axes() {
                    s.straggler_prob > 0.0 ? "strag" : nullptr,
                    s.straggler_prob);
        }},
-      // compression_ratio is a float32 printed with %.9g: parsing it back
-      // with strtof recovers the stored value bit-exactly.
+      // compression_ratio = dense/sent as a float32 printed with %.9g:
+      // parsing it back with strtof recovers the value bit-exactly.
       {"codec",
        {list(&SweepGrid::codecs, &ScenarioSpec::codec, "codecs", "none",
              "none|sign1|int8|topk", parse_name),
@@ -339,9 +339,14 @@ const std::vector<Axis>& axes() {
          o.str("codec", "codec", "codec", s.codec)
              .count("ck", "codec_chunk", nullptr, s.codec_chunk);
          if (s.codec == "topk") o.real("k", "codec_k", nullptr, s.codec_k);
+         const float ratio =
+             r.uplink_bytes > 0 ? static_cast<float>(
+                                      double(r.uplink_dense_bytes) /
+                                      double(r.uplink_bytes))
+                                : 0.0f;
          o.field("uplink_bytes", std::to_string(r.uplink_bytes))
              .field("uplink_dense_bytes", std::to_string(r.uplink_dense_bytes))
-             .field("compression_ratio", common::fmt_float(r.compression_ratio))
+             .field("compression_ratio", common::fmt_float(ratio))
              .field("decode_rejects", std::to_string(r.decode_rejects))
              .field("uplink_decoded_bytes",
                     std::to_string(r.uplink_decoded_bytes));
@@ -377,9 +382,9 @@ const std::vector<Axis>& axes() {
          if (s.churn > 0.0)
            o.real("churn", "churn", "churn", s.churn)
                .real("abs", "churn_absence", nullptr, s.churn_absence);
-         o.field("churned", std::to_string(r.churned_total))
-             .field("deadline_misses", std::to_string(r.deadline_miss_total))
-             .field("lost_uplinks", std::to_string(r.lost_uplink_total))
+         o.field("churned", std::to_string(r.churned))
+             .field("deadline_misses", std::to_string(r.deadline_misses))
+             .field("lost_uplinks", std::to_string(r.lost_uplinks))
              .field("uplink_attempts", std::to_string(r.uplink_attempts))
              .field("sim_time_ms", json_num(r.sim_time_ms));
        }},
@@ -561,52 +566,44 @@ std::size_t parse_count(const std::string& v) {
 namespace {
 
 // Folds one round's deterministic accounting into the running trace
-// checksum.
-std::uint64_t fold_round(std::uint64_t state, const RoundTrace& t) {
-  const std::uint64_t words[] = {t.round,
-                                 t.aggregate_checksum,
-                                 t.participants,
-                                 t.byzantine,
-                                 t.dropped,
-                                 t.stragglers,
-                                 t.selected,
-                                 t.skipped ? 1ULL : 0ULL};
+// checksum; `checksum` is the round's aggregate checksum.
+std::uint64_t fold_round(std::uint64_t state, const RoundObservation& o,
+                         std::uint64_t checksum, bool chaos, bool quorum) {
+  const std::uint64_t words[] = {o.round,
+                                 checksum,
+                                 o.participants,
+                                 o.byzantine,
+                                 o.dropped,
+                                 o.stragglers,
+                                 o.selected.size(),
+                                 o.skipped ? 1ULL : 0ULL};
   state = common::fnv1a64(words, sizeof words, state);
   // Shard accounting joins the fold only on sharded rounds: the flat
   // path's word set is pinned by the committed goldens.
-  if (t.shards > 0) {
-    const std::uint64_t shard_words[] = {t.shards, t.shard_survivor_sum};
+  if (o.shards > 0) {
+    std::uint64_t survivors = 0;
+    for (const std::size_t sv : o.shard_survivors) survivors += sv;
+    const std::uint64_t shard_words[] = {o.shards, survivors};
     state = common::fnv1a64(shard_words, sizeof shard_words, state);
   }
   // Chaos accounting joins only for chaos scenarios, and the outcome
   // word only under a quorum policy — same gating discipline, so
-  // fault-free goldens keep their pinned word set.
-  if (t.chaos) {
+  // fault-free goldens keep their pinned word set. Decode rejects never
+  // join: a reject already shifts `participants`.
+  if (chaos) {
     std::uint64_t ms_bits;
-    std::memcpy(&ms_bits, &t.sim_round_ms, sizeof ms_bits);
-    const std::uint64_t chaos_words[] = {t.churned, t.deadline_misses,
-                                         t.lost_uplinks, t.uplink_attempts,
+    std::memcpy(&ms_bits, &o.sim_time_ms, sizeof ms_bits);
+    const std::uint64_t chaos_words[] = {o.churned, o.deadline_misses,
+                                         o.lost_uplinks, o.uplink_attempts,
                                          ms_bits};
     state = common::fnv1a64(chaos_words, sizeof chaos_words, state);
   }
-  if (t.quorum) {
+  if (quorum) {
     const std::uint64_t outcome_word[] = {
-        static_cast<std::uint64_t>(t.outcome)};
+        static_cast<std::uint64_t>(o.outcome)};
     state = common::fnv1a64(outcome_word, sizeof outcome_word, state);
   }
   return state;
-}
-
-// RoundTrace fields for the sweep checkpoint's extra blob, one list for
-// save and load (common::ByteIo): a resumed scenario must re-emit the
-// already-traced rounds byte-identically, so the captured traces ride
-// inside the trainer checkpoint.
-void trace_fields(common::ByteIo& io, RoundTrace& t) {
-  io(t.round, t.aggregate_checksum, t.participants, t.byzantine, t.dropped,
-     t.stragglers, t.selected, t.decode_rejects, t.shards,
-     t.shard_survivor_sum, t.churned, t.deadline_misses, t.lost_uplinks,
-     t.uplink_attempts, t.sim_round_ms, t.outcome, t.chaos, t.quorum,
-     t.test_accuracy, t.skipped);
 }
 
 ScenarioResult run_scenario(const ScenarioSpec& spec, const Workload& w,
@@ -668,15 +665,15 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const Workload& w,
       cfg.checkpoint.every = opts.checkpoint_every;
       cfg.checkpoint.resume = opts.resume;
       cfg.checkpoint.halt_after_round = opts.halt_after_round;
-      // The observer's fold state and captured traces ride in the
-      // checkpoint's extra blob, so a resumed scenario replays its JSONL
+      // The observer's fold state and round checksums ride in the
+      // checkpoint's extra blob (the run totals ride in the trainer's
+      // own payload), so a resumed scenario replays its JSONL
       // byte-identically. &r / &fold outlive trainer.run below.
       const auto extra = [&r, &fold, &reg](common::ByteIo& io) {
-        std::size_t n_traces = r.rounds.size();
-        io(fold, r.skipped_rounds, r.dropped_total, r.straggler_total,
-           n_traces);
-        r.rounds.resize(n_traces);
-        for (RoundTrace& t : r.rounds) trace_fields(io, t);
+        std::size_t n_rounds = r.round_checksums.size();
+        io(fold, n_rounds);
+        r.round_checksums.resize(n_rounds);
+        for (std::uint64_t& c : r.round_checksums) io(c);
         // The registry serializes the still-open round as a snapshot
         // identical to the record end_round will push (nothing counts
         // between a round's save and its end_round), so a kill+resume
@@ -738,60 +735,22 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, const Workload& w,
           common::splitmix64(cfg.seed ^ 0x5d17ULL), scfg);
     }
 
-    const auto observer = [&](const RoundObservation& obs) {
-      RoundTrace t;
-      t.round = obs.round;
-      if (!obs.skipped && !obs.aggregate.empty())
-        t.aggregate_checksum = common::fnv1a64(
-            obs.aggregate.data(), obs.aggregate.size() * sizeof(float));
-      t.participants = obs.participants;
-      t.byzantine = obs.byzantine;
-      t.dropped = obs.dropped;
-      t.stragglers = obs.stragglers;
-      t.selected = obs.selected.size();
-      t.decode_rejects = obs.decode_rejects;
-      t.shards = obs.shards;
-      for (const std::size_t sv : obs.shard_survivors)
-        t.shard_survivor_sum += sv;
-      t.churned = obs.churned;
-      t.deadline_misses = obs.deadline_misses;
-      t.lost_uplinks = obs.lost_uplinks;
-      t.uplink_attempts = obs.uplink_attempts;
-      t.sim_round_ms = obs.sim_round_ms;
-      t.outcome = obs.outcome;
-      t.chaos = chaos_scn;
-      t.quorum = quorum_scn;
-      t.test_accuracy = obs.test_accuracy;
-      t.skipped = obs.skipped;
-      fold = fold_round(fold, t);
-      if (t.skipped) ++r.skipped_rounds;
-      r.dropped_total += t.dropped;
-      r.straggler_total += t.stragglers;
-      if (opts.capture_rounds) r.rounds.push_back(std::move(t));
+    const auto observer = [&](const RoundObservation& o) {
+      const std::uint64_t checksum =
+          o.skipped || o.aggregate.empty()
+              ? 0
+              : common::fnv1a64(o.aggregate.data(),
+                                o.aggregate.size() * sizeof(float));
+      fold = fold_round(fold, o, checksum, chaos_scn, quorum_scn);
+      if (opts.capture_rounds) r.round_checksums.push_back(checksum);
     };
 
-    const TrainingResult res = trainer.run(*attack, std::move(gar), observer);
-    r.final_accuracy = res.final_accuracy;
-    r.best_accuracy = res.best_accuracy;
-    if (res.selection.rounds > 0) {
-      r.honest_pass_rate = res.selection.honest_rate;
-      r.malicious_pass_rate = res.selection.malicious_rate;
+    static_cast<TrainingResult&>(r) =
+        trainer.run(*attack, std::move(gar), observer);
+    if (r.selection.rounds > 0) {
+      r.honest_pass_rate = r.selection.honest_rate;
+      r.malicious_pass_rate = r.selection.malicious_rate;
     }
-    r.uplink_bytes = res.uplink_bytes;
-    r.uplink_dense_bytes = res.uplink_dense_bytes;
-    r.decode_rejects = res.decode_rejects;
-    r.uplink_decoded_bytes = res.uplink_decoded_bytes;
-    r.churned_total = res.churned_total;
-    r.deadline_miss_total = res.deadline_miss_total;
-    r.lost_uplink_total = res.lost_uplink_total;
-    r.uplink_attempts = res.uplink_attempts;
-    r.sim_time_ms = res.sim_time_ms;
-    r.fallback_cmean_rounds = res.fallback_cmean_rounds;
-    r.fallback_prev_rounds = res.fallback_prev_rounds;
-    r.halted = res.halted;
-    if (res.uplink_bytes > 0)
-      r.compression_ratio = static_cast<float>(
-          double(res.uplink_dense_bytes) / double(res.uplink_bytes));
     r.trace_checksum = fold;
     if (reg) r.obs_rounds = reg->rounds();
   } catch (const std::exception& e) {
@@ -895,19 +854,19 @@ void write_jsonl_line(std::ostream& os, const ScenarioResult& r,
                                         ? "null"
                                         : json_num(r.malicious_pass_rate))
       .field("skipped_rounds", std::to_string(r.skipped_rounds))
-      .field("dropped", std::to_string(r.dropped_total))
-      .field("stragglers", std::to_string(r.straggler_total));
+      .field("dropped", std::to_string(r.dropped))
+      .field("stragglers", std::to_string(r.stragglers));
   for_active(s, [&](const Axis& a) {
     if (a.active) a.write(s, r, o);
   });
   if (r.halted) o.field("halted", "true");
   o.field("trace_checksum", json_hex(r.trace_checksum));
   std::string& line = o.text;
-  if (!r.rounds.empty()) {
+  if (!r.round_checksums.empty()) {
     line += ",\"round_checksums\":[";
-    for (std::size_t i = 0; i < r.rounds.size(); ++i) {
+    for (std::size_t i = 0; i < r.round_checksums.size(); ++i) {
       if (i > 0) line += ',';
-      line += json_hex(r.rounds[i].aggregate_checksum);
+      line += json_hex(r.round_checksums[i]);
     }
     line += ']';
   }

@@ -20,11 +20,11 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "fl/experiment.h"
+#include "fl/metrics.h"
 #include "obs/metrics.h"
 
 namespace signguard::fl {
@@ -194,89 +194,25 @@ std::string flags_help(const std::vector<CliFlag>& flags);
 // Strict unsigned count: digits only, in range, or std::invalid_argument.
 std::size_t parse_count(const std::string& v);
 
-// Per-round trace record captured through the trainer's RoundObservation
-// hook.
-struct RoundTrace {
-  std::size_t round = 0;
-  std::uint64_t aggregate_checksum = 0;  // FNV-1a over the aggregate's bits
-  std::size_t participants = 0;
-  std::size_t byzantine = 0;
-  std::size_t dropped = 0;
-  std::size_t stragglers = 0;
-  std::size_t selected = 0;              // trusted-set size (0: non-selecting)
-  // Uplinks the wire decoder rejected this round. Deliberately NOT part
-  // of the folded trace checksum: the fold's word set is pinned by the
-  // committed goldens, and a reject already shifts `participants`,
-  // which is folded.
-  std::size_t decode_rejects = 0;
-  // Sharded-aggregation accounting (zero on the flat path): shard count
-  // the GAR used this round and the sum of per-shard survivor counts.
-  // Folded into the trace checksum only when shards > 0, so flat
-  // scenarios keep the pinned golden fold word set.
-  std::size_t shards = 0;
-  std::size_t shard_survivor_sum = 0;
-  // Chaos accounting, folded into the trace checksum only when the
-  // scenario runs the chaos engine (`chaos` below) — same golden-trace
-  // gating as the shard words.
-  std::size_t churned = 0;
-  std::size_t deadline_misses = 0;
-  std::size_t lost_uplinks = 0;
-  std::uint64_t uplink_attempts = 0;
-  double sim_round_ms = 0.0;
-  // Degradation outcome; folded only when a quorum policy is active
-  // (`quorum` below) — without one the outcome is implied by `skipped`.
-  RoundOutcome outcome = RoundOutcome::kProceed;
-  bool chaos = false;   // fold gate: scenario ran with the chaos engine
-  bool quorum = false;  // fold gate: scenario ran with a quorum policy
-  std::optional<double> test_accuracy;
-  bool skipped = false;
-};
-
-struct ScenarioResult {
+// One scenario's outcome: the trainer's run totals (the TrainingResult
+// base, all zero when the scenario threw) plus what the scenario adds.
+struct ScenarioResult : TrainingResult {
   ScenarioSpec spec;
   std::size_t resolved_rounds = 0;    // after scale/default resolution
   std::size_t resolved_clients = 0;
   std::string error;                  // non-empty: the scenario threw
 
-  double final_accuracy = 0.0;
-  double best_accuracy = 0.0;
   // GAR filter pass-rates (SignGuard's S' admission, Krum's selection,
   // ...); negative when the rule reports no selection.
   double honest_pass_rate = -1.0;
   double malicious_pass_rate = -1.0;
 
   // Folds every round's aggregate checksum and participation accounting
-  // into one value — the golden-trace regression signal.
+  // into one value — the golden-trace regression signal — and keeps each
+  // round's aggregate checksum (FNV-1a over the aggregate's bits, 0 on a
+  // skipped round) when SweepOptions::capture_rounds is on.
   std::uint64_t trace_checksum = 0;
-  std::size_t skipped_rounds = 0;
-  std::size_t dropped_total = 0;
-  std::size_t straggler_total = 0;
-  // Transport accounting over the run (all zero for codec "none"):
-  // encoded uplink bytes actually sent, the float32 cost of the same
-  // updates, rejected uplinks, and dense/sent as a float ratio (the
-  // JSONL's %.9g-round-trippable bandwidth field).
-  std::uint64_t uplink_bytes = 0;
-  std::uint64_t uplink_dense_bytes = 0;
-  std::size_t decode_rejects = 0;
-  float compression_ratio = 0.0f;
-  // Dense bytes the server's aggregation pipeline actually materialized
-  // from accepted uplinks (see RoundObservation::uplink_decoded_bytes):
-  // the field the compressed-domain SignGuard path drives down. The only
-  // field that differs between the wire and decode paths.
-  std::uint64_t uplink_decoded_bytes = 0;
-  // Chaos / degradation accounting over the run (all zero with the axes
-  // off; the JSONL blocks are gated accordingly).
-  std::size_t churned_total = 0;
-  std::size_t deadline_miss_total = 0;
-  std::size_t lost_uplink_total = 0;
-  std::uint64_t uplink_attempts = 0;
-  double sim_time_ms = 0.0;
-  std::size_t fallback_cmean_rounds = 0;
-  std::size_t fallback_prev_rounds = 0;
-  // True when the scenario stopped at SweepOptions::halt_after_round (the
-  // simulated-kill switch) instead of finishing its rounds.
-  bool halted = false;
-  std::vector<RoundTrace> rounds;     // empty unless capture_rounds
+  std::vector<std::uint64_t> round_checksums;
 
   // Observability (src/obs): per-round work-counter / stage-timing
   // records, captured only when the matching SweepOptions flag is on.
@@ -295,7 +231,7 @@ struct ScenarioResult {
 
 struct SweepOptions {
   Scale scale = scale_from_env();
-  bool capture_rounds = true;   // keep per-round traces in the results
+  bool capture_rounds = true;   // keep per-round checksums in the results
   bool include_timing = false;  // add wall/cpu fields to the JSONL
   // Stream results as JSONL, one line per scenario, flushed in canonical
   // order as soon as every earlier scenario has finished.
@@ -308,7 +244,8 @@ struct SweepOptions {
   // Crash-consistent sweep checkpointing (fl/checkpoint.h). Non-empty
   // checkpoint_dir gives every scenario its own file in that directory
   // (named by the FNV-1a64 of its id), carrying the full trainer state
-  // plus the engine's observer fold — a resumed scenario emits
+  // (run totals included) plus the engine's observer fold, round
+  // checksums and counter registry — a resumed scenario emits
   // byte-identical JSONL. halt_after_round is the simulated kill for
   // crash-recovery tests: scenarios stop cleanly after that many rounds
   // with ScenarioResult::halted set; rerunning with `resume` continues

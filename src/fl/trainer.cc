@@ -1,6 +1,7 @@
 #include "fl/trainer.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <deque>
@@ -19,7 +20,7 @@
 #include "core/filters.h"
 #include "core/signguard.h"
 #include "fl/client.h"
-#include "fl/server.h"
+#include "nn/optimizer.h"
 #include "obs/trace.h"
 
 namespace signguard::fl {
@@ -45,6 +46,8 @@ Trainer::Trainer(const data::TrainTest& data, ModelFactory model_factory,
         "TrainerConfig: dropout_prob / straggler_prob must be in [0, 1]");
   if (cfg_.rounds == 0)
     throw std::invalid_argument("TrainerConfig: rounds must be > 0");
+  if (cfg_.batch_size == 0)
+    throw std::invalid_argument("TrainerConfig: batch_size must be > 0");
   if (cfg_.eval_every == 0)
     throw std::invalid_argument("TrainerConfig: eval_every must be > 0");
   cfg_.chaos.validate();
@@ -89,7 +92,9 @@ std::uint64_t config_hash(const TrainerConfig& c, const std::string& gar,
   return common::fnv1a64(w.bytes());
 }
 
-// Partitions the training data over the clients and seeds each one.
+// Partitions the training data over the clients and seeds each one. A
+// client with an empty shard could not form a batch, so a cohort the
+// training set cannot cover is a configuration error.
 std::vector<Client> make_clients(const TrainerConfig& cfg,
                                  const data::Dataset& train, Rng& rng) {
   data::ClientIndices shards =
@@ -98,29 +103,20 @@ std::vector<Client> make_clients(const TrainerConfig& cfg,
           : data::iid_partition(train.size(), cfg.n_clients, rng);
   std::vector<Client> clients;
   clients.reserve(cfg.n_clients);
-  for (std::size_t i = 0; i < cfg.n_clients; ++i)
+  for (std::size_t i = 0; i < cfg.n_clients; ++i) {
+    if (shards[i].empty())
+      throw std::invalid_argument(
+          "TrainerConfig: n_clients = " + std::to_string(cfg.n_clients) +
+          " leaves client " + std::to_string(i) +
+          " an empty shard of the " + std::to_string(train.size()) +
+          "-sample training set");
     clients.emplace_back(&train, std::move(shards[i]), rng.split().engine()());
+  }
   return clients;
 }
 
-// Checkpoint adaptors in the serialize_state/restore_state shape
-// common::ByteIo nests: the server's model parameters, momentum velocity
-// and previous aggregate, and the caller's extra blob.
-struct ServerState {
-  Server& server;
-  void serialize_state(common::ByteWriter& w) const {
-    w.floats(server.parameters());
-    w.floats(server.optimizer().velocity());
-    w.floats(server.last_aggregate());
-  }
-  void restore_state(common::ByteReader& r) const {
-    std::vector<float> params = r.floats();
-    std::vector<float> velocity = r.floats();
-    std::vector<float> last_agg = r.floats();
-    server.restore(std::move(params), std::move(velocity),
-                   std::move(last_agg));
-  }
-};
+// Checkpoint adaptor in the serialize_state/restore_state shape
+// common::ByteIo nests: the caller's extra blob.
 struct ExtraState {
   const CheckpointConfig& cfg;
   void serialize_state(common::ByteWriter& w) const {
@@ -158,10 +154,11 @@ struct RoundState : RoundObservation {
 };
 
 // ---- The round pipeline ---------------------------------------------------
-// Owns the run: clients, server, seed streams, transport buffers and the
-// result accumulators. Each stage function advances one RoundState; the
-// driver (run_round below) sequences them and opens every stage's
-// obs::StageScope — no stage function opens a scope or span itself.
+// Owns the run: clients, the rule and global model, seed streams,
+// transport buffers and the result accumulators. Each stage function
+// advances one RoundState; the driver (run_round below) sequences them and
+// opens every stage's obs::StageScope — no stage function opens a scope
+// or span itself.
 class RoundPipeline {
  public:
   RoundPipeline(const TrainerConfig& cfg, const data::TrainTest& data,
@@ -179,12 +176,13 @@ class RoundPipeline {
         clients_(make_clients(cfg, data.train, rng_)),
         participation_rng_(rng_.split()),
         failure_rng_(rng_.split()),
-        server_(std::move(gar), worker_model(0).parameters(), cfg.lr,
-                cfg.momentum),
-        dim_(worker_models_.front().parameter_count()),
-        sg_(dynamic_cast<core::SignGuard*>(&server_.gar())),
-        sharded_(dynamic_cast<const agg::ShardedAggregator*>(&server_.gar())),
-        config_hash_(config_hash(cfg, server_.gar().name(), attack.name())) {
+        gar_(std::move(gar)),
+        params_(worker_model(0).parameters()),
+        optimizer_(cfg.lr, cfg.momentum),
+        dim_(params_.size()),
+        sg_(dynamic_cast<core::SignGuard*>(gar_.get())),
+        sharded_(dynamic_cast<const agg::ShardedAggregator*>(gar_.get())),
+        config_hash_(config_hash(cfg, gar_->name(), attack.name())) {
     if (cfg.chaos.active())
       chaos_.emplace(n_, cfg.chaos,
                      common::stream_seed(
@@ -300,9 +298,9 @@ class RoundPipeline {
     obs::count(obs::Counter::kRetryAttempts, s.uplink_attempts);
     // The server closes the round at the deadline when anyone is still
     // missing, else at the slowest arrival.
-    s.sim_round_ms = (cfg_.chaos.deadline_ms > 0.0 && uplink_missing)
-                         ? cfg_.chaos.deadline_ms
-                         : slowest_ms;
+    s.sim_time_ms = (cfg_.chaos.deadline_ms > 0.0 && uplink_missing)
+                        ? cfg_.chaos.deadline_ms
+                        : slowest_ms;
   }
 
   // Local training: every participating client writes its gradient
@@ -322,7 +320,7 @@ class RoundPipeline {
     const std::size_t active_models = std::min(
         common::in_parallel_region() ? 1 : common::thread_count(), n_work);
     for (std::size_t w = 0; w < active_models; ++w)
-      worker_model(w).set_parameters(server_.parameters());
+      worker_model(w).set_parameters(params_);
     round_grads_.resize(n_round, dim_);
     byz_honest_.resize(m_round, dim_);
     late_grads_.resize(s.benign_late.size(), dim_);
@@ -445,7 +443,7 @@ class RoundPipeline {
     round_grads_.resize(s.participants, dim_);
   }
 
-  // Aggregation and the server update, on one of three paths:
+  // Aggregation and the global update, on one of three paths:
   // quorum-policed (with its degradation chain), compressed-domain
   // SignGuard, or the plain GAR step. uplink_decoded_bytes counts the
   // dense bytes materialized from accepted uplinks: all of them on the
@@ -463,17 +461,17 @@ class RoundPipeline {
       wr.uplinks = std::span<const std::vector<std::uint8_t>>(
           uplink_.data(), s.participants);
       wr.d = dim_;
-      s.applied = &server_.apply_aggregate(sg_->aggregate_wire(wr, gctx));
+      s.applied = &apply(sg_->aggregate_wire(wr, gctx));
       s.uplink_decoded_bytes = sg_->last_decoded_bytes();
     } else if (!cfg_.quorum.active()) {
-      s.applied = &server_.step(round_grads_, gctx);
+      s.applied = &apply(gar_->aggregate(round_grads_, gctx));
     } else {
       aggregate_with_quorum(s, gctx);
     }
     // Selection accounting is only meaningful for selecting rules, and
     // only on rounds where the rule's aggregate was actually applied.
     if (s.outcome == RoundOutcome::kProceed)
-      s.trusted = server_.gar().last_selected();
+      s.trusted = gar_->last_selected();
   }
 
   // Periodic evaluation (always evaluate the final round) of every round
@@ -484,7 +482,7 @@ class RoundPipeline {
   }
   void evaluate(RoundState& s) {
     nn::Model& model = worker_models_.front();
-    model.set_parameters(server_.parameters());
+    model.set_parameters(params_);
     const double acc =
         evaluate_accuracy(model, data_.test, 256, cfg_.eval_max_samples);
     result.history.push_back({s.round, acc});
@@ -493,25 +491,9 @@ class RoundPipeline {
     s.test_accuracy = acc;
   }
 
-  // The round's single exit, whichever stage ended it: run totals, uplink
-  // billing, the adversary's feedback and the observer.
+  // The round's single exit, whichever stage ended it: uplink billing, run
+  // totals, the adversary's feedback and the observer.
   void publish(RoundState& s, const RoundObserver& observer) {
-    TrainingResult& r = result;
-    s.skipped = s.applied == nullptr;
-    if (s.skipped) ++r.skipped_rounds;
-    if (s.outcome == RoundOutcome::kFallbackClippedMean)
-      ++r.fallback_cmean_rounds;
-    if (s.outcome == RoundOutcome::kFallbackPrevAggregate)
-      ++r.fallback_prev_rounds;
-    if (!s.trusted.empty())
-      r.selection.accumulate(s.trusted, s.byzantine, s.participants);
-    // Chaos tallies are all zero while the engine is off.
-    r.churned_total += s.churned;
-    r.deadline_miss_total += s.deadline_misses;
-    r.lost_uplink_total += s.lost_uplinks;
-    r.uplink_attempts += s.uplink_attempts;
-    r.sim_time_ms += s.sim_round_ms;
-
     // Every transported row was paid for, decoded or not. Under chaos
     // transport every post-churn client transmitted (retries included)
     // whether or not its update was ultimately usable, so that billing is
@@ -522,10 +504,6 @@ class RoundPipeline {
       s.uplink_dense_bytes =
           std::uint64_t(chaos_transport_ ? s.transmitters : s.rows_sent) *
           dim_ * 4;
-      r.uplink_bytes += s.uplink_bytes;
-      r.uplink_dense_bytes += s.uplink_dense_bytes;
-      r.decode_rejects += s.decode_rejects;
-      r.uplink_decoded_bytes += s.uplink_decoded_bytes;
       obs::count(obs::Stage::kUplink, obs::Counter::kWireBytes,
                  s.uplink_bytes);
       obs::count(obs::Stage::kUplink, obs::Counter::kDenseBytes,
@@ -533,19 +511,29 @@ class RoundPipeline {
       obs::count(obs::Stage::kDecode, obs::Counter::kDecodeRejects,
                  s.decode_rejects);
     }
+    TrainingResult& r = result;
+    r += s;
+    s.skipped = s.applied == nullptr;
+    if (s.skipped) ++r.skipped_rounds;
+    if (s.outcome == RoundOutcome::kFallbackClippedMean)
+      ++r.fallback_cmean_rounds;
+    if (s.outcome == RoundOutcome::kFallbackPrevAggregate)
+      ++r.fallback_prev_rounds;
+    if (!s.trusted.empty())
+      r.selection.accumulate(s.trusted, s.byzantine, s.participants);
 
     // Close the adversary's feedback loop (attack.h RoundFeedback): what
     // the colluding clients could observe this round — skips included, an
     // adaptive attacker (attacks/adaptive.h) learns from silence too. Runs
     // before the round-boundary checkpoint, so adaptive search state is
-    // crash-consistent; the aggregate span borrows the server buffer and
-    // is only valid for the call.
+    // crash-consistent; the aggregate span borrows the pipeline's buffer
+    // and is only valid for the call.
     attacks::RoundFeedback fb;
     fb.round = s.round;
     fb.participants = s.participants;
     fb.byzantine = s.byzantine;
     fb.has_selection = s.outcome == RoundOutcome::kProceed &&
-                       server_.gar().reports_selection();
+                       gar_->reports_selection();
     fb.selected = s.trusted.size();
     for (const std::size_t id : s.trusted)
       fb.selected_byzantine += id < s.byzantine ? 1 : 0;
@@ -569,10 +557,11 @@ class RoundPipeline {
   // ---- Crash-consistent checkpointing (fl/checkpoint.h) -------------------
   // One field list serves save and load (common::ByteIo). The payload
   // carries exactly the mutable cross-round state: the config-hash guard,
-  // the next round, server state, the four stream cursors, the clients,
-  // the result accumulators, the GAR's and attack's state, then the
-  // caller's blob. The chaos engine carries no cursor — its draws are
-  // stateless in (seed, client, round) — and RoundState is never saved.
+  // the next round, the model parameters, momentum velocity and previous
+  // aggregate, the four stream cursors, the clients, the result
+  // accumulators, the GAR's and attack's state, then the caller's blob.
+  // The chaos engine carries no cursor — its draws are stateless in
+  // (seed, client, round) — and RoundState is never saved.
   void checkpoint(common::ByteIo& io, std::size_t& next_round) {
     std::uint64_t hash = config_hash_;
     io(hash);
@@ -580,9 +569,11 @@ class RoundPipeline {
       throw std::runtime_error(
           "checkpoint: configuration hash mismatch — the file was written "
           "by a differently-configured run (" + cfg_.checkpoint.path + ")");
-    ServerState server{server_};
-    io(next_round, server, attack_rng_, gar_rng_, participation_rng_,
-       failure_rng_);
+    io(next_round, params_, optimizer_, last_aggregate_, attack_rng_,
+       gar_rng_, participation_rng_, failure_rng_);
+    if (params_.size() != dim_)
+      throw std::runtime_error(
+          "checkpoint: parameter count mismatch (a different model?)");
     std::size_t n_clients = clients_.size();
     io(n_clients);
     if (n_clients != clients_.size())
@@ -594,12 +585,10 @@ class RoundPipeline {
     r.history.resize(n_history);
     for (RoundRecord& rec : r.history) io(rec.round, rec.test_accuracy);
     io(r.best_accuracy, r.final_accuracy, r.selection.honest_rate,
-       r.selection.malicious_rate, r.selection.rounds, r.uplink_bytes,
-       r.uplink_dense_bytes, r.decode_rejects, r.uplink_decoded_bytes,
-       r.skipped_rounds, r.fallback_cmean_rounds, r.fallback_prev_rounds,
-       r.churned_total, r.deadline_miss_total, r.lost_uplink_total,
-       r.uplink_attempts, r.sim_time_ms);
-    io.blob(server_.gar());
+       r.selection.malicious_rate, r.selection.rounds, r.skipped_rounds,
+       r.fallback_cmean_rounds, r.fallback_prev_rounds);
+    r.tally_fields(io);
+    io.blob(*gar_);
     io.blob(attack_);
     // Checkpoint bytes = the core payload, measured before the extra blob
     // is appended: the registry itself may serialize into that blob, and
@@ -683,8 +672,18 @@ class RoundPipeline {
         });
   }
 
-  // Quorum-policed aggregation (fl/chaos.h): same GAR + optimizer sequence
-  // as server_.step(), but the aggregate is only applied after the pre-
+  // The global update: remembers `aggregate` as the round's (the quorum
+  // fallback replays it, the checkpoint carries it) and takes one
+  // momentum-SGD step with it.
+  const std::vector<float>& apply(std::vector<float> aggregate) {
+    last_aggregate_ = std::move(aggregate);
+    assert(last_aggregate_.size() == params_.size());
+    optimizer_.step(params_, last_aggregate_);
+    return last_aggregate_;
+  }
+
+  // Quorum-policed aggregation (fl/chaos.h): same GAR + update sequence
+  // as the plain path, but the aggregate is only applied after the pre-
   // and post-filter quorums pass; otherwise the round degrades down the
   // policy's fallback chain — clipped mean, then the previous aggregate,
   // then skip.
@@ -692,18 +691,18 @@ class RoundPipeline {
     std::optional<std::vector<float>> agg;
     if (s.participants >= cfg_.quorum.min_participants) {
       try {
-        agg = server_.gar().aggregate(round_grads_, gctx);
+        agg = gar_->aggregate(round_grads_, gctx);
       } catch (const std::exception&) {
         // A starved rule (e.g. Bulyan's n >= 4m+3) degrades instead of
         // aborting the run.
       }
       if (agg && cfg_.quorum.min_survivors > 0 &&
-          server_.gar().reports_selection() &&
-          server_.gar().last_selected().size() < cfg_.quorum.min_survivors)
+          gar_->reports_selection() &&
+          gar_->last_selected().size() < cfg_.quorum.min_survivors)
         agg.reset();
     }
     if (agg) {
-      s.applied = &server_.apply_aggregate(std::move(*agg));
+      s.applied = &apply(std::move(*agg));
       return;
     }
     if (cfg_.quorum.action == DegradeAction::kClippedMean) {
@@ -714,20 +713,19 @@ class RoundPipeline {
       const core::NormFilterResult finite = core::norm_filter(
           round_grads_, {0.0, std::numeric_limits<double>::infinity()});
       if (!finite.accepted.empty()) {
-        s.applied = &server_.apply_aggregate(
-            core::clipped_mean(round_grads_, finite.accepted,
-                               finite.median_norm, /*clip=*/true,
-                               finite.norms));
+        s.applied = &apply(core::clipped_mean(round_grads_, finite.accepted,
+                                              finite.median_norm,
+                                              /*clip=*/true, finite.norms));
         s.outcome = RoundOutcome::kFallbackClippedMean;
         return;
       }
     }
     if (cfg_.quorum.action != DegradeAction::kSkip &&
-        !server_.last_aggregate().empty()) {
-      // Replay the previous round's aggregate (copy first:
-      // apply_aggregate overwrites the buffer being read).
-      std::vector<float> prev = server_.last_aggregate();
-      s.applied = &server_.apply_aggregate(std::move(prev));
+        !last_aggregate_.empty()) {
+      // Replay the previous round's aggregate (copy first: apply
+      // overwrites the buffer being read).
+      std::vector<float> prev = last_aggregate_;
+      s.applied = &apply(std::move(prev));
       s.outcome = RoundOutcome::kFallbackPrevAggregate;
       return;
     }
@@ -750,7 +748,14 @@ class RoundPipeline {
   Rng participation_rng_;
   Rng failure_rng_;
   std::deque<nn::Model> worker_models_;  // see worker_model()
-  Server server_;
+  // Cross-round server state (Algorithm 1): the rule, the global model's
+  // parameters, the momentum-SGD optimizer (momentum is applied
+  // server-side; docs/ARCHITECTURE.md "Substitutions") and the aggregate
+  // the last update applied (empty before the first).
+  std::unique_ptr<agg::Aggregator> gar_;
+  std::vector<float> params_;
+  nn::SgdMomentum optimizer_;
+  std::vector<float> last_aggregate_;
   const std::size_t dim_;
   // Chaos engine (fl/chaos.h): seeded from its own keyed stream under the
   // config seed — never from `rng_` — so enabling it leaves every draw

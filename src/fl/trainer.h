@@ -116,35 +116,23 @@ struct TrainerConfig {
 using ModelFactory = std::function<nn::Model(std::uint64_t seed)>;
 
 // Per-round observer hook — used by the Fig. 5 curve bench and the sweep
-// engine's trace capture. The spans borrow the trainer's round buffers
-// and are only valid for the duration of the callback.
-struct RoundObservation {
+// engine's trace capture. The round's counts are its RoundTally base
+// (fl/metrics.h), the same fields the run's TrainingResult sums. The spans
+// borrow the trainer's round buffers and are only valid for the duration
+// of the callback.
+struct RoundObservation : RoundTally {
   std::size_t round = 0;
   std::optional<double> test_accuracy;
   std::string attack_name;
   // Trace capture: the post-GAR, pre-momentum global aggregate for this
   // round (empty when the round was skipped for lack of honest
   // participants), the GAR's trusted set when the rule reports one, and
-  // the round's participation / failure accounting.
+  // the round's participation accounting. `participants` counts
+  // post-reject survivors.
   std::span<const float> aggregate;
   std::span<const std::size_t> selected;
   std::size_t participants = 0;  // gradients that reached the aggregator
   std::size_t byzantine = 0;     // Byzantine gradients among them
-  std::size_t dropped = 0;       // clients lost to dropout injection
-  std::size_t stragglers = 0;    // clients whose update arrived too late
-  // Transport accounting (all zero while the transport layer is off).
-  // `participants` above counts post-reject survivors; a rejected uplink
-  // was still paid for, so it contributes to the byte totals.
-  std::size_t decode_rejects = 0;     // uplinks the wire decoder refused
-  std::uint64_t uplink_bytes = 0;     // encoded bytes sent this round
-  std::uint64_t uplink_dense_bytes = 0;  // float32 cost of the same updates
-  // Dense bytes the server-side aggregation pipeline materialized from
-  // the round's accepted uplinks: n_eff * 4d on the decode path, only
-  // |trusted set| * 4d on the compressed-domain SignGuard path
-  // (comm/stats.h). The in-place decode of
-  // benign rows that feeds the simulated omniscient attacker is a
-  // harness artifact and is not billed here.
-  std::uint64_t uplink_decoded_bytes = 0;
   // Hierarchical aggregation accounting (src/aggregators/sharded.h):
   // shard count the GAR used this round and the per-shard survivor
   // counts in canonical shard order. Zero/empty whenever the GAR is not
@@ -152,17 +140,6 @@ struct RoundObservation {
   // lifetime as the other spans.
   std::size_t shards = 0;
   std::span<const std::size_t> shard_survivors;
-  // Chaos accounting (all zero while the chaos engine is off).
-  std::size_t churned = 0;          // selected clients absent to churn
-  std::size_t deadline_misses = 0;  // uplinks late past the deadline
-  std::size_t lost_uplinks = 0;     // uplinks dropped on every attempt
-  std::uint64_t uplink_attempts = 0;  // transmissions incl. retries
-  // Simulated wall-clock of the round's uplink phase: the deadline when
-  // any transmitter ran past it, else the slowest DELIVERED uplink's
-  // attempt-chain time. A lost uplink (or, with no deadline, one that
-  // would have been late) never extends the round — a synchronous server
-  // closes the round on the updates it actually received.
-  double sim_round_ms = 0.0;
   // Degradation outcome (kProceed on every normal round; the fallback /
   // quorum-skip values only occur with an active QuorumPolicy).
   RoundOutcome outcome = RoundOutcome::kProceed;
@@ -175,15 +152,18 @@ class Trainer {
   // Throws std::invalid_argument for degenerate configurations: zero
   // clients, byzantine_frac outside [0, 0.5) (a Byzantine majority — in
   // particular m == n — is unsupported), participation outside (0, 1],
-  // failure probabilities outside [0, 1], zero rounds, eval_every == 0,
-  // or a compression spec that comm::make_codec rejects (chunk outside
-  // [1, kMaxChunk], topk k_fraction outside (0, 1]).
+  // failure probabilities outside [0, 1], zero rounds, batch_size == 0,
+  // eval_every == 0, or a compression spec that comm::make_codec rejects
+  // (chunk outside [1, kMaxChunk], topk k_fraction outside (0, 1]).
   Trainer(const data::TrainTest& data, ModelFactory model_factory,
           TrainerConfig cfg);
 
   // Runs a full training job from a fresh model. The trainer owns the
-  // clients and server for the duration of the call; `attack` and `gar`
-  // are borrowed (non-owning) so callers can inspect them afterwards.
+  // clients and the global model for the duration of the call; `attack`
+  // is borrowed so callers can inspect it afterwards. Throws
+  // std::invalid_argument when the partition leaves a client an empty
+  // shard (n_clients larger than the training set, or a non-IID split
+  // with too few samples per label group).
   TrainingResult run(attacks::Attack& attack,
                      std::unique_ptr<agg::Aggregator> gar,
                      const RoundObserver& observer = nullptr);

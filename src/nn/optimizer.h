@@ -10,6 +10,8 @@
 #include <span>
 #include <vector>
 
+#include "common/serial.h"
+
 namespace signguard::nn {
 
 class SgdMomentum {
@@ -19,14 +21,10 @@ class SgdMomentum {
   // params <- params - lr * v, where v <- momentum * v + grad.
   void step(std::span<float> params, std::span<const float> grad);
 
-  void set_lr(double lr) { lr_ = lr; }
-  double lr() const { return lr_; }
-  void reset() { velocity_.clear(); }
-
   // Momentum buffer snapshot/restore for crash-consistent checkpoints
-  // (fl/checkpoint.h). Empty means "no step taken yet".
-  const std::vector<float>& velocity() const { return velocity_; }
-  void set_velocity(std::vector<float> v) { velocity_ = std::move(v); }
+  // (fl/checkpoint.h): one float block, empty before the first step.
+  void serialize_state(common::ByteWriter& w) const { w.floats(velocity_); }
+  void restore_state(common::ByteReader& r) { velocity_ = r.floats(); }
 
  private:
   double lr_;

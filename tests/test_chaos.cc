@@ -218,8 +218,8 @@ TEST(Churn, AccountedExactlyOncePerAbsentClientRound) {
   auto attack = make_attack("NoAttack");
   const TrainingResult res =
       trainer.run(*attack, make_aggregator("Mean", 1), observer);
-  EXPECT_EQ(res.churned_total, churned_sum);
-  EXPECT_GT(res.churned_total, 0u);  // p=0.2 over 240 client-rounds
+  EXPECT_EQ(res.churned, churned_sum);
+  EXPECT_GT(res.churned, 0u);  // p=0.2 over 240 client-rounds
 }
 
 // ---- Quorum degradation ---------------------------------------------------
@@ -337,6 +337,7 @@ TEST(Quorum, MinSurvivorsChecksSelectingRules) {
 // bitwise-resume assertions compare.
 struct TraceLog {
   std::vector<std::uint64_t> checksums;
+  RoundTally sum;  // the observed rounds' tallies, summed in round order
   RoundObserver observer() {
     return [this](const RoundObservation& obs) {
       checksums.push_back(
@@ -344,9 +345,26 @@ struct TraceLog {
               ? 0
               : common::fnv1a64(obs.aggregate.data(),
                                 obs.aggregate.size() * sizeof(float)));
+      sum += obs;
     };
   }
 };
+
+// Every RoundTally field, exactly (the simulated time included: both
+// sides add the same doubles in the same order).
+void expect_same_tally(const RoundTally& a, const RoundTally& b) {
+  EXPECT_EQ(a.dropped, b.dropped);
+  EXPECT_EQ(a.stragglers, b.stragglers);
+  EXPECT_EQ(a.decode_rejects, b.decode_rejects);
+  EXPECT_EQ(a.uplink_bytes, b.uplink_bytes);
+  EXPECT_EQ(a.uplink_dense_bytes, b.uplink_dense_bytes);
+  EXPECT_EQ(a.uplink_decoded_bytes, b.uplink_decoded_bytes);
+  EXPECT_EQ(a.churned, b.churned);
+  EXPECT_EQ(a.deadline_misses, b.deadline_misses);
+  EXPECT_EQ(a.lost_uplinks, b.lost_uplinks);
+  EXPECT_EQ(a.uplink_attempts, b.uplink_attempts);
+  EXPECT_EQ(a.sim_time_ms, b.sim_time_ms);
+}
 
 std::string read_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
@@ -409,17 +427,38 @@ TEST(Checkpoint, KillAndResumeIsBitwiseIdentical) {
   const std::string path = tmp_path("resume.ckpt");
   std::remove(path.c_str());
   TrainerConfig cfg = tiny_config();
+  cfg.dropout_prob = 0.1;
+  cfg.straggler_prob = 0.1;
+  cfg.compression.codec = comm::CodecKind::kSign1;
   cfg.chaos.profile = fault_profile_from_name("flaky");
+  // Two attempts and a fault in two of five: lost chains and corrupt
+  // final arrivals (decode rejects) are routine within 12 rounds.
+  cfg.chaos.profile.p_drop = 0.2;
+  cfg.chaos.profile.p_truncate = 0.1;
+  cfg.chaos.profile.p_bitflip = 0.1;
+  cfg.chaos.profile.max_attempts = 2;
   cfg.chaos.deadline_ms = 250.0;
   cfg.chaos.churn_leave_prob = 0.1;
 
-  // Reference: uninterrupted run.
+  // Reference: uninterrupted run. Its run totals are the sum of the
+  // rounds its observer saw, every tally field of it.
   TraceLog ref;
+  TrainingResult ref_res;
   {
     Trainer trainer(tt, tiny_model(), cfg);
     auto attack = make_attack("LIE");
-    trainer.run(*attack, make_aggregator("SignGuard", 1), ref.observer());
+    ref_res =
+        trainer.run(*attack, make_aggregator("SignGuard", 1), ref.observer());
   }
+  expect_same_tally(ref_res, ref.sum);
+  EXPECT_GT(ref_res.dropped, 0u);
+  EXPECT_GT(ref_res.stragglers, 0u);
+  EXPECT_GT(ref_res.churned, 0u);
+  EXPECT_GT(ref_res.decode_rejects, 0u);
+  EXPECT_GT(ref_res.deadline_misses, 0u);
+  EXPECT_GT(ref_res.lost_uplinks, 0u);
+  EXPECT_GT(ref_res.uplink_bytes, 0u);
+  EXPECT_LT(ref_res.uplink_decoded_bytes, ref_res.uplink_dense_bytes);
 
   // Killed at round 7 with checkpoints every 3 rounds (so the latest
   // checkpoint is round 6 — the resume replays round 6 exactly), then
@@ -456,6 +495,12 @@ TEST(Checkpoint, KillAndResumeIsBitwiseIdentical) {
   stitched.insert(stitched.end(), resumed.checksums.begin(),
                   resumed.checksums.end());
   EXPECT_EQ(stitched, ref.checksums);
+  // The run totals ride in the checkpoint: the resumed run reports the
+  // uninterrupted run's, dropout and straggler counts included.
+  expect_same_tally(res, ref_res);
+  EXPECT_EQ(res.skipped_rounds, ref_res.skipped_rounds);
+  EXPECT_EQ(res.best_accuracy, ref_res.best_accuracy);
+  EXPECT_EQ(res.selection.malicious_rate, ref_res.selection.malicious_rate);
   std::remove(path.c_str());
 }
 
@@ -514,7 +559,7 @@ TEST(SimTime, RunTotalIsSumOfRoundTimes) {
   double sum = 0.0;
   std::size_t rounds_seen = 0;
   const auto observer = [&](const RoundObservation& obs) {
-    sum += obs.sim_round_ms;
+    sum += obs.sim_time_ms;
     ++rounds_seen;
   };
   const TrainingResult res =
@@ -543,7 +588,7 @@ TEST(SimTime, RoundTimeIsSlowestDeliveredUplink) {
   auto attack = make_attack("NoAttack");
   std::vector<double> round_ms;
   const auto observer = [&](const RoundObservation& obs) {
-    round_ms.push_back(obs.sim_round_ms);
+    round_ms.push_back(obs.sim_time_ms);
   };
   (void)trainer.run(*attack, make_aggregator("Mean", 1), observer);
   ASSERT_EQ(round_ms.size(), cfg.rounds);

@@ -963,7 +963,10 @@ TEST(CommSweep, CompressionAxisFlowsIntoJsonl) {
   ASSERT_EQ(dense.spec.codec, "none");
   EXPECT_EQ(dense.uplink_bytes, 0u);
   EXPECT_GT(compressed.uplink_bytes, 0u);
-  EXPECT_GE(compressed.compression_ratio, 16.0f);
+  // The JSONL's compression_ratio: dense/sent as a float32.
+  const float ratio = static_cast<float>(
+      double(compressed.uplink_dense_bytes) / double(compressed.uplink_bytes));
+  EXPECT_GE(ratio, 16.0f);
   EXPECT_EQ(dense.uplink_decoded_bytes, 0u);
   EXPECT_GT(compressed.uplink_decoded_bytes, 0u);
 
@@ -992,7 +995,7 @@ TEST(CommSweep, CompressionAxisFlowsIntoJsonl) {
     char* end = nullptr;
     const float parsed = std::strtof(p, &end);
     ASSERT_NE(end, p);
-    EXPECT_EQ(parsed, compressed.compression_ratio);  // bit-exact
+    EXPECT_EQ(parsed, ratio);  // bit-exact
     EXPECT_NE(line.find("\"uplink_bytes\":" +
                         std::to_string(compressed.uplink_bytes)),
               std::string::npos);

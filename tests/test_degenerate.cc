@@ -2,13 +2,16 @@
 // typed error in every build mode, n = 1, an oversized Byzantine budget
 // and d = 0 must all produce well-defined finite output — never UB.
 // Includes the DnC small-budget regression (filter_frac * m rounding to
-// zero used to disable filtering entirely).
+// zero used to disable filtering entirely), and the trainer's typed
+// errors for a cohort its training set cannot cover and a zero batch.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "aggregators/baselines.h"
 #include "attacks/byzmean.h"
@@ -17,8 +20,11 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/vecops.h"
+#include "data/synth_image.h"
 #include "fl/experiment.h"
+#include "fl/trainer.h"
 #include "fixtures.h"
+#include "nn/models.h"
 
 namespace signguard {
 namespace {
@@ -189,6 +195,64 @@ TEST(DnC, SmallBudgetStillRemovesCollinearOutlier) {
   for (std::size_t i = 0; i + 1 < n; ++i) honest_ids.push_back(i);
   const auto honest_mean = vec::mean_of_subset(grads, honest_ids);
   EXPECT_LT(vec::dist(out, honest_mean), 1e-4 * vec::norm(honest_mean) + 1e-4);
+}
+
+// ---- trainer-side degenerate configurations: typed errors, never a
+// divide by zero in the model's forward pass --------------------------------
+
+TEST(DegenerateTrainer, EmptyShardThrowsTypedError) {
+  data::SynthImageConfig dcfg;
+  dcfg.train_per_class = 4;  // 40 training samples
+  dcfg.test_per_class = 2;
+  const data::TrainTest tt = data::make_synth_image(dcfg);
+  const fl::ModelFactory model = [](std::uint64_t seed) {
+    return nn::make_mlp(256, 8, 10, seed);
+  };
+  fl::TrainerConfig cfg;
+  cfg.byzantine_frac = 0.0;
+  cfg.rounds = 1;
+  // IID with one client more than samples; non-IID s = 0 at 21 clients
+  // cuts 42 label shards of 40 / 42 = 0 samples each.
+  const std::pair<bool, std::size_t> cases[] = {
+      {false, tt.train.size() + 1}, {true, 21}};
+  for (const auto& [noniid, n] : cases) {
+    cfg.noniid = noniid;
+    cfg.noniid_s = 0.0;
+    cfg.n_clients = n;
+    fl::Trainer trainer(tt, model, cfg);
+    auto attack = fl::make_attack("NoAttack");
+    try {
+      trainer.run(*attack, fl::make_aggregator("Mean"));
+      ADD_FAILURE() << "n_clients = " << n << " did not throw";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("n_clients = " + std::to_string(n)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("40-sample"), std::string::npos) << what;
+    }
+  }
+  cfg.noniid = false;
+  cfg.n_clients = tt.train.size();  // one sample each: trains
+  fl::Trainer fits(tt, model, cfg);
+  auto attack = fl::make_attack("NoAttack");
+  EXPECT_NO_THROW(fits.run(*attack, fl::make_aggregator("Mean")));
+}
+
+TEST(DegenerateTrainer, ZeroBatchSizeThrowsAtConstruction) {
+  data::SynthImageConfig dcfg;
+  dcfg.train_per_class = 4;
+  dcfg.test_per_class = 2;
+  const data::TrainTest tt = data::make_synth_image(dcfg);
+  fl::TrainerConfig cfg;
+  cfg.n_clients = 4;
+  cfg.batch_size = 0;
+  EXPECT_THROW(fl::Trainer(tt,
+                           [](std::uint64_t seed) {
+                             return nn::make_mlp(256, 8, 10, seed);
+                           },
+                           cfg),
+               std::invalid_argument);
 }
 
 }  // namespace

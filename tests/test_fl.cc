@@ -1,9 +1,10 @@
-// FL engine tests: client gradient computation, server update mechanics,
-// metrics accounting, and small end-to-end trainings exercising the full
-// Algorithm 1 loop with attacks and defenses wired in.
+// FL engine tests: client gradient computation, metrics accounting, and
+// small end-to-end trainings exercising the full Algorithm 1 loop with
+// attacks and defenses wired in.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -17,7 +18,6 @@
 #include "fl/client.h"
 #include "fl/experiment.h"
 #include "fl/metrics.h"
-#include "fl/server.h"
 #include "fl/trainer.h"
 #include "nn/models.h"
 
@@ -49,13 +49,24 @@ ModelFactory tiny_model() {
   return [](std::uint64_t seed) { return nn::make_mlp(256, 16, 10, seed); };
 }
 
+// One client gradient as a fresh vector of the model's dimension.
+std::vector<float> gradient(Client& client, nn::Model& model,
+                            std::size_t batch, double weight_decay,
+                            bool flip_labels, double client_momentum = 0.0) {
+  std::vector<float> g(model.parameter_count());
+  client.compute_gradient_into(g, model, batch, weight_decay, flip_labels,
+                               client_momentum);
+  return g;
+}
+
 TEST(Client, GradientHasModelDimension) {
   const auto tt = tiny_data();
   nn::Model model = tiny_model()(1);
   Client client(&tt.train, {0, 1, 2, 3, 4}, 7);
-  const auto g = client.compute_gradient(model, 4, 0.0, false);
-  EXPECT_EQ(g.size(), model.parameter_count());
+  const auto g = gradient(client, model, 4, 0.0, false);
   EXPECT_GT(client.average_loss(), 0.0);
+  EXPECT_TRUE(std::any_of(g.begin(), g.end(),
+                          [](float v) { return v != 0.0f; }));
 }
 
 TEST(Client, LabelFlipChangesGradient) {
@@ -63,8 +74,8 @@ TEST(Client, LabelFlipChangesGradient) {
   nn::Model model = tiny_model()(1);
   Client a(&tt.train, {0, 1, 2, 3}, 7);
   Client b(&tt.train, {0, 1, 2, 3}, 7);  // same seed -> same mini-batch
-  const auto g_honest = a.compute_gradient(model, 4, 0.0, false);
-  const auto g_flipped = b.compute_gradient(model, 4, 0.0, true);
+  const auto g_honest = gradient(a, model, 4, 0.0, false);
+  const auto g_flipped = gradient(b, model, 4, 0.0, true);
   EXPECT_NE(g_honest, g_flipped);
 }
 
@@ -73,22 +84,11 @@ TEST(Client, WeightDecayShiftsGradient) {
   nn::Model model = tiny_model()(1);
   Client a(&tt.train, {0, 1}, 7);
   Client b(&tt.train, {0, 1}, 7);
-  const auto g0 = a.compute_gradient(model, 2, 0.0, false);
-  const auto g1 = b.compute_gradient(model, 2, 0.1, false);
+  const auto g0 = gradient(a, model, 2, 0.0, false);
+  const auto g1 = gradient(b, model, 2, 0.1, false);
   const auto params = model.parameters();
   for (std::size_t j = 0; j < 20; ++j)
     EXPECT_NEAR(g1[j] - g0[j], 0.1f * params[j], 1e-4);
-}
-
-TEST(Server, AppliesAggregateWithMomentum) {
-  auto gar = std::make_unique<agg::MeanAggregator>();
-  Server server(std::move(gar), {0.0f, 0.0f}, 0.5, 0.0);
-  const auto grads = common::GradientMatrix::from_vectors(
-      std::vector<std::vector<float>>{{1.0f, 2.0f}, {3.0f, 4.0f}});
-  const auto& agg = server.step(grads, agg::GarContext{});
-  EXPECT_FLOAT_EQ(agg[0], 2.0f);
-  EXPECT_FLOAT_EQ(server.parameters()[0], -1.0f);  // 0 - 0.5 * 2
-  EXPECT_FLOAT_EQ(server.parameters()[1], -1.5f);
 }
 
 TEST(Metrics, SelectionStatsRunningAverage) {
@@ -430,12 +430,12 @@ TEST(Client, ClientMomentumAccumulatesAcrossRounds) {
   nn::Model model = tiny_model()(1);
   Client with_m(&tt.train, {0, 1, 2, 3}, 7);
   Client without(&tt.train, {0, 1, 2, 3}, 7);  // same batches
-  const auto g1 = without.compute_gradient(model, 4, 0.0, false, 0.0);
-  const auto v1 = with_m.compute_gradient(model, 4, 0.0, false, 0.9);
+  const auto g1 = gradient(without, model, 4, 0.0, false, 0.0);
+  const auto v1 = gradient(with_m, model, 4, 0.0, false, 0.9);
   // First round: buffer starts at zero, so v1 == g1.
   for (std::size_t j = 0; j < 10; ++j) EXPECT_NEAR(v1[j], g1[j], 1e-6);
-  const auto g2 = without.compute_gradient(model, 4, 0.0, false, 0.0);
-  const auto v2 = with_m.compute_gradient(model, 4, 0.0, false, 0.9);
+  const auto g2 = gradient(without, model, 4, 0.0, false, 0.0);
+  const auto v2 = gradient(with_m, model, 4, 0.0, false, 0.9);
   // Second round: v2 == 0.9 * g1 + g2.
   for (std::size_t j = 0; j < 10; ++j)
     EXPECT_NEAR(v2[j], 0.9f * g1[j] + g2[j], 1e-5);

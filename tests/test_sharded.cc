@@ -7,13 +7,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "aggregators/baselines.h"
 #include "aggregators/sharded.h"
 #include "common/hash.h"
 #include "common/parallel.h"
-#include "common/shard_stats.h"
 #include "common/vecops.h"
 #include "fl/experiment.h"
 #include "fixtures.h"
@@ -75,14 +75,22 @@ TEST(Sharded, BitwiseThreadCountInvariant) {
 }
 
 TEST(Sharded, RootAccumulatorOfUniformWeightsIsThePlainMean) {
+  // Mean shards admit every row, so the wmean root weighs each shard mean
+  // by its size: the merged output is the plain mean of all rows.
   const auto grads = gaussian_grads(24, 64, 0.1, 0.7, 41);
-  common::ShardPartial root;
-  for (std::size_t i = 0; i < grads.rows(); ++i)
-    common::accumulate_row(root, grads.row(i), 1.0);
-  EXPECT_EQ(root.weight, double(grads.rows()));
+  ShardedAggregator sharded(factory_for("Mean"), 99,
+                            {5, ShardMerge::kWeightedMean});
+  Rng rng(3);
+  GarContext ctx;
+  ctx.rng = &rng;
+  const auto root_mean = sharded.aggregate(grads, ctx);
+  EXPECT_EQ(sharded.last_shards(), 5u);
+  const auto survivors = sharded.last_shard_survivors();
+  EXPECT_EQ(std::accumulate(survivors.begin(), survivors.end(),
+                            std::size_t{0}),
+            grads.rows());
 
   const auto mean = vec::mean_of(grads);
-  const auto root_mean = common::finalize_mean(root);
   ASSERT_EQ(root_mean.size(), mean.size());
   for (std::size_t j = 0; j < mean.size(); ++j)
     EXPECT_NEAR(root_mean[j], mean[j], 1e-5);
