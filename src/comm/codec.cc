@@ -1,6 +1,7 @@
 #include "comm/codec.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -35,6 +36,49 @@ inline bool valid_scale(float s) {
   return std::isfinite(s) && !std::signbit(s);
 }
 
+// Advances acc.size() (1..kChainWidth) double chains over len terms in
+// one coordinate-outer pass: chain r adds term(r, j) for j = 0, 1, ...,
+// len - 1 in order, exactly as a one-chain loop would. The inner loop
+// always runs kChainWidth lanes, so it has a fixed shape for any run;
+// term(r, j) must be defined for every lane, and lanes past acc.size()
+// are dropped. Two coordinates per iteration let the compiler load and
+// widen each lane's pair of floats at once (on a Xeon host the sign1
+// scale chains ran ~1.5x faster than one coordinate per iteration).
+template <class Term>
+inline void advance_chains(std::span<double> acc, std::size_t len,
+                           Term term) {
+  double a[kChainWidth] = {};
+  for (std::size_t r = 0; r < acc.size(); ++r) a[r] = acc[r];
+  std::size_t j = 0;
+  for (; j + 2 <= len; j += 2) {
+    for (std::size_t r = 0; r < kChainWidth; ++r) a[r] += term(r, j);
+    for (std::size_t r = 0; r < kChainWidth; ++r) a[r] += term(r, j + 1);
+  }
+  for (; j < len; ++j)
+    for (std::size_t r = 0; r < kChainWidth; ++r) a[r] += term(r, j);
+  for (std::size_t r = 0; r < acc.size(); ++r) acc[r] = a[r];
+}
+
+// A run's payloads padded to kChainWidth lanes by repeating the first,
+// so advance_chains can read every lane.
+inline std::array<const std::uint8_t*, kChainWidth> lanes(
+    std::span<const std::uint8_t* const> payloads) {
+  std::array<const std::uint8_t*, kChainWidth> p;
+  for (std::size_t r = 0; r < kChainWidth; ++r)
+    p[r] = payloads[r < payloads.size() ? r : 0];
+  return p;
+}
+
+// Encodes a run chunk by chunk through a one-chunk encoder.
+template <class EncodeOne>
+inline void encode_each(std::span<const float> in,
+                        std::span<std::uint8_t* const> payloads,
+                        EncodeOne encode_one) {
+  const std::size_t len = in.size() / payloads.size();
+  for (std::size_t i = 0; i < payloads.size(); ++i)
+    encode_one(in.subspan(i * len, len), payloads[i]);
+}
+
 // ---- none: the identity transport ----------------------------------------
 
 class NoneCodec final : public Codec {
@@ -47,9 +91,12 @@ class NoneCodec final : public Codec {
     return len * 4;
   }
 
-  void encode_chunk(std::span<const float> in, std::uint8_t* out,
-                    CodecScratch&) const override {
-    std::memcpy(out, in.data(), in.size() * 4);
+  void encode_chunks(std::span<const float> in,
+                     std::span<std::uint8_t* const> payloads,
+                     CodecScratch&) const override {
+    encode_each(in, payloads, [](std::span<const float> x, std::uint8_t* out) {
+      std::memcpy(out, x.data(), x.size() * 4);
+    });
   }
 
   bool decode_chunk(std::span<const std::uint8_t> in,
@@ -78,13 +125,13 @@ class NoneCodec final : public Codec {
     return bad == 0;
   }
 
-  double chunk_norm2(std::span<const std::uint8_t> in, std::size_t len,
-                     double acc) const override {
-    for (std::size_t j = 0; j < len; ++j) {
-      const double v = double(get_f32(in.data() + j * 4));
-      acc += v * v;
-    }
-    return acc;
+  void chunk_norm2(std::span<const std::uint8_t* const> payloads,
+                   std::size_t len, std::span<double> acc) const override {
+    const auto p = lanes(payloads);
+    advance_chains(acc, len, [&](std::size_t r, std::size_t j) {
+      const double v = double(get_f32(p[r] + j * 4));
+      return v * v;
+    });
   }
 
   void chunk_sign_counts(std::span<const std::uint8_t> in, std::size_t,
@@ -114,35 +161,63 @@ class Sign1Codec final : public Codec {
     return 4 + (len + 7) / 8;
   }
 
-  void encode_chunk(std::span<const float> in, std::uint8_t* out,
-                    CodecScratch&) const override {
-    const std::size_t len = in.size();
-    // Sequential double accumulation: deterministic, and exact enough
-    // that re-encoding a decoded chunk (len copies of ±scale) recovers
-    // the identical scale — len * scale is exact in double for
-    // len <= kMaxChunk, and (len * scale) / len is exactly scale.
-    double sum = 0.0;
-    for (const float v : in) sum += std::fabs(v);
-    const float scale = len > 0 ? static_cast<float>(sum / double(len)) : 0.0f;
-    put_f32(out, scale);
-    std::uint8_t* bits = out + 4;
+  void encode_chunks(std::span<const float> in,
+                     std::span<std::uint8_t* const> payloads,
+                     CodecScratch&) const override {
+    const std::size_t k = payloads.size();
+    const std::size_t len = in.size() / k;
+    // A chunk's scale is one sequential double chain over its
+    // coordinates: deterministic, and exact enough that re-encoding a
+    // decoded chunk (len copies of ±scale) recovers the identical scale
+    // — len * scale is exact in double for len <= kMaxChunk, and
+    // (len * scale) / len is exactly scale. The run's chains advance
+    // together, lane i over chunk i.
+    std::array<const float*, kChainWidth> x;
+    for (std::size_t r = 0; r < kChainWidth; ++r)
+      x[r] = in.data() + (r < k ? r : 0) * len;
+    std::array<double, kChainWidth> sum{};
+    advance_chains(std::span<double>(sum.data(), k), len,
+                   [&](std::size_t r, std::size_t j) {
+                     return std::fabs(x[r][j]);
+                   });
+    for (std::size_t i = 0; i < k; ++i) {
+      // A chunk holding a NaN sums to NaN, but which payload an add of
+      // two NaNs keeps depends on the compiler's operand order. The scale
+      // takes the first NaN coordinate's, as a one-chain loop that keeps
+      // its running sum as the first operand does.
+      const double s = std::isnan(sum[i]) ? first_nan(x[i], len) : sum[i];
+      const float scale = len > 0 ? static_cast<float>(s / double(len)) : 0.0f;
+      put_f32(payloads[i], scale);
+      harvest_signs(x[i], len, payloads[i] + 4);
+    }
+  }
+
+  // |x[j]| in double of the first NaN coordinate; the chunk has one.
+  static double first_nan(const float* x, std::size_t len) {
+    std::size_t j = 0;
+    while (j + 1 < len && !std::isnan(x[j])) ++j;
+    return std::fabs(x[j]);
+  }
+
+  // Sign bytes of one chunk: bit j of byte j / 8 is !signbit(x[j]).
+  static void harvest_signs(const float* x, std::size_t len,
+                            std::uint8_t* bits) {
     // Branchless sign harvest (the signs of a gradient row are
     // effectively random, so a per-coordinate branch would mispredict
     // half the time): bit = !signbit, straight from the float's bits.
     // Full bytes run a fixed 8-wide body the compiler can unroll and
     // vectorize; only the tail byte has a runtime bound.
-    const auto sign_byte = [](const float* x, std::size_t count) {
+    const auto sign_byte = [](const float* v, std::size_t count) {
       std::uint8_t byte = 0;
       for (std::size_t j = 0; j < count; ++j)
         byte |= static_cast<std::uint8_t>(
-            (~(std::bit_cast<std::uint32_t>(x[j]) >> 31) & 1u) << j);
+            (~(std::bit_cast<std::uint32_t>(v[j]) >> 31) & 1u) << j);
       return byte;
     };
     const std::size_t full = len / 8;
-    for (std::size_t b = 0; b < full; ++b)
-      bits[b] = sign_byte(in.data() + b * 8, 8);
+    for (std::size_t b = 0; b < full; ++b) bits[b] = sign_byte(x + b * 8, 8);
     if (len % 8 != 0)  // unused tail bits stay zero
-      bits[full] = sign_byte(in.data() + full * 8, len % 8);
+      bits[full] = sign_byte(x + full * 8, len % 8);
   }
 
   bool decode_chunk(std::span<const std::uint8_t> in,
@@ -176,28 +251,20 @@ class Sign1Codec final : public Codec {
     return valid_scale(get_f32(in.data()));
   }
 
-  double chunk_norm2(std::span<const std::uint8_t> in, std::size_t len,
-                     double acc) const override {
+  void chunk_norm2(std::span<const std::uint8_t* const> payloads,
+                   std::size_t len, std::span<double> acc) const override {
     // Every decoded coordinate is ±scale and IEEE multiplication gives
-    // (-s)*(-s) the identical bits as s*s, so the decode-path chain
+    // (-s)*(-s) the identical bits as s*s, so a row's decode-path chain
     // `acc += double(out[j]) * double(out[j])` degenerates to len
     // additions of one precomputed square. Zero payload-byte traffic:
-    // the whole chunk's norm contribution comes from 4 scale bytes.
-    const double s = double(get_f32(in.data()));
-    const double q = s * s;
-    // Four dependent adds per iteration, in the same order: on a Xeon
-    // host a one-add loop body ran 1.4-1.6x slower whenever the linker
-    // placed it across a 64-byte line (the flagship round's filter
-    // stage), and four adds per iteration hide that.
-    std::size_t j = 0;
-    for (; j + 4 <= len; j += 4) {
-      acc += q;
-      acc += q;
-      acc += q;
-      acc += q;
+    // a chunk's norm contribution comes from its 4 scale bytes.
+    const auto p = lanes(payloads);
+    double q[kChainWidth];
+    for (std::size_t r = 0; r < kChainWidth; ++r) {
+      const double s = double(get_f32(p[r]));
+      q[r] = s * s;
     }
-    for (; j < len; ++j) acc += q;
-    return acc;
+    advance_chains(acc, len, [&](std::size_t r, std::size_t) { return q[r]; });
   }
 
   void chunk_sign_counts(std::span<const std::uint8_t> in, std::size_t len,
@@ -265,8 +332,13 @@ class Int8Codec final : public Codec {
     return 2 + len;
   }
 
-  void encode_chunk(std::span<const float> in, std::uint8_t* out,
-                    CodecScratch&) const override {
+  void encode_chunks(std::span<const float> in,
+                     std::span<std::uint8_t* const> payloads,
+                     CodecScratch&) const override {
+    encode_each(in, payloads, encode_one);
+  }
+
+  static void encode_one(std::span<const float> in, std::uint8_t* out) {
     float maxabs = 0.0f;
     for (const float v : in) maxabs = std::max(maxabs, std::fabs(v));
     int e = 0;
@@ -337,23 +409,29 @@ class Int8Codec final : public Codec {
     return bad == 0;
   }
 
-  double chunk_norm2(std::span<const std::uint8_t> in, std::size_t len,
-                     double acc) const override {
-    const int e = static_cast<std::int16_t>(get_u16(in.data()));
-    const std::uint8_t* codes = in.data() + 2;
-    // Squared decode table in double: q2[c] is bitwise
-    // double(table_f32[c]) * double(table_f32[c]), the exact term the
+  void chunk_norm2(std::span<const std::uint8_t* const> payloads,
+                   std::size_t len, std::span<double> acc) const override {
+    // Squared decode table per row in double: q2[r][c] is bitwise
+    // double(table_f32[c]) * double(table_f32[c]), the exact term row r's
     // decode-path norm chain adds for code c. The chunk then costs one
     // table gather per byte instead of a float materialization.
-    double q2[256];
-    for (int b = 0; b < 256; ++b) {
-      const float f =
-          std::ldexp(static_cast<float>(static_cast<std::int8_t>(b)), e);
-      const double d = double(f);
-      q2[b] = d * d;
+    double q2[kChainWidth][256];
+    std::array<const double*, kChainWidth> tab;
+    for (std::size_t r = 0; r < kChainWidth; ++r) {
+      tab[r] = q2[r < payloads.size() ? r : 0];
+      if (r >= payloads.size()) continue;
+      const int e = static_cast<std::int16_t>(get_u16(payloads[r]));
+      for (int b = 0; b < 256; ++b) {
+        const float f =
+            std::ldexp(static_cast<float>(static_cast<std::int8_t>(b)), e);
+        const double d = double(f);
+        q2[r][b] = d * d;
+      }
     }
-    for (std::size_t j = 0; j < len; ++j) acc += q2[codes[j]];
-    return acc;
+    const auto p = lanes(payloads);
+    advance_chains(acc, len, [&](std::size_t r, std::size_t j) {
+      return tab[r][p[r][2 + j]];
+    });
   }
 
   void chunk_sign_counts(std::span<const std::uint8_t> in, std::size_t,
@@ -397,8 +475,16 @@ class TopKCodec final : public Codec {
     return 2 + keep_count(len) * 6;
   }
 
-  void encode_chunk(std::span<const float> in, std::uint8_t* out,
-                    CodecScratch& scratch) const override {
+  void encode_chunks(std::span<const float> in,
+                     std::span<std::uint8_t* const> payloads,
+                     CodecScratch& scratch) const override {
+    encode_each(in, payloads, [&](std::span<const float> x, std::uint8_t* out) {
+      encode_one(x, out, scratch);
+    });
+  }
+
+  void encode_one(std::span<const float> in, std::uint8_t* out,
+                  CodecScratch& scratch) const {
     const std::size_t len = in.size();
     const std::size_t k = keep_count(len);
     auto& order = scratch.order;
@@ -485,21 +571,19 @@ class TopKCodec final : public Codec {
     return true;
   }
 
-  double chunk_norm2(std::span<const std::uint8_t> in, std::size_t len,
-                     double acc) const override {
+  void chunk_norm2(std::span<const std::uint8_t* const> payloads,
+                   std::size_t len, std::span<double> acc) const override {
     // The decoded chunk is zero everywhere but the k stored entries, and
     // a +0.0 addend never changes the accumulation chain: acc starts at
     // +0.0 and only ever gains non-negative squares, so it is never -0.0
     // and x + 0.0 == x bitwise. Dropping the zero terms and walking the
     // stored values in index order therefore reproduces the full-chunk
-    // chain exactly.
-    const std::size_t k = keep_count(len);
-    const std::uint8_t* values = in.data() + 2;
-    for (std::size_t j = 0; j < k; ++j) {
-      const double v = double(get_f32(values + j * 4));
-      acc += v * v;
-    }
-    return acc;
+    // chain exactly. Every row stores the same k.
+    const auto p = lanes(payloads);
+    advance_chains(acc, keep_count(len), [&](std::size_t r, std::size_t j) {
+      const double v = double(get_f32(p[r] + 2 + j * 4));
+      return v * v;
+    });
   }
 
   void chunk_sign_counts(std::span<const std::uint8_t> in, std::size_t len,

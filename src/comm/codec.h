@@ -8,7 +8,8 @@
 // Determinism contract (shared with the rest of the codebase):
 //   * encode is a pure function of the chunk's floats — no RNG, no
 //     platform dependence, sequential accumulation inside a chunk — so
-//     encoded bytes are bitwise thread-invariant and reproducible.
+//     encoded bytes are bitwise thread-invariant and reproducible, and
+//     do not depend on which chunks one encode_chunks call covers.
 //   * chunk_payload_size() depends only on the chunk length, never on
 //     the data, so every chunk's output offset is computable up front
 //     and chunks can be encoded/decoded concurrently into disjoint
@@ -69,7 +70,15 @@ struct CompressionSpec {
   double k_fraction = 0.05;
 };
 
-// Reusable per-worker scratch for encode_chunk (top-k candidate
+// Most accumulation chains one hook call advances together: the rows
+// of one chunk_norm2 call, the chunks of one encode_chunks call. A
+// serial double chain waits out each add's latency; kChainWidth
+// independent chains in one coordinate-outer loop keep the adders busy.
+// Every chain still adds its own terms in its own order, so the width
+// changes speed, never bits.
+inline constexpr std::size_t kChainWidth = 8;
+
+// Reusable per-worker scratch for encode_chunks (top-k candidate
 // ordering). One instance per concurrent encoder; zero steady-state
 // allocation once grown.
 struct CodecScratch {
@@ -103,14 +112,21 @@ class Codec {
   // by contract (see file header).
   virtual std::size_t chunk_payload_size(std::size_t len) const = 0;
 
-  // Writes exactly chunk_payload_size(in.size()) bytes to `out`.
-  virtual void encode_chunk(std::span<const float> in, std::uint8_t* out,
-                            CodecScratch& scratch) const = 0;
+  // Encodes a run of payloads.size() (1..kChainWidth) chunks of one
+  // length, len = in.size() / payloads.size(): chunk i is
+  // in[i * len, (i + 1) * len) and gets exactly chunk_payload_size(len)
+  // bytes at payloads[i]. Each chunk's bytes depend on its own
+  // coordinates alone. sign1 advances the run's scale chains together;
+  // the other codecs encode the run's chunks one after another.
+  virtual void encode_chunks(std::span<const float> in,
+                             std::span<std::uint8_t* const> payloads,
+                             CodecScratch& scratch) const = 0;
 
-  // Inverse of encode_chunk; writes every coordinate of `out`. `in` has
-  // already been length-checked against chunk_payload_size(out.size());
-  // returns false when the payload's internals are malformed (the wire
-  // layer surfaces that as DecodeStatus::kMalformedChunk).
+  // Inverse of encode_chunks for one chunk; writes every coordinate of
+  // `out`. `in` has already been length-checked against
+  // chunk_payload_size(out.size()); returns false when the payload's
+  // internals are malformed (the wire layer surfaces that as
+  // DecodeStatus::kMalformedChunk).
   virtual bool decode_chunk(std::span<const std::uint8_t> in,
                             std::span<float> out) const = 0;
 
@@ -127,14 +143,17 @@ class Codec {
   virtual bool validate_chunk(std::span<const std::uint8_t> in,
                               std::size_t len) const = 0;
 
-  // Continues the squared-norm accumulation chain over the decoded chunk
-  // in coordinate order, starting from `acc`. Bitwise identical to
-  //   for (j in chunk) acc += double(x[j]) * double(x[j]);
+  // Continues the squared-norm chains of payloads.size() (1..kChainWidth)
+  // rows over one chunk position: payloads[r] is row r's payload of
+  // exactly chunk_payload_size(len) bytes and acc[r] its chain. Per row,
+  // bitwise identical to
+  //   for (j in chunk) acc[r] += double(x_r[j]) * double(x_r[j]);
   // on the decoded coordinates (the sequential-double-chain contract of
   // vec::dot), which is what makes wire-path norms equal decode-path
-  // norms bit for bit.
-  virtual double chunk_norm2(std::span<const std::uint8_t> in,
-                             std::size_t len, double acc) const = 0;
+  // norms bit for bit. Coordinates run in the outer loop and the rows'
+  // chains in the inner one.
+  virtual void chunk_norm2(std::span<const std::uint8_t* const> payloads,
+                           std::size_t len, std::span<double> acc) const = 0;
 
   // Sign census of the decoded chunk restricted to the sampled offsets
   // in `coords`: adds into counts[0] (x > 0), counts[1] (x == 0),

@@ -55,20 +55,28 @@ std::vector<double> wire_row_norms(const WireRound& wire) {
   const Codec& codec = *wire.codec;
   const std::size_t chunk = codec.chunk();
   const WireLayout l = wire_layout(codec, wire.d);
-  std::vector<double> out(wire.uplinks.size(), 0.0);
-  common::parallel_for(wire.uplinks.size(), [&](std::size_t i) {
-    const std::vector<std::uint8_t>& buf = wire.uplinks[i];
-    assert(buf.size() == l.total);  // validated upstream
-    double acc = 0.0;
-    for (std::size_t c = 0; c < l.n_chunks; ++c) {
-      const std::size_t len = c + 1 == l.n_chunks ? l.tail_len : chunk;
-      const std::size_t psize = codec.chunk_payload_size(len);
-      const std::uint8_t* rec =
-          buf.data() + kWireHeaderSize + c * l.full_record;
-      acc = codec.chunk_norm2({rec + 4, psize}, len, acc);
-    }
-    out[i] = std::sqrt(acc);
-  });
+  const std::size_t n = wire.uplinks.size();
+  std::vector<double> out(n, 0.0);
+  // Rows in blocks of kChainWidth, one block per task: each chunk_norm2
+  // call advances the block's chains together, and each row's chain
+  // depends on its own bytes alone.
+  common::parallel_for(
+      (n + kChainWidth - 1) / kChainWidth, [&](std::size_t b) {
+        const std::size_t r0 = b * kChainWidth;
+        const std::size_t rows = std::min(kChainWidth, n - r0);
+        const std::span<double> acc(out.data() + r0, rows);
+        const std::uint8_t* payloads[kChainWidth];
+        for (std::size_t c = 0; c < l.n_chunks; ++c) {
+          const std::size_t len = c + 1 == l.n_chunks ? l.tail_len : chunk;
+          for (std::size_t r = 0; r < rows; ++r) {
+            assert(wire.uplinks[r0 + r].size() == l.total);  // validated
+            payloads[r] = wire.uplinks[r0 + r].data() + kWireHeaderSize +
+                          c * l.full_record + 4;
+          }
+          codec.chunk_norm2({payloads, rows}, len, acc);
+        }
+        for (double& a : acc) a = std::sqrt(a);
+      });
   return out;
 }
 

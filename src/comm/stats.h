@@ -75,8 +75,9 @@ struct WireRound {
 };
 
 // L2 norm of every (virtual) decoded row, straight from wire bytes.
-// Bitwise equal to vec::row_norms of the decoded matrix; rows fan out
-// over the common/parallel pool.
+// Bitwise equal to vec::row_norms of the decoded matrix; blocks of
+// kChainWidth rows fan out over the common/parallel pool, and each
+// Codec::chunk_norm2 call advances a block's chains together.
 std::vector<double> wire_row_norms(const WireRound& wire);
 
 // Sign statistics of every (virtual) decoded row over the mask's

@@ -136,17 +136,30 @@ void encode_into(const Codec& codec, std::span<const float> row,
   if (scratch.size() < common::thread_count())
     scratch.resize(common::thread_count());
   // Records land at precomputed offsets, so the chunk fan-out writes
-  // disjoint byte ranges — bitwise thread-invariant by construction.
+  // disjoint byte ranges — bitwise thread-invariant by construction. A
+  // worker hands its chunks to the codec in runs of up to kChainWidth
+  // chunks of one length (the row's short tail chunk runs alone).
+  const auto len_of = [&](std::size_t c) {
+    return c + 1 == l.n_chunks ? l.tail_len : chunk;
+  };
   common::parallel_chunks(
       l.n_chunks,
       [&](std::size_t begin, std::size_t end, std::size_t worker) {
         CodecScratch& s = scratch[worker];
-        for (std::size_t c = begin; c < end; ++c) {
-          const std::size_t len = c + 1 == l.n_chunks ? l.tail_len : chunk;
+        std::uint8_t* payloads[kChainWidth];
+        for (std::size_t c = begin; c < end;) {
+          const std::size_t len = len_of(c);
           const std::size_t psize = codec.chunk_payload_size(len);
-          std::uint8_t* rec = out.data() + kWireHeaderSize + c * l.full_record;
-          put_u32(rec, static_cast<std::uint32_t>(psize));
-          codec.encode_chunk(row.subspan(c * chunk, len), rec + 4, s);
+          std::size_t k = 0;
+          do {
+            std::uint8_t* rec =
+                out.data() + kWireHeaderSize + (c + k) * l.full_record;
+            put_u32(rec, static_cast<std::uint32_t>(psize));
+            payloads[k++] = rec + 4;
+          } while (k < kChainWidth && c + k < end && len_of(c + k) == len);
+          codec.encode_chunks(row.subspan(c * chunk, k * len), {payloads, k},
+                              s);
+          c += k;
         }
       });
 

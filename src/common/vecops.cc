@@ -230,11 +230,34 @@ std::vector<float> weighted_mean_of_subset(
                             1.0 / double(indices.size()));
 }
 
+namespace {
+
+// Adds rows[0..R) to the moment accumulators of coordinates [t0, t1),
+// rows in order: each accumulator is loaded and stored once per R rows.
+template <std::size_t R>
+void add_moment_rows(const std::span<const float>* rows, std::size_t t0,
+                     std::size_t t1, double* __restrict sum,
+                     double* __restrict sum_sq) {
+  for (std::size_t j = t0; j < t1; ++j) {
+    double s = sum[j - t0], q = sum_sq[j - t0];
+    for (std::size_t r = 0; r < R; ++r) {
+      const double v = double(rows[r][j]);
+      s += v;
+      q += v * v;
+    }
+    sum[j - t0] = s;
+    sum_sq[j - t0] = q;
+  }
+}
+
+}  // namespace
+
 CoordinateMoments coordinate_moments(
     std::span<const std::span<const float>> vs) {
   assert(!vs.empty());
   const std::size_t d = vs.front().size();
-  const double n = double(vs.size());
+  const std::size_t rows = vs.size();
+  const double n = double(rows);
   CoordinateMoments m;
   m.mean.assign(d, 0.0f);
   m.stddev.assign(d, 0.0f);
@@ -247,13 +270,11 @@ CoordinateMoments coordinate_moments(
           std::fill(sum.begin(), sum.begin() + std::ptrdiff_t(t1 - t0), 0.0);
           std::fill(sum_sq.begin(), sum_sq.begin() + std::ptrdiff_t(t1 - t0),
                     0.0);
-          for (const auto row : vs) {
-            for (std::size_t j = t0; j < t1; ++j) {
-              const double v = double(row[j]);
-              sum[j - t0] += v;
-              sum_sq[j - t0] += v * v;
-            }
-          }
+          std::size_t i = 0;
+          for (; i + 4 <= rows; i += 4)
+            add_moment_rows<4>(&vs[i], t0, t1, sum.data(), sum_sq.data());
+          for (; i < rows; ++i)
+            add_moment_rows<1>(&vs[i], t0, t1, sum.data(), sum_sq.data());
           for (std::size_t j = t0; j < t1; ++j) {
             const double mu = sum[j - t0] / n;
             const double var = std::max(0.0, sum_sq[j - t0] / n - mu * mu);

@@ -304,10 +304,11 @@ class RoundPipeline {
   }
 
   // Local training: every participating client writes its gradient
-  // straight into a matrix row, in parallel. Benign clients fill
-  // round_grads_ rows [m_round, n_round); Byzantine clients fill their
-  // honest-behaviour rows in byz_honest_; benign stragglers fill
-  // late_grads_. Only the workers that can receive a non-empty chunk need
+  // straight into a matrix row, in parallel. Byzantine clients fill
+  // round_grads_ rows [0, m_round) with their honest-behaviour gradients
+  // (craft's raw material, replaced by the crafted rows); benign clients
+  // fill rows [m_round, n_round); benign stragglers fill late_grads_.
+  // Only the workers that can receive a non-empty chunk need
   // a synced scratch model — and inside an outer parallel region (the
   // sweep engine) the nested loop runs inline on one worker, so a single
   // model suffices. Training runs on every round, so a client's state
@@ -322,7 +323,6 @@ class RoundPipeline {
     for (std::size_t w = 0; w < active_models; ++w)
       worker_model(w).set_parameters(params_);
     round_grads_.resize(n_round, dim_);
-    byz_honest_.resize(m_round, dim_);
     late_grads_.resize(s.benign_late.size(), dim_);
     obs::count(obs::Counter::kDenseBytes, std::uint64_t(n_work) * dim_ * 4);
     const bool flip = attack_.flips_labels();
@@ -332,7 +332,7 @@ class RoundPipeline {
           for (std::size_t t = begin; t < end; ++t) {
             if (t < m_round) {
               clients_[s.byz_sel[t]].compute_gradient_into(
-                  byz_honest_.row(t), wm, cfg_.batch_size, cfg_.weight_decay,
+                  round_grads_.row(t), wm, cfg_.batch_size, cfg_.weight_decay,
                   flip, cfg_.client_momentum);
             } else if (t < n_round) {
               clients_[s.benign_sel[t - m_round]].compute_gradient_into(
@@ -367,11 +367,11 @@ class RoundPipeline {
       s.outcome = RoundOutcome::kSkippedNoHonest;
   }
 
-  // The attacker observes the benign rows (and the honest Byzantine
-  // gradients) as borrowed views of the round buffers — no copies.
-  // Rejected uplinks never reached the server, so they are invisible to
-  // the (omniscient-but-server-side) attacker too. The crafted rows land
-  // in round_grads_ rows [0, m_round).
+  // The attacker observes the benign rows and the honest Byzantine
+  // gradients as borrowed views of round_grads_ — no copies. Rejected
+  // uplinks never reached the server, so they are invisible to the
+  // (omniscient-but-server-side) attacker too. The crafted rows replace
+  // the honest ones in rows [0, m_round) once craft has returned.
   void craft(RoundState& s) {
     const std::size_t m_round = s.m_round(), n_round = s.n_round();
     benign_views_.clear();
@@ -379,8 +379,9 @@ class RoundPipeline {
     for (std::size_t t = m_round; t < n_round; ++t)
       if (!transport_on() || !rejected_[t])
         benign_views_.push_back(round_grads_.row(t));
-    const std::vector<attacks::GradientView> byz_views =
-        byz_honest_.row_views();
+    std::vector<attacks::GradientView> byz_views(m_round);
+    for (std::size_t t = 0; t < m_round; ++t)
+      byz_views[t] = round_grads_.row(t);
     attacks::AttackContext actx;
     actx.benign_grads = benign_views_;
     actx.byz_honest_grads = byz_views;
@@ -793,11 +794,11 @@ class RoundPipeline {
   const std::uint64_t config_hash_;
   // Round buffers, allocated once and reused: the m_round Byzantine rows
   // lead (so selection accounting can attribute them), benign rows
-  // follow. byz_honest_ holds what the Byzantine clients would honestly
-  // send — the attack's raw material. late_grads_ receives straggler
-  // gradients: computed (the client's state advances) but discarded
-  // before aggregation.
-  common::GradientMatrix round_grads_, byz_honest_, late_grads_;
+  // follow. Until craft returns, the Byzantine rows hold what those
+  // clients would honestly send — the attack's raw material.
+  // late_grads_ receives straggler gradients: computed (the client's
+  // state advances) but discarded before aggregation.
+  common::GradientMatrix round_grads_, late_grads_;
   std::vector<std::size_t> sampled_, active_;  // selection scratch
   std::vector<attacks::GradientView> benign_views_;
 };

@@ -18,6 +18,10 @@
 //   median_pairwise_cosine        the per-client scalar similarity proxy
 //                                 behind median_pairwise_cosines
 //                                 (test_common).
+//   coordinate_moments            the per-row loop: one double sum and
+//                                 sum of squares per coordinate, rows in
+//                                 order. vec::coordinate_moments must
+//                                 match it bitwise (test_gradient_matrix).
 //   trimmed_mean / median         per-column full sorts under IEEE-754
 //   bulyan_coordinate             totalOrder. TrMean, Median and Bulyan
 //                                 stage 2 must match them bitwise,
@@ -159,6 +163,36 @@ inline double median_pairwise_cosine(const common::GradientMatrix& grads,
   for (std::size_t j = 0; j < grads.rows(); ++j)
     if (j != self) sims.push_back(vec::cosine(grads.row(self), grads.row(j)));
   return stats::median(sims);
+}
+
+// ---- column moments --------------------------------------------------------
+
+// Whole-row passes: every row adds v and v*v to its coordinate's two
+// doubles; mean = sum/n, var = max(0, sum_sq/n - mean^2), both rounded
+// to float.
+inline vec::CoordinateMoments coordinate_moments(
+    const common::GradientMatrix& g) {
+  const std::size_t d = g.cols();
+  const double n = double(g.rows());
+  std::vector<double> sum(d, 0.0), sum_sq(d, 0.0);
+  for (std::size_t i = 0; i < g.rows(); ++i) {
+    const auto row = g.row(i);
+    for (std::size_t j = 0; j < d; ++j) {
+      const double v = double(row[j]);
+      sum[j] += v;
+      sum_sq[j] += v * v;
+    }
+  }
+  vec::CoordinateMoments m;
+  m.mean.resize(d);
+  m.stddev.resize(d);
+  for (std::size_t j = 0; j < d; ++j) {
+    const double mu = sum[j] / n;
+    m.mean[j] = static_cast<float>(mu);
+    m.stddev[j] =
+        static_cast<float>(std::sqrt(std::max(0.0, sum_sq[j] / n - mu * mu)));
+  }
+  return m;
 }
 
 // ---- coordinate-wise rules -------------------------------------------------

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <set>
 #include <stdexcept>
 
@@ -194,6 +196,70 @@ TEST(ByzMean, SplitsGroupsEvenly) {
   for (std::size_t i = 1; i < 5; ++i) EXPECT_EQ(out[i], out[0]);
   for (std::size_t i = 6; i < 10; ++i) EXPECT_EQ(out[i], out[5]);
   EXPECT_NE(out[0], out[5]);
+}
+
+// An inner attack whose rows all differ: row i is honest row i scaled by
+// i + 2.
+class DistinctRowsAttack final : public Attack {
+ public:
+  std::vector<std::vector<float>> craft(const AttackContext& ctx) override {
+    std::vector<std::vector<float>> out;
+    for (std::size_t i = 0; i < ctx.byz_honest_grads.size(); ++i)
+      out.push_back(vec::scaled(ctx.byz_honest_grads[i], double(i + 2)));
+    return out;
+  }
+  std::string name() const override { return "DistinctRows"; }
+};
+
+bool bits_equal(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Eq. (8) against a per-row reference, bit for bit: the benign sum as
+// one vec::axpy pass per row, g_m2 = ((n - m1) * g_m1 - sum) / m2, group
+// 1 as m1 copies of the inner attack's first row and group 2 as m2
+// copies of g_m2. d spans three accumulator tiles; the benign counts
+// leave zero to three rows past a multiple of four. The distinct-rows
+// inner pins that group 1 repeats the inner's first row.
+TEST(ByzMean, MatchesPerRowReferenceBitwise) {
+  const std::size_t d = 2 * vec::kAccumulatorTile + 77, m = 5;
+  const std::size_t m1 = 2, m2 = m - m1;  // floor(0.5 * m), the rest
+  const auto make_inner = [](bool distinct) -> std::unique_ptr<Attack> {
+    if (distinct) return std::make_unique<DistinctRowsAttack>();
+    return std::make_unique<LieAttack>(0.3);
+  };
+  for (const bool distinct : {false, true}) {
+    for (const std::size_t n_benign : {5, 6, 7, 8, 9}) {
+      const auto benign = gaussian_grads(n_benign, d, 0.1, 1.0, 40 + n_benign);
+      const auto byz = gaussian_grads(m, d, 0.1, 1.0, 50 + n_benign);
+      const std::size_t n = n_benign + m;
+      Rng rng(7);
+      const Round round(benign, byz, n, m, rng);
+      ByzMeanAttack attack(make_inner(distinct));
+      const auto out = attack.craft(round.ctx);
+
+      AttackContext inner_ctx = round.ctx;
+      inner_ctx.n_byzantine = m1;
+      inner_ctx.byz_honest_grads = round.ctx.byz_honest_grads.subspan(0, m1);
+      const auto inner_rows = make_inner(distinct)->craft(inner_ctx);
+      const std::vector<float>& gm1 = inner_rows.front();
+      std::vector<float> gm2(d, 0.0f);
+      for (const GradientView g : round.ctx.benign_grads)
+        vec::axpy(-1.0, g, gm2);
+      vec::axpy(double(n - m1), gm1, gm2);
+      vec::scale(gm2, 1.0 / double(m2));
+
+      ASSERT_EQ(out.size(), m);
+      for (std::size_t i = 0; i < m1; ++i)
+        EXPECT_TRUE(bits_equal(out[i], gm1))
+            << "distinct=" << distinct << " benign=" << n_benign << " i=" << i;
+      for (std::size_t i = m1; i < m; ++i)
+        EXPECT_TRUE(bits_equal(out[i], gm2))
+            << "distinct=" << distinct << " benign=" << n_benign << " i=" << i;
+      if (distinct) EXPECT_FALSE(bits_equal(inner_rows[1], gm1));
+    }
+  }
 }
 
 TEST(ByzMean, SingleByzantineClientStillWellDefined) {

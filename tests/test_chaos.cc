@@ -21,6 +21,7 @@
 #include "fl/experiment.h"
 #include "fl/trainer.h"
 #include "nn/models.h"
+#include "fixtures.h"
 
 namespace signguard::fl {
 namespace {
@@ -53,7 +54,7 @@ ModelFactory tiny_model() {
 // Temp-file path unique to this test binary run (tests may run
 // concurrently across suites, never within one).
 std::string tmp_path(const std::string& tag) {
-  return testing::TempDir() + "signguard_chaos_" + tag;
+  return unique_temp_path("signguard_chaos_" + tag);
 }
 
 // ---- ChaosEngine determinism ----------------------------------------------

@@ -183,12 +183,16 @@ TEST(CommCodec, TopKKeepsLargestMagnitudesWithExactValues) {
     if (decoded[j] == 0.0f) EXPECT_LE(std::fabs(row[j]), min_kept);
 }
 
+// d = 20,483 at chunk 512 is 41 chunks, the last of 3 coordinates: each
+// of 4 workers encodes one full run of kChainWidth chunks and a short
+// one, and the tail chunk runs alone.
 TEST(CommCodec, BitwiseThreadInvariant) {
   ThreadCountGuard guard;
   Rng rng(23);
   for (const auto kind : kAllKinds) {
     const auto codec = comm::make_codec(spec_of(kind, 512, 0.1));
-    for (const std::size_t d : {std::size_t{1}, std::size_t{4097}}) {
+    for (const std::size_t d :
+         {std::size_t{1}, std::size_t{4097}, std::size_t{20483}}) {
       const std::vector<float> row = make_row(d, 0, rng);
       common::set_thread_count(1);
       const auto buf1 = encode(*codec, row);
@@ -225,7 +229,10 @@ TEST(CommCodec, TopKFullChunkAtMaxChunkRoundTrips) {
 // scale is float(sum of |x| in coordinate order / len), bit j of the sign
 // bytes is !signbit(x[j]), and the tail bits are zero. The specials cover
 // every sign-bit case the harvest reads from raw bits: ±0.0, denormals,
-// ±inf and NaNs with either sign bit.
+// ±inf and NaNs with either sign bit. A chunk holding NaN sums to NaN;
+// which NaN an add of two NaNs returns is left to the compiler's operand
+// order, so the codec pins it: the sum takes the first NaN coordinate's
+// |x|, in every build type.
 TEST(CommCodec, Sign1EncodeMatchesScalarOracle) {
   const float inf = std::numeric_limits<float>::infinity();
   const float specials[] = {0.0f,
@@ -239,7 +246,10 @@ TEST(CommCodec, Sign1EncodeMatchesScalarOracle) {
                             std::bit_cast<float>(0x7f800001u),  // +sNaN
                             std::bit_cast<float>(0xff800001u)}; // -sNaN
   const std::size_t chunks[] = {1, 7, 64, 4096};
-  const std::size_t dims[] = {1, 7, 8, 9, 63, 64, 65, 4095, 4096, 4097};
+  // At chunk 64, d = 511, 512 and 513 are one chunk short of, exactly
+  // and one past a full run of kChainWidth chunks.
+  const std::size_t dims[] = {1,   7,   8,    9,    63,   64,  65,
+                              511, 512, 513, 4095, 4096, 4097};
   Rng rng(71);
   for (const std::size_t chunk : chunks) {
     const auto codec = comm::make_codec(spec_of(CodecKind::kSign1, chunk));
@@ -259,6 +269,9 @@ TEST(CommCodec, Sign1EncodeMatchesScalarOracle) {
           std::vector<std::uint8_t> want(4 + (len + 7) / 8, 0);
           double sum = 0.0;
           for (std::size_t j = 0; j < len; ++j) sum += std::fabs(x[j]);
+          if (std::isnan(sum))
+            sum = std::fabs(*std::find_if(
+                x, x + len, [](float v) { return std::isnan(v); }));
           const float scale = static_cast<float>(sum / double(len));
           std::memcpy(want.data(), &scale, 4);
           for (std::size_t j = 0; j < len; ++j)
@@ -568,73 +581,79 @@ TEST(CommWire, EverySingleBitFlipIsRejected) {
   }
 }
 
+// One cohort of n rows of one codec, chunk and d, cycling the row regimes.
+void expect_wire_stats_match_decoded(CodecKind kind, std::size_t chunk,
+                                     std::size_t d, std::size_t n, Rng& rng) {
+  const auto codec = comm::make_codec(spec_of(kind, chunk, 0.2));
+  const std::string where = std::string(codec->name()) +
+                            " d=" + std::to_string(d) +
+                            " chunk=" + std::to_string(chunk) +
+                            " n=" + std::to_string(n);
+  std::vector<std::vector<std::uint8_t>> uplinks(n);
+  common::GradientMatrix decoded(n, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    uplinks[i] = encode(*codec, make_row(d, int(i % 5), rng));
+    ASSERT_EQ(comm::validate(*codec, uplinks[i], d), DecodeStatus::kOk);
+    ASSERT_EQ(comm::decode_into(*codec, uplinks[i], decoded.row(i)),
+              DecodeStatus::kOk);
+  }
+  const comm::WireRound wire{codec.get(), uplinks, d};
+
+  const auto wire_norms = comm::wire_row_norms(wire);
+  const auto dec_norms = vec::row_norms(decoded);
+  ASSERT_EQ(wire_norms.size(), dec_norms.size());
+  for (std::size_t i = 0; i < wire_norms.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(wire_norms[i]),
+              std::bit_cast<std::uint64_t>(dec_norms[i]))
+        << where << " row=" << i;
+
+  for (const double frac : {0.3, 1.0}) {
+    Rng crng(d * 31 + std::size_t(kind));
+    const auto coords = select_coordinates(d, frac, crng);
+    const comm::CoordMask mask(d, chunk, coords);
+    ASSERT_EQ(mask.n_coords(), coords.size());
+    const auto ws = comm::wire_sign_stats(wire, mask);
+    const auto ds = sign_statistics(decoded, coords);
+    ASSERT_EQ(ws.size(), ds.size());
+    for (std::size_t i = 0; i < ws.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(ws[i].pos),
+                std::bit_cast<std::uint64_t>(ds[i].pos))
+          << where << " frac=" << frac << " row=" << i;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(ws[i].zero),
+                std::bit_cast<std::uint64_t>(ds[i].zero));
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(ws[i].neg),
+                std::bit_cast<std::uint64_t>(ds[i].neg));
+    }
+  }
+}
+
 // The statistics contract that makes the wire path exchangeable with
 // decoding everything: for every accepted buffer, wire_row_norms equals
 // vec::row_norms of the decoded matrix and wire_sign_stats equals
 // sign_statistics over the same coordinate subset — bit for bit, across
 // codecs, odd-d tail chunks and the degenerate row regimes (all-zero,
-// constant, alternating, denormal).
+// constant, alternating, denormal), cycled over cohorts of 1, 7, 8, 9
+// and 17 rows: a short norm block alone, one full block of kChainWidth
+// rows, and full blocks followed by a short one.
 TEST(CommStats, WireNormsAndSignStatsMatchDecodedBitwise) {
   Rng rng(43);
-  for (const auto kind : kAllKinds) {
-    for (const std::size_t chunk : {std::size_t{64}, std::size_t{4096}}) {
-      for (const std::size_t d :
-           {std::size_t{1}, std::size_t{7}, std::size_t{777},
-            std::size_t{4096}, std::size_t{4097}}) {
-        const auto codec = comm::make_codec(spec_of(kind, chunk, 0.2));
-        std::vector<std::vector<std::uint8_t>> uplinks(5);
-        common::GradientMatrix decoded(5, d);
-        for (int regime = 0; regime < 5; ++regime) {
-          uplinks[regime] = encode(*codec, make_row(d, regime, rng));
-          ASSERT_EQ(comm::validate(*codec, uplinks[regime], d),
-                    DecodeStatus::kOk);
-          ASSERT_EQ(
-              comm::decode_into(*codec, uplinks[regime], decoded.row(regime)),
-              DecodeStatus::kOk);
-        }
-        const comm::WireRound wire{codec.get(), uplinks, d};
-
-        const auto wire_norms = comm::wire_row_norms(wire);
-        const auto dec_norms = vec::row_norms(decoded);
-        ASSERT_EQ(wire_norms.size(), dec_norms.size());
-        for (std::size_t i = 0; i < wire_norms.size(); ++i)
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(wire_norms[i]),
-                    std::bit_cast<std::uint64_t>(dec_norms[i]))
-              << codec->name() << " d=" << d << " chunk=" << chunk
-              << " row=" << i;
-
-        for (const double frac : {0.3, 1.0}) {
-          Rng crng(d * 31 + std::size_t(kind));
-          const auto coords = select_coordinates(d, frac, crng);
-          const comm::CoordMask mask(d, chunk, coords);
-          ASSERT_EQ(mask.n_coords(), coords.size());
-          const auto ws = comm::wire_sign_stats(wire, mask);
-          const auto ds = sign_statistics(decoded, coords);
-          ASSERT_EQ(ws.size(), ds.size());
-          for (std::size_t i = 0; i < ws.size(); ++i) {
-            ASSERT_EQ(std::bit_cast<std::uint64_t>(ws[i].pos),
-                      std::bit_cast<std::uint64_t>(ds[i].pos))
-                << codec->name() << " d=" << d << " frac=" << frac
-                << " row=" << i;
-            ASSERT_EQ(std::bit_cast<std::uint64_t>(ws[i].zero),
-                      std::bit_cast<std::uint64_t>(ds[i].zero));
-            ASSERT_EQ(std::bit_cast<std::uint64_t>(ws[i].neg),
-                      std::bit_cast<std::uint64_t>(ds[i].neg));
-          }
-        }
-      }
-    }
-  }
+  for (const auto kind : kAllKinds)
+    for (const std::size_t chunk : {64, 4096})
+      for (const std::size_t d : {1, 7, 777, 4096, 4097})
+        for (const std::size_t n : {1, 7, 8, 9, 17})
+          ASSERT_NO_FATAL_FAILURE(
+              expect_wire_stats_match_decoded(kind, chunk, d, n, rng));
 }
 
+// 17 rows: two full norm blocks of kChainWidth rows and a short one.
 TEST(CommStats, StatisticsPassIsThreadInvariant) {
   ThreadCountGuard guard;
   Rng rng(47);
   const std::size_t d = 30000;
-  for (const auto kind : {CodecKind::kSign1, CodecKind::kInt8}) {
-    const auto codec = comm::make_codec(spec_of(kind, 1024));
+  for (const auto kind : kAllKinds) {
+    const auto codec = comm::make_codec(spec_of(kind, 1024, 0.1));
     std::vector<std::vector<std::uint8_t>> uplinks;
-    for (int i = 0; i < 6; ++i)
+    for (int i = 0; i < 17; ++i)
       uplinks.push_back(encode(*codec, make_row(d, i % 5, rng)));
     const comm::WireRound wire{codec.get(), uplinks, d};
     Rng crng(3);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <tuple>
@@ -173,6 +174,35 @@ TEST(MatrixKernels, MeanAndMomentsMatchRowViewOverloads) {
   for (std::size_t j = 0; j < mm.mean.size(); ++j) {
     EXPECT_NEAR(mm.mean[j], mv.mean[j], 1e-6);
     EXPECT_NEAR(mm.stddev[j], mv.stddev[j], 1e-6);
+  }
+}
+
+// The row-blocked moments kernel against the per-row oracle, bit for
+// bit: row counts with no, one, two and three rows past a multiple of
+// four, and d on both sides of the accumulator tile.
+TEST(MatrixKernels, CoordinateMomentsMatchPerRowOracleBitwise) {
+  ThreadCountGuard guard;
+  for (const std::size_t rows : {1, 2, 3, 4, 5, 8, 9, 13}) {
+    for (const std::size_t d : {1, 4095, 4096, 4097, 8193}) {
+      const auto g = gaussian_grads(rows, d, 0.2, 1.0, rows * 131 + d);
+      const auto want = oracle::coordinate_moments(g);
+      for (const std::size_t threads : {1, 4}) {
+        common::set_thread_count(threads);
+        const auto got = vec::coordinate_moments(g);
+        ASSERT_EQ(got.mean.size(), d);
+        ASSERT_EQ(got.stddev.size(), d);
+        for (std::size_t j = 0; j < d; ++j) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got.mean[j]),
+                    std::bit_cast<std::uint32_t>(want.mean[j]))
+              << "rows=" << rows << " d=" << d << " threads=" << threads
+              << " j=" << j;
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(got.stddev[j]),
+                    std::bit_cast<std::uint32_t>(want.stddev[j]))
+              << "rows=" << rows << " d=" << d << " threads=" << threads
+              << " j=" << j;
+        }
+      }
+    }
   }
 }
 

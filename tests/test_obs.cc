@@ -21,6 +21,7 @@
 #include "common/serial.h"
 #include "fl/sweep.h"
 #include "obs/trace.h"
+#include "fixtures.h"
 
 namespace signguard::obs {
 namespace {
@@ -189,7 +190,7 @@ TEST(ObsJsonl, CountersBitwiseIdenticalAcrossThreadCounts) {
 }
 
 TEST(ObsJsonl, KillAndResumeKeepsCounterContinuity) {
-  const std::string dir = testing::TempDir() + "signguard_obs_ckpt";
+  const std::string dir = unique_temp_path("signguard_obs_ckpt");
   ::mkdir(dir.c_str(), 0755);
   const std::vector<fl::ScenarioSpec> specs = obs_grid().expand();
   ASSERT_EQ(specs.size(), 1u);

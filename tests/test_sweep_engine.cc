@@ -17,6 +17,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "fl/sweep.h"
+#include "fixtures.h"
 
 namespace signguard::fl {
 namespace {
@@ -806,7 +807,7 @@ TEST_P(SweepContract, ThreadInvariantAndKillResumeByteIdentical) {
   for (const auto& needle : cell.needles)
     EXPECT_NE(one.find(needle), std::string::npos) << needle;
 
-  const std::string dir = testing::TempDir() + "signguard_contract_" + cell.axis;
+  const std::string dir = unique_temp_path("signguard_contract_" + cell.axis);
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string halted = contract_jsonl(cell.grid, dir, 5);
