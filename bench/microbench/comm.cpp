@@ -97,10 +97,12 @@ void bench_codec(Run& run, comm::CodecKind kind, std::size_t d) {
 // filter inputs (row norms + sampled sign statistics) computed straight
 // from wire bytes. Rates are dense-equivalent GB/s — the rate at which
 // the pass covers gradient coordinates it never materialized — directly
-// comparable to the decode rows above, which must pay that traffic.
+// comparable to the decode rows above, which must pay that traffic. The
+// cohort is four of wire_row_norms' 8-row blocks (comm::kChainWidth
+// rows each), so the 4-thread rows give every worker a block.
 void bench_wire_stats(Run& run, comm::CodecKind kind, std::size_t d) {
   const auto codec = make(kind);
-  const std::size_t n = 8;
+  const std::size_t n = 4 * comm::kChainWidth;
   std::vector<std::vector<std::uint8_t>> uplinks(n);
   std::vector<comm::CodecScratch> scratch;
   std::vector<float> row(d);

@@ -115,6 +115,8 @@ struct Gate {
 const Gate kGates[] = {
     {"train", "speedup", "cnn_conv", "backend=tiled_vs_ref", 0, true, 1.48,
      "x"},
+    {"train", "speedup", "flagship_mlp", "backend=tiled_vs_ref", 0, true, 5.79,
+     "x"},
     {"aggregate", "speedup", "pairwise_dist2_256x1M",
      "backend=gram_vs_direct n=256 d=1000000", 256, true, 2.01, "x"},
     {"aggregate", "speedup", "trmean_256x100k",

@@ -2,8 +2,9 @@
 // (tests/oracles.h — the pre-GEMM scalar path), then per-layer kernel
 // latency and end-to-end client-round throughput for the MLP / CNN / RNN
 // workloads on the library path. Gated: the library GEMM's speedup over
-// the oracle loop at the CNN workload's conv GEMM shapes, the guard
-// against the tiled kernel regressing toward the scalar loop.
+// the oracle loop at the CNN workload's conv GEMM shapes and at the
+// flagship client's two large products, the guards against the tiled
+// kernel regressing toward the scalar loop.
 //
 // Entries: params {backend}: "tiled" for the library kernel, "ref" for
 // the oracle loop, "tiled_vs_ref" for a speedup row (value = oracle
@@ -166,6 +167,13 @@ void train_suite(Run& run) {
        {nn::gemm_nn, oracle::gemm_nn, 12, 64, 54, false, false, false},
        {nn::gemm_nt, oracle::gemm_nt, 12, 54, 64, false, true, true},
        {nn::gemm_tn, oracle::gemm_tn, 54, 64, 12, true, false, false}});
+  // The flagship client step's two large products, in the 768-1300-10
+  // MLP's wide layer at batch 8: the forward x W^T (the skinny-NT operand
+  // swap reads W in place) and the weight gradient gW += gy^T x.
+  bench_gemm_set(
+      run, "flagship_mlp",
+      {{nn::gemm_nt, oracle::gemm_nt, 8, 1300, 768, false, true, false},
+       {nn::gemm_tn, oracle::gemm_tn, 1300, 768, 8, true, false, true}});
   bench_layers(run);
   const auto workload = [](fl::WorkloadKind kind, fl::ModelProfile profile) {
     return fl::make_workload(kind, profile, fl::Scale::kSmoke);

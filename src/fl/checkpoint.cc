@@ -14,7 +14,7 @@ namespace signguard::fl {
 namespace {
 
 constexpr char kMagic[4] = {'S', 'G', 'C', 'K'};
-constexpr std::uint32_t kVersion = 2;  // see checkpoint.h on version 1
+constexpr std::uint32_t kVersion = 3;  // see checkpoint.h on versions
 constexpr std::size_t kHeaderSize = 24;
 
 [[noreturn]] void fail(const std::string& what, const std::string& path) {

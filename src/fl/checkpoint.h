@@ -6,13 +6,19 @@
 //
 //   offset  size  field
 //   0       4     magic "SGCK"
-//   4       4     format version (u32, currently 2)
+//   4       4     format version (u32, currently 3)
 //   8       8     payload length (u64)
 //   16      8     XXH64 (seed 0) of the payload bytes
 //   24      n     payload (the trainer's serialized state)
 //
-// Version 1 stored FNV-1a64 in the checksum field; such a file is refused
-// as "unsupported format version" rather than read as a corrupt one.
+// The format version names the payload layout as well as the header: the
+// field list of RoundPipeline::checkpoint (fl/trainer.cc) and every
+// nested ByteIo blob it carries (GAR, attack, RoundTally and the caller's
+// extra state). Bump it whenever that layout changes, so a file from
+// another layout is refused as "unsupported format version" rather than
+// read field-shifted. Version 1 stored FNV-1a64 in the checksum field.
+// Version 2 sealed with XXH64 but covered two field lists, the one before
+// fl::RoundTally and the one after it; version 3 is the latter.
 //
 // Writes are atomic: the blob goes to "<path>.tmp", is flushed and
 // fsync'd, then rename(2)'d over the destination — a crash mid-save

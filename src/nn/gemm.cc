@@ -1,6 +1,7 @@
 #include "nn/gemm.h"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "common/clones.h"
@@ -12,77 +13,86 @@ namespace {
 
 enum class Trans { kN, kT };
 
-constexpr std::size_t kMr = 4;  // micro-tile rows
+constexpr std::size_t kMr = 8;  // micro-tile rows
 constexpr std::size_t kNr = 8;  // micro-tile cols
+// One micro-tile row of kNr float accumulators (GCC/Clang vector
+// extension): the baseline clone lowers it to two SSE registers, the AVX2
+// clone to one ymm register.
+typedef float Row __attribute__((vector_size(kNr * sizeof(float))));
 // Below this many multiply-adds the row-panel fan-out costs more than it
 // saves; the kernel then stays on the calling thread.
 constexpr std::size_t kParallelMacs = std::size_t{1} << 20;
-
-inline float elem(const float* p, std::size_t ld, Trans t, std::size_t row,
-                  std::size_t col) {
-  // Logical (row, col) of the possibly-transposed operand.
-  return t == Trans::kN ? p[row * ld + col] : p[col * ld + row];
-}
 
 // Wider vector units only change how many independent accumulators a
 // lane batch holds, never the per-accumulator addition order, and
 // -ffp-contract=off keeps mul+add unfused in every clone — so the AVX2
 // clone is bit-identical to the baseline and to the plain triple loop.
 //
-// One kMr x kNr C tile: kMr*kNr independent accumulators held in
-// registers; the k loop is sequential per accumulator, so each output
-// element sees the triple loop's exact addition order.
+// One kMr x kNr C tile: kMr accumulator rows held in vector registers;
+// each k step adds a_rp * b_p to row r, so each output element sees the
+// triple loop's exact addition order. A is read where it lies: element
+// (r, p) of the panel is a[r * rsa + p * csa]. B is a packed p-major
+// panel. The unroll pragmas keep the rows in registers from C's load to
+// its store; a rolled loop makes GCC stage them through the stack.
 SIGNGUARD_AVX2_CLONES
-void micro_kernel(std::size_t k, const float* pa, const float* pb, float* c,
+void micro_kernel(std::size_t k, const float* a, std::size_t rsa,
+                  std::size_t csa, const float* pb, float* c,
                   std::size_t ldc, bool accumulate) {
-  float acc[kMr][kNr];
+  Row acc[kMr] = {};
+#pragma GCC unroll 8
   for (std::size_t r = 0; r < kMr; ++r)
-    for (std::size_t q = 0; q < kNr; ++q)
-      acc[r][q] = accumulate ? c[r * ldc + q] : 0.0f;
+    if (accumulate) std::memcpy(&acc[r], c + r * ldc, sizeof(Row));
   for (std::size_t p = 0; p < k; ++p) {
-    const float* ap = pa + p * kMr;
-    const float* bp = pb + p * kNr;
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const float av = ap[r];
-      for (std::size_t q = 0; q < kNr; ++q) acc[r][q] += av * bp[q];
-    }
+    Row b;
+    std::memcpy(&b, pb + p * kNr, sizeof(Row));
+    for (std::size_t r = 0; r < kMr; ++r) acc[r] += a[r * rsa + p * csa] * b;
   }
+#pragma GCC unroll 8
   for (std::size_t r = 0; r < kMr; ++r)
-    for (std::size_t q = 0; q < kNr; ++q) c[r * ldc + q] = acc[r][q];
+    std::memcpy(c + r * ldc, &acc[r], sizeof(Row));
 }
 
 // Edge or transposed-C tile: the full micro-kernel runs on a local
 // kMr x kNr tile and only the valid lanes are loaded from and stored to
 // C, whose element (r, q) sits at c[r * rsc + q * csc]. Padded lanes start
-// at zero and read the zero-padded pack lanes; they are never stored.
+// at zero and read the zero-padded A and B lanes; they are never stored.
 // Every stored element sees the identical ascending-k addition sequence,
-// so the bits match micro_kernel, while the k loop keeps
-// the vectorized fixed-width body instead of runtime-bounded scalar loops.
-void micro_kernel_scratch(std::size_t k, const float* pa, const float* pb,
-                          float* c, std::size_t rsc, std::size_t csc,
-                          bool accumulate, std::size_t rows,
-                          std::size_t cols) {
+// so the bits match micro_kernel, while the k loop keeps the vectorized
+// fixed-width body instead of runtime-bounded scalar loops.
+void micro_kernel_scratch(std::size_t k, const float* a, std::size_t rsa,
+                          std::size_t csa, const float* pb, float* c,
+                          std::size_t rsc, std::size_t csc, bool accumulate,
+                          std::size_t rows, std::size_t cols) {
   float tile[kMr * kNr] = {};
   if (accumulate)
     for (std::size_t r = 0; r < rows; ++r)
       for (std::size_t q = 0; q < cols; ++q)
         tile[r * kNr + q] = c[r * rsc + q * csc];
-  micro_kernel(k, pa, pb, tile, kNr, accumulate);
+  micro_kernel(k, a, rsa, csa, pb, tile, kNr, accumulate);
   for (std::size_t r = 0; r < rows; ++r)
     for (std::size_t q = 0; q < cols; ++q)
       c[r * rsc + q * csc] = tile[r * kNr + q];
 }
 
-// Rows [i0, i0 + rows) of op(A) over k in [p0, p0 + kc) as one kMr-tall
-// panel, p-major, lanes past `rows` zero.
-void pack_a_panel(const float* a, std::size_t lda, Trans ta, std::size_t i0,
-                  std::size_t rows, std::size_t p0, std::size_t kc,
-                  float* dst) {
-  for (std::size_t p = 0; p < kc; ++p) {
-    for (std::size_t r = 0; r < rows; ++r)
-      dst[p * kMr + r] = elem(a, lda, ta, i0 + r, p0 + p);
-    for (std::size_t r = rows; r < kMr; ++r) dst[p * kMr + r] = 0.0f;
-  }
+// Packing scratch, grown once per thread and reused — GEMM calls on the
+// training hot path do no steady-state allocation. The B pack holds one
+// slab: at most max(kGemmOneSlabFloats, kGemmSlabK * n) floats; the A
+// pack holds one partial row panel of a slab.
+thread_local std::vector<float> tl_pack_a;
+thread_local std::vector<float> tl_pack_b;
+
+// The last row panel when m is not a multiple of kMr: its `rows` rows of
+// op(A) (element (r, p) at a[r * rsa + p * csa]) over kc k steps, packed
+// into the calling worker's tl_pack_a p-major with kMr lanes per step,
+// lanes past `rows` zero.
+const float* pack_a_panel(const float* a, std::size_t rsa, std::size_t csa,
+                          std::size_t rows, std::size_t kc) {
+  if (tl_pack_a.size() < kc * kMr) tl_pack_a.resize(kc * kMr);
+  float* const dst = tl_pack_a.data();
+  for (std::size_t p = 0; p < kc; ++p)
+    for (std::size_t r = 0; r < kMr; ++r)
+      dst[p * kMr + r] = r < rows ? a[r * rsa + p * csa] : 0.0f;
+  return dst;
 }
 
 // The k slab [p0, p0 + kc) of op(B)'s n columns as kNr-wide panels, each
@@ -96,17 +106,11 @@ void pack_b_slab(const float* b, std::size_t ldb, Trans tb, std::size_t n,
     const std::size_t cols = std::min(kNr, n - j0);
     for (std::size_t p = p0; p < p0 + kc; ++p) {
       for (std::size_t q = 0; q < cols; ++q)
-        *dst++ = elem(b, ldb, tb, p, j0 + q);
+        *dst++ = tb == Trans::kN ? b[p * ldb + j0 + q] : b[(j0 + q) * ldb + p];
       for (std::size_t q = cols; q < kNr; ++q) *dst++ = 0.0f;
     }
   }
 }
-
-// Packing scratch, grown once per thread and reused — GEMM calls on the
-// training hot path do no steady-state allocation. The B pack holds one
-// slab: at most max(kGemmOneSlabFloats, kGemmSlabK * n) floats.
-thread_local std::vector<float> tl_pack_a;
-thread_local std::vector<float> tl_pack_b;
 
 // The one loop nest behind every product, in the order of Goto and van
 // de Geijn (ACM TOMS 2008) without their n blocking: k is cut into slabs
@@ -119,20 +123,24 @@ thread_local std::vector<float> tl_pack_b;
 //
 // C element (i, j) lives at c[i * rsc + j * csc]: (ldc, 1) for the
 // row-major C of every public entry point, (1, ldc) when gemm_dispatch
-// computes a product as its transpose.
+// computes a product as its transpose. A is not packed: the micro-kernel
+// reads op(A)'s element (i, p) at a[i * rsa + p * csa].
 //
 // `upper` is the Gram product C = G * G^T (a == b == G, ta = kN, tb = kT,
 // m == n): only micro-tiles holding an element on or above the diagonal
-// run, and each A panel (rows i0 .. i0+kMr of G) is copied out of the B
-// pack, where those rows are lanes of B panel i0 / kNr — G is read and
-// packed once per slab for both operands.
+// run, and since kMr == kNr the rows of A panel pi are the lanes of B
+// panel pi (zero past row n), read from the cache-resident pack — G is
+// read and packed once per slab for both operands.
 void gemm_tiled(std::size_t m, std::size_t n, std::size_t k, const float* a,
                 std::size_t lda, Trans ta, const float* b, std::size_t ldb,
                 Trans tb, float* c, std::size_t rsc, std::size_t csc,
                 bool accumulate, bool upper) {
+  static_assert(kMr == kNr, "the Gram reads its A panels from the B pack");
   if (k == 0 && !accumulate)  // no slab runs: the product is a zero matrix
     for (std::size_t i = 0; i < m; ++i)
       for (std::size_t j = 0; j < n; ++j) c[i * rsc + j * csc] = 0.0f;
+  const std::size_t rsa = ta == Trans::kN ? lda : 1;
+  const std::size_t csa = ta == Trans::kN ? 1 : lda;
   const std::size_t n_panels = (n + kNr - 1) / kNr;
   const std::size_t m_panels = (m + kMr - 1) / kMr;
   const std::size_t slab =
@@ -140,7 +148,7 @@ void gemm_tiled(std::size_t m, std::size_t n, std::size_t k, const float* a,
   if (tl_pack_b.size() < slab * n_panels * kNr)
     tl_pack_b.resize(slab * n_panels * kNr);
   float* const pb = tl_pack_b.data();
-  // Row panel pi of the triangle runs n_panels - pi / 2 tiles, so the
+  // Row panel pi of the triangle runs n_panels - pi tiles, so the
   // triangle hands out pairs (t, m_panels - 1 - t) of near-equal work:
   // parallel_chunks' equal index ranges are then equal shares.
   const std::size_t tasks = upper ? (m_panels + 1) / 2 : m_panels;
@@ -153,39 +161,32 @@ void gemm_tiled(std::size_t m, std::size_t n, std::size_t k, const float* a,
     const bool load_c = accumulate || p0 > 0;
     pack_b_slab(b, ldb, tb, n, p0, kc, pb);
 
-    auto run_panel = [&](std::size_t pi, float* pa) {
+    auto run_panel = [&](std::size_t pi) {
       const std::size_t i0 = pi * kMr;
       const std::size_t rows = std::min(kMr, m - i0);
-      if (upper) {
-        // The triangle's A rows are lanes of B panel i0 / kNr (zero past
-        // row n), copied out of the cache-resident pack, not read from G
-        // again.
-        const float* lanes = pb + (i0 / kNr) * kc * kNr + i0 % kNr;
-        for (std::size_t p = 0; p < kc; ++p)
-          for (std::size_t r = 0; r < kMr; ++r)
-            pa[p * kMr + r] = lanes[p * kNr + r];
-      } else {
-        pack_a_panel(a, lda, ta, i0, rows, p0, kc, pa);
-      }
-      for (std::size_t pj = upper ? i0 / kNr : 0; pj < n_panels; ++pj) {
+      // A whole panel is read in place; the Gram's panel and a partial
+      // one are p-major packs of kMr lanes.
+      const bool packed = upper || rows < kMr;
+      const float* pa = a + i0 * rsa + p0 * csa;
+      if (packed)
+        pa = upper ? pb + pi * kc * kNr : pack_a_panel(pa, rsa, csa, rows, kc);
+      const std::size_t rs = packed ? 1 : rsa, cs = packed ? kMr : csa;
+      for (std::size_t pj = upper ? pi : 0; pj < n_panels; ++pj) {
         const std::size_t j0 = pj * kNr;
         const std::size_t cols = std::min(kNr, n - j0);
         const float* pbj = pb + pj * kc * kNr;
         float* ct = c + i0 * rsc + j0 * csc;
         if (rows == kMr && cols == kNr && csc == 1)
-          micro_kernel(kc, pa, pbj, ct, rsc, load_c);
+          micro_kernel(kc, pa, rs, cs, pbj, ct, rsc, load_c);
         else
-          micro_kernel_scratch(kc, pa, pbj, ct, rsc, csc, load_c, rows,
-                               cols);
+          micro_kernel_scratch(kc, pa, rs, cs, pbj, ct, rsc, csc, load_c,
+                               rows, cols);
       }
     };
     auto run_tasks = [&](std::size_t begin, std::size_t end) {
-      // tl_pack_a resolves to the executing worker's buffer.
-      if (tl_pack_a.size() < kc * kMr) tl_pack_a.resize(kc * kMr);
-      float* pa = tl_pack_a.data();
       for (std::size_t t = begin; t < end; ++t) {
-        run_panel(t, pa);
-        if (upper && m_panels - 1 - t != t) run_panel(m_panels - 1 - t, pa);
+        run_panel(t);
+        if (upper && m_panels - 1 - t != t) run_panel(m_panels - 1 - t);
       }
     };
     // Whole C rows per worker -> disjoint writes, and every element's
@@ -214,7 +215,7 @@ void gemm_dispatch(std::size_t m, std::size_t n, std::size_t k,
   if (ta == Trans::kN && tb == Trans::kT && m <= kNr && n > kNr) {
     // A skinny NT product (the batch-8 forward x * W^T against a wide
     // weight) runs as its transpose C^T = B * A^T: the wide operand is
-    // streamed once, kMr rows at a time, as the A panel instead of being
+    // read in place once, kMr rows at a time, as A instead of being
     // packed whole as B, and the skinny side packs into one B panel.
     // Each element multiplies the same operand pairs (IEEE multiplication
     // commutes) and sums them in the same ascending k, so the bits match.

@@ -10,23 +10,25 @@
 // accumulate a_ip * b_pj over p = 0..k-1 strictly in order, in float, into
 // a single accumulator (initialized from C[i][j] when accumulate is set) —
 // the plain per-element triple loop's order. The kernels are
-// register-tiled (4x8 accumulator block) with packed A/B panels, blocked
+// register-tiled (an 8x8 accumulator block, eight vector rows of eight
+// floats) over packed B panels, with A read in place through its leading
+// dimension (only a partial last row panel is packed); they are blocked
 // along k into slabs (C carries each element's accumulator from one slab
-// to the next), and row-panel parallelism over the common::parallel pool;
-// tiling only batches *independent* accumulators, the slabs only split
-// each element's ascending k loop, and the parallel split assigns whole
-// output rows to workers, so results are bit-identical to the triple
-// loop (tests/oracles.h) across tile shapes, slab counts and
-// SIGNGUARD_THREADS values. gemm.cc is compiled with -ffp-contract=off so
-// no clone silently fuses into FMA.
+// to the next), with row-panel parallelism over the common::parallel
+// pool. Tiling only batches *independent* accumulators, the slabs only
+// split each element's ascending k loop, and the parallel split assigns
+// whole output rows to workers, so results are bit-identical to the
+// triple loop (tests/oracles.h) across tile shapes, slab counts, leading
+// dimensions and SIGNGUARD_THREADS values. gemm.cc is compiled with
+// -ffp-contract=off so no clone silently fuses into FMA.
 
 #include <cstddef>
 
 namespace signguard::nn {
 
-// k-slab length. A micro-kernel call then streams a 4 KB A panel
-// (kGemmSlabK x 4 floats) and an 8 KB B panel (kGemmSlabK x 8) from L1,
-// and a slab's packed B, kGemmSlabK x n floats (256 KB for the Gram of a
+// k-slab length. A micro-kernel call then reads 8 KB of A (kGemmSlabK x
+// 8 floats, in place or packed) and an 8 KB B panel (kGemmSlabK x 8), and
+// a slab's packed B, kGemmSlabK x n floats (256 KB for the Gram of a
 // 256-client round), stays in L2 (1-2 MB per core) while every A panel
 // sweeps it, so no call streams panels as long as k from memory (32 MB
 // of B at k = 1M).
@@ -58,7 +60,7 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const float* a,
 // written, bitwise equal to gemm_nt(n, n, k, g, ldg, g, ldg, c, ldc,
 // false). An entry below the diagonal is left as it was or set to its
 // mirror's value. Tiles wholly below the diagonal are skipped and G is
-// packed once per slab for both operands.
+// packed once per slab for both operands: A row panel i is B panel i.
 void gram_upper(std::size_t n, std::size_t k, const float* g,
                 std::size_t ldg, float* c, std::size_t ldc);
 

@@ -104,14 +104,17 @@ TEST(GramPairwise, GramIsThreadCountInvariant) {
 }
 
 // Every Gram entry on or above the diagonal is the GEMM contract's float
-// accumulator, bit for bit the oracle's gemm_nt(G, G): across the 4-row
-// panel and 8-column tile edges, the pairing of row panels into worker
-// shares, 64-row boundaries, and k run as one slab (d up to kGemmSlabK +
-// 1 here) or as several carried in C (d = 8,554, the grid MLP's size).
-// gemm_flops keeps billing the 64-row block schedule the goldens pin.
+// accumulator, bit for bit the oracle's gemm_nt(G, G): across the 8x8
+// tile edges (n = 7, 9, 15, 17 end in a partial 8-row panel, whose A
+// lanes are the zero-padded lanes of the last B panel; 8 and 16 do not),
+// the pairing of row panels into worker shares, 64-row boundaries, and k
+// run as one slab (d up to kGemmSlabK + 1 here) or as several carried in
+// C (d = 8,554, the grid MLP's size). gemm_flops keeps billing the 64-row
+// block schedule the goldens pin.
 TEST(GramPairwise, UpperTriangleMatchesOracleGemmBitwise) {
   ThreadGuard guard;
-  const std::size_t ns[] = {1, 2, 3, 4, 5, 8, 9, 63, 64, 65, 130, 187};
+  const std::size_t ns[] = {1,  2,  3,  4,  5,  7,  8,   9,
+                            15, 16, 17, 63, 64, 65, 130, 187};
   const std::size_t ds[] = {1, 13, nn::kGemmSlabK - 1, nn::kGemmSlabK + 1,
                             8554};
   std::uint64_t seed = 300;

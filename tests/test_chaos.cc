@@ -399,26 +399,31 @@ TEST(Checkpoint, FileRoundTripAndCorruptionDetection) {
   EXPECT_THROW(read_checkpoint_file(path), std::runtime_error);
 }
 
-// Format version 1 sealed the payload with FNV-1a. Such a file must be
-// refused as another format, not reported as a checksum mismatch (which
-// reads as disk corruption).
+// Format version 1 sealed the payload with FNV-1a; version 2 sealed it
+// with XXH64 like today's files, but its payload may hold another
+// trainer field list. Either file must be refused as another format,
+// not reported as a checksum mismatch (which reads as disk corruption)
+// or read field-shifted.
 TEST(Checkpoint, VersionOneFileIsAnUnsupportedVersion) {
-  const std::string path = tmp_path("v1.ckpt");
-  const std::string payload = "trainer state from a version-1 build";
-  common::ByteWriter v1;
-  v1.raw("SGCK", 4);
-  v1.u32(1);
-  v1.u64(payload.size());
-  v1.u64(common::fnv1a64(payload));
-  v1.raw(payload.data(), payload.size());
-  write_file(path, v1.bytes());
-  try {
-    read_checkpoint_file(path);
-    ADD_FAILURE() << "a version-1 checkpoint was accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported format version"),
-              std::string::npos)
-        << e.what();
+  const std::string path = tmp_path("old.ckpt");
+  const std::string payload = "trainer state from an older build";
+  for (const std::uint32_t version : {1u, 2u}) {
+    common::ByteWriter old;
+    old.raw("SGCK", 4);
+    old.u32(version);
+    old.u64(payload.size());
+    old.u64(version == 1 ? common::fnv1a64(payload)
+                         : common::xxh64(payload.data(), payload.size()));
+    old.raw(payload.data(), payload.size());
+    write_file(path, old.bytes());
+    try {
+      read_checkpoint_file(path);
+      ADD_FAILURE() << "a version-" << version << " checkpoint was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported format version"),
+                std::string::npos)
+          << "version " << version << ": " << e.what();
+    }
   }
   std::remove(path.c_str());
 }

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -33,6 +35,19 @@ std::vector<float> random_vec(Rng& rng, std::size_t n) {
   return v;
 }
 
+// `v`, a tight rows x cols matrix, stored at leading dimension cols + pad
+// with the pad floats after each row NaN, so a kernel that reads one
+// puts a NaN into its output.
+std::vector<float> padded(const std::vector<float>& v, std::size_t rows,
+                          std::size_t cols, std::size_t pad) {
+  if (pad == 0) return v;
+  std::vector<float> out(rows * (cols + pad),
+                         std::numeric_limits<float>::quiet_NaN());
+  for (std::size_t i = 0; i < rows; ++i)
+    std::copy_n(v.data() + i * cols, cols, out.data() + i * (cols + pad));
+  return out;
+}
+
 enum class Kind { kNN, kNT, kTN };
 
 // Runs one of the three gemm orientations on the library kernel or on
@@ -50,12 +65,17 @@ void run_gemm(Kind kind, bool oracle_loop, std::size_t m, std::size_t n,
                                                 ldc, accumulate);
 }
 
+constexpr std::size_t kTightLd[] = {0};
+
 // The library kernel runs once per pool size in `threads` (once on the
-// current pool when empty) and must match the oracle byte for byte each
-// time.
+// current pool when empty) and per entry of `pads`, and must match the
+// oracle byte for byte each time. A pad stores A and B that many floats
+// wider than the tight leading dimension, NaN-filled, so a read past k or
+// past row m of op(A), or past op(B)'s columns, shows as a NaN in C.
 void expect_matches_oracle(Kind kind, std::size_t m, std::size_t n,
                            std::size_t k, bool accumulate, std::uint64_t seed,
-                           std::span<const std::size_t> threads = {}) {
+                           std::span<const std::size_t> threads = {},
+                           std::span<const std::size_t> pads = kTightLd) {
   Rng rng(seed);
   // Operand storage sized for either orientation of the transposed side.
   const std::vector<float> a = random_vec(rng, std::max<std::size_t>(1, m * k));
@@ -67,16 +87,21 @@ void expect_matches_oracle(Kind kind, std::size_t m, std::size_t n,
   std::vector<float> c_ref = c0;
   run_gemm(kind, /*oracle_loop=*/true, m, n, k, a.data(), lda, b.data(), ldb,
            c_ref.data(), n, accumulate);
-  for (std::size_t t = 0; t < std::max<std::size_t>(1, threads.size()); ++t) {
-    if (!threads.empty()) common::set_thread_count(threads[t]);
-    std::vector<float> c_tiled = c0;
-    run_gemm(kind, /*oracle_loop=*/false, m, n, k, a.data(), lda, b.data(),
-             ldb, c_tiled.data(), n, accumulate);
-    ASSERT_EQ(0, std::memcmp(c_ref.data(), c_tiled.data(),
-                             c_ref.size() * sizeof(float)))
-        << "kind=" << int(kind) << " m=" << m << " n=" << n << " k=" << k
-        << " accumulate=" << accumulate
-        << " threads=" << common::thread_count();
+  for (const std::size_t pad : pads) {
+    const std::vector<float> ap = padded(a, m * k / lda, lda, pad);
+    const std::vector<float> bp = padded(b, n * k / ldb, ldb, pad);
+    for (std::size_t t = 0; t < std::max<std::size_t>(1, threads.size());
+         ++t) {
+      if (!threads.empty()) common::set_thread_count(threads[t]);
+      std::vector<float> c_tiled = c0;
+      run_gemm(kind, /*oracle_loop=*/false, m, n, k, ap.data(), lda + pad,
+               bp.data(), ldb + pad, c_tiled.data(), n, accumulate);
+      ASSERT_EQ(0, std::memcmp(c_ref.data(), c_tiled.data(),
+                               c_ref.size() * sizeof(float)))
+          << "kind=" << int(kind) << " m=" << m << " n=" << n << " k=" << k
+          << " accumulate=" << accumulate << " pad=" << pad
+          << " threads=" << common::thread_count();
+    }
   }
 }
 
@@ -85,10 +110,12 @@ constexpr std::size_t kSlabKs[] = {kGemmSlabK - 1, kGemmSlabK,
                                    kGemmSlabK + 1, 2 * kGemmSlabK + 3};
 
 TEST(GemmBitwise, TiledMatchesReferenceAcrossShapes) {
-  // Degenerate, odd, rectangular, and tile-boundary (multiples of the
-  // 4x8 micro-tile ± 1) shapes for all three orientations. At these
-  // widths the slab-length ks still run as one slab.
-  const std::size_t ms[] = {1, 3, 4, 5, 8, 9, 17};
+  // Degenerate, odd, rectangular, and tile-boundary shapes for all three
+  // orientations: multiples of the 8x8 micro-tile ± 1, so m gives one or
+  // two whole 8-row panels read in place, a lone partial panel (m < 8)
+  // and a partial panel after whole ones (9, 15, 17). At these widths the
+  // slab-length ks still run as one slab.
+  const std::size_t ms[] = {1, 3, 4, 5, 7, 8, 9, 15, 16, 17};
   const std::size_t ns[] = {1, 7, 8, 9, 16, 31, 33};
   const std::size_t ks[] = {1,          2,          13,         64,
                             kSlabKs[0], kSlabKs[1], kSlabKs[2], kSlabKs[3]};
@@ -111,6 +138,9 @@ TEST(GemmBitwise, TiledMatchesReferenceAcrossShapes) {
 // one shape on each side of the one-slab threshold: a packed B of exactly
 // kGemmOneSlabFloats (n = 63 pads to 64 columns) runs as one slab, one
 // more k step as five; the skinny NT product packs its 8-row side as B.
+// Every shape runs with tight leading dimensions and with lda and ldb 3
+// floats wider, NaN-padded: the strided operands the RNN passes (a
+// timestep slice of [B, T, E] has lda = T * E > k), read in place.
 TEST(GemmBitwise, TiledMatchesReferenceAtTrainingShapes) {
   struct ThreadGuard {
     ~ThreadGuard() { common::set_thread_count(0); }
@@ -120,22 +150,25 @@ TEST(GemmBitwise, TiledMatchesReferenceAtTrainingShapes) {
   const std::size_t ks[] = {8,          9,          54,         768,
                             kSlabKs[0], kSlabKs[1], kSlabKs[2], kSlabKs[3]};
   const std::size_t threads[] = {1, 4};
+  const std::size_t pads[] = {0, 3};
   std::uint64_t seed = 1000;
   for (const auto kind : {Kind::kNN, Kind::kNT, Kind::kTN})
     for (const std::size_t m : ms)
       for (const std::size_t n : ns)
         for (const std::size_t k : ks)
           for (const bool accumulate : {false, true})
-            expect_matches_oracle(kind, m, n, k, accumulate, ++seed,
-                                  threads);
+            expect_matches_oracle(kind, m, n, k, accumulate, ++seed, threads,
+                                  pads);
   for (const bool accumulate : {false, true}) {
     for (const std::size_t k :
          {kGemmOneSlabFloats / 64, kGemmOneSlabFloats / 64 + 1})
       for (const auto kind : {Kind::kNN, Kind::kNT, Kind::kTN})
-        expect_matches_oracle(kind, 17, 63, k, accumulate, ++seed, threads);
+        expect_matches_oracle(kind, 17, 63, k, accumulate, ++seed, threads,
+                              pads);
     for (const std::size_t k :
          {kGemmOneSlabFloats / 8, kGemmOneSlabFloats / 8 + 1})
-      expect_matches_oracle(Kind::kNT, 8, 9, k, accumulate, ++seed, threads);
+      expect_matches_oracle(Kind::kNT, 8, 9, k, accumulate, ++seed, threads,
+                            pads);
   }
 }
 
