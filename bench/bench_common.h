@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fl/experiment.h"
@@ -96,16 +97,41 @@ class StopwatchReporter {
   double time_usec(F&& op) const {
     for (std::size_t i = 0; i < warmup_; ++i) op();
     double best = 1e300;
+    repeat_for(op, best, min_ms_);
+    return best;
+  }
+
+  // Best single-op wall times of `a` and of `b`, each given the budget
+  // in four alternating slices, so a slow or fast spell of the host
+  // lands on both and their ratio follows the ops, not the moment each
+  // was measured.
+  template <class A, class B>
+  std::pair<double, double> time_usec_pair(A&& a, B&& b) const {
+    for (std::size_t i = 0; i < warmup_; ++i) {
+      a();
+      b();
+    }
+    double best_a = 1e300, best_b = 1e300;
+    for (int slice = 0; slice < 4; ++slice) {
+      repeat_for(a, best_a, min_ms_ / 4);
+      repeat_for(b, best_b, min_ms_ / 4);
+    }
+    return {best_a, best_b};
+  }
+
+ private:
+  // Times batches of `op` until `ms` is spent (at least one batch),
+  // keeping the fastest per-op average in `best`.
+  template <class F>
+  void repeat_for(F& op, double& best, double ms) const {
     bench::Stopwatch budget;
     do {
       bench::Stopwatch w;
       for (std::size_t i = 0; i < batch_; ++i) op();
       best = std::min(best, w.seconds() * 1e6 / double(batch_));
-    } while (budget.seconds() * 1e3 < min_ms_);
-    return best;
+    } while (budget.seconds() * 1e3 < ms);
   }
 
- private:
   double min_ms_;
   std::size_t warmup_;
   std::size_t batch_;

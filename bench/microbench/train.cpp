@@ -10,6 +10,7 @@
 // the oracle loop, "tiled_vs_ref" for a speedup row (value = oracle
 // time / library time, usec = library time).
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -28,18 +29,23 @@
 namespace signguard::microbench {
 namespace {
 
+// Times the layer's forward on a rotation of inputs, then its backward
+// on the last one. Distinct inputs keep the branch predictor from
+// learning a data-dependent kernel (max pooling's argmax) from one
+// input it sees over and over.
 void bench_layer(Run& run, const std::string& name, nn::Layer& layer,
-                 const nn::Tensor& x) {
+                 const std::vector<nn::Tensor>& xs) {
   nn::Workspace ws;
   nn::Tensor y, gy, gx;
   ws.begin_pass();
-  layer.forward(x, y, ws);
+  layer.forward(xs[0], y, ws);
   gy.resize(y.shape());
   for (std::size_t i = 0; i < gy.numel(); ++i)
     gy[i] = float(i % 7) * 0.1f - 0.3f;
+  std::size_t next = 0;
   const double fwd = run.timer.time_usec([&] {
     ws.begin_pass();
-    layer.forward(x, y, ws);
+    layer.forward(xs[next++ % xs.size()], y, ws);
   });
   run.record("layer", name + "_fwd", {{"backend", "tiled"}}, fwd, 1e6 / fwd,
              "runs/s");
@@ -56,33 +62,55 @@ void bench_layer(Run& run, const std::string& name, nn::Layer& layer,
              "runs/s");
 }
 
+// Eight inputs of `shape`: normal draws, ReLU'd (about half exact zeros,
+// the ties a pooling layer sees in the paper CNN).
+std::vector<nn::Tensor> inputs(Rng& rng, std::vector<std::size_t> shape) {
+  std::vector<nn::Tensor> xs;
+  for (int i = 0; i < 8; ++i) {
+    nn::Tensor& x = xs.emplace_back(shape);
+    for (auto& v : x.flat()) v = std::max(0.0f, float(rng.normal()));
+  }
+  return xs;
+}
+
 void bench_layers(Run& run) {
   Rng rng(1);
   {
     nn::Linear lin(256, 128, rng);
-    nn::Tensor x({32, 256});
-    for (auto& v : x.flat()) v = static_cast<float>(rng.normal());
-    bench_layer(run, "linear_32x256x128", lin, x);
+    bench_layer(run, "linear_32x256x128", lin, inputs(rng, {32, 256}));
   }
   {
     // The flagship MLP's wide layer at its batch of 8: the forward is the
     // skinny NT product against a 4 MB weight.
     nn::Linear lin(768, 1300, rng);
-    nn::Tensor x({8, 768});
-    for (auto& v : x.flat()) v = static_cast<float>(rng.normal());
-    bench_layer(run, "linear_8x768x1300", lin, x);
+    bench_layer(run, "linear_8x768x1300", lin, inputs(rng, {8, 768}));
   }
   {
     nn::Conv2d conv(6, 12, rng);
-    nn::Tensor x({8, 6, 16, 16});
-    for (auto& v : x.flat()) v = static_cast<float>(rng.normal());
-    bench_layer(run, "conv_8x6x16x16_oc12", conv, x);
+    bench_layer(run, "conv_8x6x16x16_oc12", conv,
+                inputs(rng, {8, 6, 16, 16}));
+  }
+  // The paper CNN (make_small_cnn(16)) at its client batch of 8: its two
+  // convs and the max pooling after each.
+  {
+    nn::Conv2d conv(1, 6, rng);
+    bench_layer(run, "conv_8x1x16x16_oc6", conv, inputs(rng, {8, 1, 16, 16}));
+  }
+  {
+    nn::Conv2d conv(6, 12, rng);
+    bench_layer(run, "conv_8x6x8x8_oc12", conv, inputs(rng, {8, 6, 8, 8}));
+  }
+  {
+    nn::MaxPool2 pool;
+    bench_layer(run, "maxpool_8x6x16x16", pool, inputs(rng, {8, 6, 16, 16}));
+  }
+  {
+    nn::MaxPool2 pool;
+    bench_layer(run, "maxpool_8x12x8x8", pool, inputs(rng, {8, 12, 8, 8}));
   }
   {
     nn::RnnTanh rnn(16, 32, rng, nn::RnnOutput::kMeanPool);
-    nn::Tensor x({8, 16, 16});
-    for (auto& v : x.flat()) v = static_cast<float>(rng.normal());
-    bench_layer(run, "rnn_8x16_e16_h32", rnn, x);
+    bench_layer(run, "rnn_8x16_e16_h32", rnn, inputs(rng, {8, 16, 16}));
   }
 }
 
@@ -98,8 +126,8 @@ struct GemmCall {
   bool transpose_a, transpose_b, accumulate;
 };
 
-// Times `calls` back to back on the oracle loops, then on the library
-// kernels, and records both and their speedup.
+// Times `calls` on the oracle loops and on the library kernels in
+// alternating slices of the budget, and records both and their speedup.
 void bench_gemm_set(Run& run, const std::string& name,
                     const std::vector<GemmCall>& calls) {
   Rng rng(2);
@@ -111,8 +139,8 @@ void bench_gemm_set(Run& run, const std::string& name,
     c.emplace_back(g.m * g.n, 0.0f);
     flops += 2.0 * double(g.m) * g.n * g.k;
   }
-  const auto time = [&](bool oracle_loop) {
-    return run.timer.time_usec([&] {
+  const auto set = [&](bool oracle_loop) {
+    return [&, oracle_loop] {
       for (std::size_t i = 0; i < calls.size(); ++i) {
         const GemmCall& g = calls[i];
         (oracle_loop ? g.oracle : g.library)(
@@ -120,10 +148,10 @@ void bench_gemm_set(Run& run, const std::string& name,
             b[i].data(), g.transpose_b ? g.k : g.n, c[i].data(), g.n,
             g.accumulate);
       }
-    });
+    };
   };
-  const double ref_usec = time(true);
-  const double tiled_usec = time(false);
+  const auto [ref_usec, tiled_usec] =
+      run.timer.time_usec_pair(set(true), set(false));
   run.record("gemm", name, {{"backend", "ref"}}, ref_usec,
              flops / (ref_usec * 1e-6) / 1e9, "GFLOP/s");
   run.record("gemm", name, {{"backend", "tiled"}}, tiled_usec,

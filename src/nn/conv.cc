@@ -1,8 +1,10 @@
 #include "nn/conv.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
 #include "nn/gemm.h"
 
@@ -10,64 +12,74 @@ namespace signguard::nn {
 
 namespace {
 
+// The 3x3 same-padding kernel reads a one-pixel zero border around each
+// [H, W] channel. Both lowering kernels go through an (H+2) x (W+2)
+// bordered map of one channel instead: tap (ky, kx), ky and kx in
+// {0, 1, 2}, of output pixel (y, x) sits at bordered (y + ky, x + kx),
+// so every tap row is a plain W-float run with no range check. `map` is
+// that many floats of scratch. Rows are copied by plain loops: GCC turns
+// std::copy into a memmove call per row, and on rows of 8-16 floats the
+// call costs more than the copy.
+
 // Lowers one [C, H, W] sample to a [C*9 x H*W] column panel for the 3x3
-// same-padding convolution: row k = (c*3 + ky+1)*3 + (kx+1) holds the
-// input shifted by (ky, kx), with out-of-range taps materialized as
-// literal zeros. Column p of the panel is the 9C-tap receptive field of
+// same-padding convolution: row k = (c*3 + ky)*3 + kx holds channel c
+// shifted by (ky-1, kx-1), out-of-range taps read from the border as
+// literal +0.0f. Column p of the panel is the 9C-tap receptive field of
 // output pixel p, so conv becomes W[OC x C*9] * cols.
 void im2col_3x3(const float* x, std::size_t ch, std::size_t h, std::size_t w,
-                float* cols) {
-  const std::size_t hw = h * w;
-  float* out_row = cols;
-  for (std::size_t c = 0; c < ch; ++c) {
-    const float* xc = x + c * hw;
-    for (std::ptrdiff_t ky = -1; ky <= 1; ++ky) {
-      for (std::ptrdiff_t kx = -1; kx <= 1; ++kx) {
-        const std::size_t x0 = kx < 0 ? std::size_t(-kx) : 0;
-        const std::size_t x1 = kx > 0 ? w - std::size_t(kx) : w;
-        for (std::size_t yy = 0; yy < h; ++yy) {
-          float* dst = out_row + yy * w;
-          const std::ptrdiff_t sy = std::ptrdiff_t(yy) + ky;
-          if (sy < 0 || sy >= std::ptrdiff_t(h)) {
-            std::fill(dst, dst + w, 0.0f);
-            continue;
-          }
-          const float* src = xc + std::size_t(sy) * w;
-          std::fill(dst, dst + x0, 0.0f);
-          for (std::size_t xx = x0; xx < x1; ++xx)
-            dst[xx] = src[std::size_t(std::ptrdiff_t(xx) + kx)];
-          std::fill(dst + x1, dst + w, 0.0f);
-        }
-        out_row += hw;
-      }
+                float* map, float* cols) {
+  const std::size_t pw = w + 2, hw = h * w;
+  std::fill_n(map, (h + 2) * pw, 0.0f);
+  for (std::size_t c = 0; c < ch; ++c, x += hw) {
+    for (std::size_t y = 0; y < h; ++y) {
+      float* dst = map + (y + 1) * pw + 1;
+      for (std::size_t i = 0; i < w; ++i) dst[i] = x[y * w + i];
     }
+    // The three taps of one kernel row read the same bordered row.
+    for (std::size_t ky = 0; ky < 3; ++ky, cols += 3 * hw)
+      for (std::size_t y = 0; y < h; ++y) {
+        const float* src = map + (y + ky) * pw;
+        float* dst = cols + y * w;
+        for (std::size_t i = 0; i < w; ++i) {
+          dst[i] = src[i];
+          dst[hw + i] = src[i + 1];
+          dst[2 * hw + i] = src[i + 2];
+        }
+      }
   }
 }
 
-// Adjoint of im2col_3x3: scatter-accumulate a [C*9 x H*W] column-gradient
-// panel back onto the (pre-zeroed) [C, H, W] input gradient. Iteration
-// order matches im2col (k ascending, then row-major pixels), so the
-// accumulation order is fixed and thread-count independent.
+// Adjoint of im2col_3x3: accumulates a [C*9 x H*W] column-gradient panel
+// onto the [C, H, W] input gradient `gx`, which it overwrites. Each
+// channel sums in a bordered map started at +0.0f and its interior is
+// copied out: every element of gx gets the adds a range-checked scatter
+// onto a zeroed gx would give it, in the same order (k ascending), and
+// out-of-range taps land in the border. The order is fixed, so the
+// result is thread-count independent.
 void col2im_3x3(const float* cols, std::size_t ch, std::size_t h,
-                std::size_t w, float* gx) {
-  const std::size_t hw = h * w;
-  const float* in_row = cols;
-  for (std::size_t c = 0; c < ch; ++c) {
-    float* gxc = gx + c * hw;
-    for (std::ptrdiff_t ky = -1; ky <= 1; ++ky) {
-      for (std::ptrdiff_t kx = -1; kx <= 1; ++kx) {
-        const std::size_t x0 = kx < 0 ? std::size_t(-kx) : 0;
-        const std::size_t x1 = kx > 0 ? w - std::size_t(kx) : w;
-        for (std::size_t yy = 0; yy < h; ++yy) {
-          const float* src = in_row + yy * w;
-          const std::ptrdiff_t sy = std::ptrdiff_t(yy) + ky;
-          if (sy < 0 || sy >= std::ptrdiff_t(h)) continue;
-          float* dst = gxc + std::size_t(sy) * w;
-          for (std::size_t xx = x0; xx < x1; ++xx)
-            dst[std::size_t(std::ptrdiff_t(xx) + kx)] += src[xx];
-        }
-        in_row += hw;
+                std::size_t w, float* map, float* gx) {
+  if (w == 0) return;  // no pixels; the rows below read t0[0]
+  const std::size_t pw = w + 2, hw = h * w;
+  for (std::size_t c = 0; c < ch; ++c, gx += hw) {
+    std::fill_n(map, (h + 2) * pw, 0.0f);
+    // Kernel row ky adds its three taps into one bordered row: element j
+    // gets t0[j], t1[j-1], t2[j-2], those in range, in that order.
+    for (std::size_t ky = 0; ky < 3; ++ky, cols += 3 * hw)
+      for (std::size_t y = 0; y < h; ++y) {
+        float* dst = map + (y + ky) * pw;
+        const float* t0 = cols + y * w;
+        const float* t1 = t0 + hw;
+        const float* t2 = t1 + hw;
+        dst[0] += t0[0];
+        dst[1] = w > 1 ? (dst[1] + t0[1]) + t1[0] : dst[1] + t1[0];
+        for (std::size_t j = 2; j < w; ++j)
+          dst[j] = ((dst[j] + t0[j]) + t1[j - 1]) + t2[j - 2];
+        if (w > 1) dst[w] = (dst[w] + t1[w - 1]) + t2[w - 2];
+        dst[w + 1] += t2[w - 1];
       }
+    for (std::size_t y = 0; y < h; ++y) {
+      const float* src = map + (y + 1) * pw + 1;
+      for (std::size_t i = 0; i < w; ++i) gx[y * w + i] = src[i];
     }
   }
 }
@@ -99,8 +111,9 @@ void Conv2d::forward(const Tensor& x, Tensor& y, Workspace& ws) {
   // from the borrowed input, so eval-sized batches never pin a
   // batch-sized panel in the arena.
   Tensor& cols = ws.take({kk, hw});
+  float* map = ws.take({h + 2, w + 2}).data();
   for (std::size_t b = 0; b < batch; ++b) {
-    im2col_3x3(x.data() + b * in_ch_ * hw, in_ch_, h, w, cols.data());
+    im2col_3x3(x.data() + b * in_ch_ * hw, in_ch_, h, w, map, cols.data());
     float* yb = y.data() + b * out_ch_ * hw;
     // y_b = W cols_b, then the per-channel bias broadcast.
     gemm_nn(out_ch_, hw, kk, w_.data(), kk, cols.data(), hw, yb, hw,
@@ -118,21 +131,23 @@ void Conv2d::backward(const Tensor& grad_out, Tensor& grad_in,
   assert(grad_out.dim(0) == batch && grad_out.dim(1) == out_ch_ &&
          grad_out.dim(2) == h && grad_out.dim(3) == w);
   grad_in.resize({batch, in_ch_, h, w});
-  grad_in.zero();
   Tensor& cols = ws.take({kk, hw});
   Tensor& dcols = ws.take({kk, hw});
+  float* map = ws.take({h + 2, w + 2}).data();
   for (std::size_t b = 0; b < batch; ++b) {
     const float* gyb = grad_out.data() + b * out_ch_ * hw;
     // gb += per-channel sums of gy.
     add_row_sums(gyb, out_ch_, hw, hw, gb_.data());
     // gW += gy_b cols_b^T (columns re-lowered; bitwise equal to forward's).
-    im2col_3x3(x.data() + b * in_ch_ * hw, in_ch_, h, w, cols.data());
+    im2col_3x3(x.data() + b * in_ch_ * hw, in_ch_, h, w, map, cols.data());
     gemm_nt(out_ch_, kk, hw, gyb, hw, cols.data(), hw, gw_.data(), kk,
             /*accumulate=*/true);
-    // dcols = W^T gy_b, scattered back onto the input gradient.
+    // dcols = W^T gy_b, summed back into sample b's input gradient,
+    // which col2im writes whole (grad_in needs no zeroing).
     gemm_tn(kk, hw, out_ch_, w_.data(), kk, gyb, hw, dcols.data(), hw,
             /*accumulate=*/false);
-    col2im_3x3(dcols.data(), in_ch_, h, w, grad_in.data() + b * in_ch_ * hw);
+    col2im_3x3(dcols.data(), in_ch_, h, w, map,
+               grad_in.data() + b * in_ch_ * hw);
   }
 }
 
@@ -143,10 +158,11 @@ void Conv2d::backward_params_only(const Tensor& grad_out, Workspace& ws) {
   const std::size_t hw = h * w, kk = in_ch_ * kKernel * kKernel;
   assert(grad_out.dim(0) == batch && grad_out.dim(1) == out_ch_);
   Tensor& cols = ws.take({kk, hw});
+  float* map = ws.take({h + 2, w + 2}).data();
   for (std::size_t b = 0; b < batch; ++b) {
     const float* gyb = grad_out.data() + b * out_ch_ * hw;
     add_row_sums(gyb, out_ch_, hw, hw, gb_.data());
-    im2col_3x3(x.data() + b * in_ch_ * hw, in_ch_, h, w, cols.data());
+    im2col_3x3(x.data() + b * in_ch_ * hw, in_ch_, h, w, map, cols.data());
     gemm_nt(out_ch_, kk, hw, gyb, hw, cols.data(), hw, gw_.data(), kk,
             /*accumulate=*/true);
   }
@@ -161,31 +177,31 @@ std::vector<ParamView> Conv2d::params() {
 void MaxPool2::forward(const Tensor& x, Tensor& y, Workspace&) {
   assert(x.ndim() == 4 && x.dim(2) % 2 == 0 && x.dim(3) % 2 == 0);
   cached_in_shape_ = x.shape();
-  const std::size_t batch = x.dim(0), ch = x.dim(1), h = x.dim(2),
-                    w = x.dim(3);
-  const std::size_t oh = h / 2, ow = w / 2;
-  y.resize({batch, ch, oh, ow});
-  argmax_.assign(y.numel(), 0);
-  for (std::size_t bc = 0; bc < batch * ch; ++bc) {
-    const float* xp = x.data() + bc * h * w;
-    float* yp = y.data() + bc * oh * ow;
-    std::size_t* ap = argmax_.data() + bc * oh * ow;
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      for (std::size_t ox = 0; ox < ow; ++ox) {
-        std::size_t best = (2 * oy) * w + 2 * ox;
-        float best_v = xp[best];
-        const std::size_t cands[3] = {(2 * oy) * w + 2 * ox + 1,
-                                      (2 * oy + 1) * w + 2 * ox,
-                                      (2 * oy + 1) * w + 2 * ox + 1};
-        for (const std::size_t c : cands) {
-          if (xp[c] > best_v) {
-            best_v = xp[c];
-            best = c;
-          }
-        }
-        yp[oy * ow + ox] = best_v;
-        ap[oy * ow + ox] = bc * h * w + best;
+  const std::size_t rows = x.dim(0) * x.dim(1) * (x.dim(2) / 2),
+                    w = x.dim(3), ow = w / 2;
+  y.resize({x.dim(0), x.dim(1), x.dim(2) / 2, ow});
+  argmax_.resize(y.numel());
+  // Output row r reads input rows 2r and 2r + 1 of the [B*C*H, W] view.
+  // Each window keeps its first value, replaced by each later one only
+  // if strictly greater: ties keep the earlier slot, a NaN after the
+  // first slot is skipped. The select runs on integer masks, not a
+  // branch, which ReLU's zero ties would make mispredict.
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t ox = 0; ox < ow; ++ox) {
+      const std::size_t at = 2 * r * w + 2 * ox;
+      const std::size_t slot[4] = {at, at + 1, at + w, at + w + 1};
+      std::uint32_t best = std::bit_cast<std::uint32_t>(x[at]);
+      std::size_t arg = at;
+      for (std::size_t k = 1; k < 4; ++k) {
+        const float v = x[slot[k]];
+        const bool gt = v > std::bit_cast<float>(best);
+        const std::uint32_t m = 0u - std::uint32_t(gt);
+        best = (best & ~m) | (std::bit_cast<std::uint32_t>(v) & m);
+        const std::size_t mi = 0 - std::size_t(gt);
+        arg = (arg & ~mi) | (slot[k] & mi);
       }
+      y[r * ow + ox] = std::bit_cast<float>(best);
+      argmax_[r * ow + ox] = arg;
     }
   }
 }

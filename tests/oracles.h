@@ -8,6 +8,13 @@
 //   gemm_nn / gemm_nt / gemm_tn   the per-element triple loop. nn::gemm_*
 //                                 must match it bitwise at every shape
 //                                 and thread count (test_nn_kernels).
+//   maxpool2 / maxpool2_backward  the per-window branchy scan: the first
+//                                 strict maximum over (0,0), (0,1),
+//                                 (1,0), (1,1) and its flat index; the
+//                                 backward adds each pooled gradient to
+//                                 +0.0 at that index. nn::MaxPool2 must
+//                                 match both bitwise, NaNs and signed
+//                                 zeros included (test_nn_kernels).
 //   pairwise_dist2 / pairwise_dot the direct per-pair loops over vec::dist2
 //   pairwise_dist2_packed         and vec::dot, one double accumulator per
 //                                 entry. The Gram kernels agree within a
@@ -96,6 +103,49 @@ inline void gemm_tn(std::size_t m, std::size_t n, std::size_t k,
                     bool accumulate) {
   scalar_block(0, m, 0, n, k, a, lda, Trans::kT, b, ldb, Trans::kN, c, ldc,
                accumulate);
+}
+
+// ---- 2x2 max pooling -------------------------------------------------------
+
+// MaxPool2's forward over `planes` [H, W] maps (H, W even), one output
+// per 2x2 window: the window's first value, replaced by each later one
+// only if strictly greater, so ties keep the earlier slot and a NaN
+// after the first slot is skipped. `argmax` gets the flat input index
+// of the kept slot.
+inline void maxpool2(const float* x, std::size_t planes, std::size_t h,
+                     std::size_t w, float* y, std::size_t* argmax) {
+  const std::size_t oh = h / 2, ow = w / 2;
+  for (std::size_t bc = 0; bc < planes; ++bc) {
+    const float* xp = x + bc * h * w;
+    float* yp = y + bc * oh * ow;
+    std::size_t* ap = argmax + bc * oh * ow;
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        std::size_t best = (2 * oy) * w + 2 * ox;
+        float best_v = xp[best];
+        const std::size_t cands[3] = {(2 * oy) * w + 2 * ox + 1,
+                                      (2 * oy + 1) * w + 2 * ox,
+                                      (2 * oy + 1) * w + 2 * ox + 1};
+        for (const std::size_t c : cands) {
+          if (xp[c] > best_v) {
+            best_v = xp[c];
+            best = c;
+          }
+        }
+        yp[oy * ow + ox] = best_v;
+        ap[oy * ow + ox] = bc * h * w + best;
+      }
+    }
+  }
+}
+
+// MaxPool2's backward: a zeroed input gradient, then each pooled
+// gradient added at its argmax — 0.0f + g, so a -0.0 lands as +0.0.
+inline void maxpool2_backward(const float* gy, const std::size_t* argmax,
+                              std::size_t n_out, float* gx,
+                              std::size_t n_in) {
+  std::fill_n(gx, n_in, 0.0f);
+  for (std::size_t i = 0; i < n_out; ++i) gx[argmax[i]] += gy[i];
 }
 
 // ---- pairwise geometry -----------------------------------------------------

@@ -12,13 +12,17 @@
 //                          no-honest skip — with the per-round work
 //                          counters ("obs" blocks) on, so stage
 //                          attribution and byte billing are pinned too.
+//   paper_sweep.jsonl      the paper-profile models (the CNN on
+//                          MNIST-like, the residual CNN on CIFAR-like):
+//                          the only set whose clients train Conv2d and
+//                          MaxPool2 layers, with counters on.
 //
 // Each set pins rounds, client count and seed explicitly, so the traces
 // are independent of SIGNGUARD_SCALE and SIGNGUARD_THREADS. Any change to
 // the numeric pipeline (data generation, client training, an aggregation
 // rule, the RNG stream layout, counter placement) shifts a line and fails
 // this suite — which is the point. If the change is intentional,
-// regenerate both files and commit:
+// regenerate every file and commit:
 //
 //   SIGNGUARD_REGEN_GOLDEN=1 ./build/test_golden_traces
 //   git add tests/golden/ && git commit
@@ -185,6 +189,21 @@ std::vector<ScenarioSpec> feature_scenarios() {
   return specs;
 }
 
+// The paper-profile set: both image workloads on their paper models,
+// three attack regimes against three GAR families, iid — 18 scenarios,
+// each pinned to 4 rounds of 10 clients.
+std::vector<ScenarioSpec> paper_scenarios() {
+  SweepGrid grid;
+  grid.workloads = {WorkloadKind::kMnistLike, WorkloadKind::kCifarLike};
+  grid.profile = ModelProfile::kPaper;
+  grid.attacks = {"NoAttack", "LIE", "ByzMean"};
+  grid.gars = {"Mean", "Median", "SignGuard"};
+  grid.rounds = 4;
+  grid.n_clients = 10;
+  grid.seed = 7;
+  return grid.expand();
+}
+
 TEST(GoldenTraces, CanonicalSweepMatchesCommittedTraces) {
   expect_matches_golden("canonical_sweep.jsonl", canonical_scenarios(), {});
 }
@@ -193,6 +212,12 @@ TEST(GoldenTraces, FeatureSweepMatchesCommittedTraces) {
   SweepOptions opts;
   opts.obs_counters = true;
   expect_matches_golden("feature_sweep.jsonl", feature_scenarios(), opts);
+}
+
+TEST(GoldenTraces, PaperSweepMatchesCommittedTraces) {
+  SweepOptions opts;
+  opts.obs_counters = true;
+  expect_matches_golden("paper_sweep.jsonl", paper_scenarios(), opts);
 }
 
 // The golden scenario set itself must stay deterministic across repeated

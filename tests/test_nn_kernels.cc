@@ -1,9 +1,10 @@
-// GEMM / im2col execution-path tests. The tiled GEMM's determinism
-// contract is bitwise: per output element, one float accumulator and a
-// strictly ascending k loop, regardless of tile boundaries or thread
-// count. These tests pin that contract — against the plain-loop oracle
-// (tests/oracles.h) over awkward shapes, against a direct-convolution
-// oracle for the im2col path, and against workspace growth across
+// GEMM / im2col / pooling execution-path tests. The tiled GEMM's
+// determinism contract is bitwise: per output element, one float
+// accumulator and a strictly ascending k loop, regardless of tile
+// boundaries or thread count. These tests pin that contract — against
+// the plain-loop oracle (tests/oracles.h) over awkward shapes, against a
+// direct-convolution oracle for the im2col path, against the branchy
+// window scan for max pooling, and against workspace growth across
 // identical rounds.
 
 #include <gtest/gtest.h>
@@ -301,54 +302,173 @@ struct ConvOracle {
   }
 };
 
+// One conv layer shape: batch, input and output channels, map size.
+struct ConvShape {
+  std::size_t batch, ic, oc, h, w;
+};
+
+// A small odd shape, the paper CNN's two convs at its client batch of 8
+// (make_small_cnn(16)), and maps narrower than the kernel in one
+// dimension or both, where every tap row is mostly padding.
+constexpr ConvShape kConvShapes[] = {{2, 2, 3, 5, 6},   {8, 1, 6, 16, 16},
+                                     {8, 6, 12, 8, 8},  {2, 2, 3, 1, 7},
+                                     {2, 2, 3, 3, 1},   {2, 2, 3, 2, 2}};
+
 TEST(ConvIm2col, BitwiseMatchesDirectReferenceForwardBackward) {
-  const std::size_t batch = 2, ic = 2, oc = 3, h = 5, w = 6, hw = h * w;
+  // The NaN that inf - inf yields at run time on this platform (volatile
+  // keeps the compiler from folding it to another pattern): +inf and
+  // -inf below can meet in a weight-gradient sum, and when two NaNs meet
+  // IEEE-754 leaves open whose payload survives. With one NaN pattern in
+  // play the comparison can stay byte for byte.
+  volatile float inf = std::numeric_limits<float>::infinity();
+  const float nan = inf - inf;
   Rng rng(11);
-  Conv2d conv(ic, oc, rng);
-  Tensor x({batch, ic, h, w});
-  for (auto& v : x.flat()) v = static_cast<float>(rng.normal());
-  Workspace ws;
-  ws.begin_pass();
-  Tensor y;
-  conv.forward(x, y, ws);
-  ASSERT_EQ(y.shape(), (std::vector<std::size_t>{batch, oc, h, w}));
+  for (const ConvShape& s : kConvShapes) {
+    const std::size_t batch = s.batch, ic = s.ic, oc = s.oc, h = s.h,
+                      w = s.w, hw = h * w;
+    SCOPED_TRACE(::testing::Message() << "batch=" << batch << " ic=" << ic
+                                      << " oc=" << oc << " h=" << h
+                                      << " w=" << w);
+    Conv2d conv(ic, oc, rng);
+    Tensor x({batch, ic, h, w});
+    for (auto& v : x.flat()) v = static_cast<float>(rng.normal());
+    // The last sample holds a NaN, +inf and -inf.
+    float* last = x.data() + (batch - 1) * ic * hw;
+    last[0] = nan;
+    last[ic * hw / 2] = inf;
+    last[ic * hw - 1] = -inf;
+    Workspace ws;
+    ws.begin_pass();
+    Tensor y;
+    conv.forward(x, y, ws);
+    ASSERT_EQ(y.shape(), (std::vector<std::size_t>{batch, oc, h, w}));
 
-  auto params = conv.params();
-  const std::vector<float> wt(params[0].value.begin(), params[0].value.end());
-  const std::vector<float> bias(params[1].value.begin(),
-                                params[1].value.end());
-  const ConvOracle oracle{ic, oc, h, w, wt, bias};
-  std::vector<float> y_ref(oc * hw);
-  for (std::size_t b = 0; b < batch; ++b) {
-    oracle.forward(x.data() + b * ic * hw, y_ref.data());
-    ASSERT_EQ(0, std::memcmp(y_ref.data(), y.data() + b * oc * hw,
-                             y_ref.size() * sizeof(float)))
-        << "sample " << b;
+    auto params = conv.params();
+    const std::vector<float> wt(params[0].value.begin(),
+                                params[0].value.end());
+    const std::vector<float> bias(params[1].value.begin(),
+                                  params[1].value.end());
+    const ConvOracle oracle{ic, oc, h, w, wt, bias};
+    std::vector<float> y_ref(oc * hw);
+    for (std::size_t b = 0; b < batch; ++b) {
+      oracle.forward(x.data() + b * ic * hw, y_ref.data());
+      ASSERT_EQ(0, std::memcmp(y_ref.data(), y.data() + b * oc * hw,
+                               y_ref.size() * sizeof(float)))
+          << "sample " << b;
+    }
+
+    Tensor gy({batch, oc, h, w});
+    for (auto& v : gy.flat()) v = static_cast<float>(rng.normal());
+    conv.zero_grad();
+    // A reused gradient buffer holds stale values; backward must write
+    // every element of it.
+    Tensor gx({batch, ic, h, w});
+    for (auto& v : gx.flat()) v = nan;
+    conv.backward(gy, gx, ws);
+
+    std::vector<float> gw_ref(wt.size(), 0.0f), gb_ref(oc, 0.0f),
+        gx_ref(batch * ic * hw, 0.0f);
+    std::vector<const float*> xs, gys;
+    for (std::size_t b = 0; b < batch; ++b) {
+      xs.push_back(x.data() + b * ic * hw);
+      gys.push_back(gy.data() + b * oc * hw);
+    }
+    oracle.backward(xs, gys, gw_ref, gb_ref, gx_ref);
+
+    params = conv.params();
+    ASSERT_EQ(0, std::memcmp(gw_ref.data(), params[0].grad.data(),
+                             gw_ref.size() * sizeof(float)));
+    ASSERT_EQ(0, std::memcmp(gb_ref.data(), params[1].grad.data(),
+                             gb_ref.size() * sizeof(float)));
+    ASSERT_EQ(gx.numel(), gx_ref.size());
+    ASSERT_EQ(0, std::memcmp(gx_ref.data(), gx.data(),
+                             gx_ref.size() * sizeof(float)));
+
+    // The first layer's backward skips the input gradient; its
+    // parameter gradients must be the same bytes.
+    conv.zero_grad();
+    conv.backward_params_only(gy, ws);
+    params = conv.params();
+    ASSERT_EQ(0, std::memcmp(gw_ref.data(), params[0].grad.data(),
+                             gw_ref.size() * sizeof(float)));
+    ASSERT_EQ(0, std::memcmp(gb_ref.data(), params[1].grad.data(),
+                             gb_ref.size() * sizeof(float)));
   }
+}
 
-  Tensor gy({batch, oc, h, w});
-  for (auto& v : gy.flat()) v = static_cast<float>(rng.normal());
-  conv.zero_grad();
-  Tensor gx;
-  conv.backward(gy, gx, ws);
+// -------------------------------------------------------------- MaxPool2
 
-  std::vector<float> gw_ref(wt.size(), 0.0f), gb_ref(oc, 0.0f),
-      gx_ref(batch * ic * hw, 0.0f);
-  std::vector<const float*> xs, gys;
-  for (std::size_t b = 0; b < batch; ++b) {
-    xs.push_back(x.data() + b * ic * hw);
-    gys.push_back(gy.data() + b * oc * hw);
+// MaxPool2 against the branchy per-window scan (oracle::maxpool2), byte
+// for byte: y, and the input gradient routed from a gy with -0.0
+// entries (which must land as +0.0). Every window of every input takes
+// one pattern per pass, and across the eight passes each window takes
+// all eight: ReLU'd normals twice (about half exact zeros, so ties),
+// signed zeros only, a NaN in each of the four slots, and infinities.
+TEST(MaxPool, BitwiseMatchesBranchyReferenceForwardBackward) {
+  struct Shape {
+    std::size_t b, c, h, w;
+  };
+  constexpr Shape kShapes[] = {
+      {1, 1, 2, 2}, {3, 5, 4, 6}, {8, 6, 16, 16}, {8, 12, 8, 8}};
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(12);
+  for (const Shape& s : kShapes) {
+    const std::size_t planes = s.b * s.c, n_in = planes * s.h * s.w,
+                      n_out = n_in / 4, ow = s.w / 2;
+    for (std::size_t pass = 0; pass < 8; ++pass) {
+      SCOPED_TRACE(::testing::Message()
+                   << "shape " << s.b << "x" << s.c << "x" << s.h << "x"
+                   << s.w << " pass " << pass);
+      Tensor x({s.b, s.c, s.h, s.w});
+      for (auto& v : x.flat())
+        v = std::max(0.0f, static_cast<float>(rng.normal()));
+      for (std::size_t win = 0; win < n_out; ++win) {
+        // Flat indices of the window's (0,0), (0,1), (1,0), (1,1).
+        const std::size_t plane = win / (n_out / planes),
+                          oy = win % (n_out / planes) / ow, ox = win % ow;
+        const std::size_t top = (plane * s.h + 2 * oy) * s.w + 2 * ox;
+        const std::size_t slot[4] = {top, top + 1, top + s.w, top + s.w + 1};
+        const std::size_t pattern = (win + pass) % 8;
+        if (pattern == 2) {
+          for (const std::size_t i : slot)
+            x[i] = rng.uniform(0.0, 1.0) < 0.5 ? 0.0f : -0.0f;
+        } else if (pattern >= 3 && pattern <= 6) {
+          x[slot[pattern - 3]] = win % 2 == 0 ? nan : -nan;
+        } else if (pattern == 7) {
+          for (const std::size_t i : slot) {
+            const double u = rng.uniform(0.0, 1.0);
+            if (u < 0.4) x[i] = u < 0.2 ? inf : -inf;
+          }
+        }
+      }
+      std::vector<float> y_ref(n_out), gx_ref(n_in);
+      std::vector<std::size_t> argmax(n_out);
+      oracle::maxpool2(x.data(), planes, s.h, s.w, y_ref.data(),
+                       argmax.data());
+
+      MaxPool2 pool;
+      Workspace ws;
+      Tensor y({s.b, s.c, s.h / 2, s.w / 2});
+      for (auto& v : y.flat()) v = nan;  // stale; forward writes all of y
+      pool.forward(x, y, ws);
+      ASSERT_EQ(y.shape(),
+                (std::vector<std::size_t>{s.b, s.c, s.h / 2, s.w / 2}));
+      ASSERT_EQ(0, std::memcmp(y_ref.data(), y.data(),
+                               n_out * sizeof(float)));
+
+      Tensor gy(y.shape());
+      for (std::size_t i = 0; i < n_out; ++i)
+        gy[i] = i % 3 == 0 ? -0.0f : static_cast<float>(rng.normal());
+      oracle::maxpool2_backward(gy.data(), argmax.data(), n_out,
+                                gx_ref.data(), n_in);
+      Tensor gx;
+      pool.backward(gy, gx, ws);
+      ASSERT_EQ(gx.numel(), n_in);
+      ASSERT_EQ(0, std::memcmp(gx_ref.data(), gx.data(),
+                               n_in * sizeof(float)));
+    }
   }
-  oracle.backward(xs, gys, gw_ref, gb_ref, gx_ref);
-
-  params = conv.params();
-  ASSERT_EQ(0, std::memcmp(gw_ref.data(), params[0].grad.data(),
-                           gw_ref.size() * sizeof(float)));
-  ASSERT_EQ(0, std::memcmp(gb_ref.data(), params[1].grad.data(),
-                           gb_ref.size() * sizeof(float)));
-  ASSERT_EQ(gx.numel(), gx_ref.size());
-  ASSERT_EQ(0, std::memcmp(gx_ref.data(), gx.data(),
-                           gx_ref.size() * sizeof(float)));
 }
 
 // ------------------------------------------------------------- Workspace
