@@ -117,6 +117,8 @@ const Gate kGates[] = {
      "x"},
     {"train", "speedup", "flagship_mlp", "backend=tiled_vs_ref", 0, true, 5.79,
      "x"},
+    {"train", "speedup", "paper_cnn_conv", "backend=layer_vs_oracle", 0, true,
+     19.90, "x"},
     {"aggregate", "speedup", "pairwise_dist2_256x1M",
      "backend=gram_vs_direct n=256 d=1000000", 256, true, 2.01, "x"},
     {"aggregate", "speedup", "trmean_256x100k",

@@ -2,13 +2,15 @@
 // (tests/oracles.h — the pre-GEMM scalar path), then per-layer kernel
 // latency and end-to-end client-round throughput for the MLP / CNN / RNN
 // workloads on the library path. Gated: the library GEMM's speedup over
-// the oracle loop at the CNN workload's conv GEMM shapes and at the
-// flagship client's two large products, the guards against the tiled
-// kernel regressing toward the scalar loop.
+// the oracle loop at small edge-tile shapes and at the flagship client's
+// two large products, and the paper CNN's conv layers' speedup over the
+// direct convolution loops — the guards against the tiled kernels
+// regressing toward the scalar loops.
 //
-// Entries: params {backend}: "tiled" for the library kernel, "ref" for
-// the oracle loop, "tiled_vs_ref" for a speedup row (value = oracle
-// time / library time, usec = library time).
+// Entries: params {backend}: "tiled" for the library kernel or layer,
+// "ref" / "oracle" for the oracle loops, "tiled_vs_ref" /
+// "layer_vs_oracle" for a speedup row (value = oracle time / library
+// time, usec = library time).
 
 #include <algorithm>
 #include <string>
@@ -160,6 +162,53 @@ void bench_gemm_set(Run& run, const std::string& name,
              ref_usec / tiled_usec, "x");
 }
 
+// The paper CNN's two convs (make_small_cnn(16)) at its client batch of
+// 8, as a client step runs them: conv1's forward and
+// backward_params_only (it is the first layer), conv2's forward and
+// backward. Timed against oracle::ConvOracle's direct loops doing the
+// same work, in alternating slices of the budget.
+void bench_paper_cnn_conv(Run& run) {
+  Rng rng(3);
+  nn::Conv2d conv1(1, 6, rng), conv2(6, 12, rng);
+  const nn::Tensor x1 = inputs(rng, {8, 1, 16, 16})[0];
+  const nn::Tensor x2 = inputs(rng, {8, 6, 8, 8})[0];
+  nn::Tensor gy1({8, 6, 16, 16}), gy2({8, 12, 8, 8}), y1, y2, gx2;
+  for (auto& v : gy1.flat()) v = float(rng.normal());
+  for (auto& v : gy2.flat()) v = float(rng.normal());
+  nn::Workspace ws;
+  const auto layers = [&] {
+    ws.begin_pass();
+    conv1.forward(x1, y1, ws);
+    conv1.backward_params_only(gy1, ws);
+    conv2.forward(x2, y2, ws);
+    conv2.backward(gy2, gx2, ws);
+  };
+  const auto p1 = conv1.params(), p2 = conv2.params();
+  const oracle::ConvOracle o1{1, 6, 16, 16, p1[0].value.data(),
+                              p1[1].value.data()};
+  const oracle::ConvOracle o2{6, 12, 8, 8, p2[0].value.data(),
+                              p2[1].value.data()};
+  std::vector<float> y1r(gy1.numel()), y2r(gy2.numel()), gx2r(x2.numel()),
+      gw1(p1[0].grad.size()), gb1(6), gw2(p2[0].grad.size()), gb2(12);
+  const auto oracles = [&] {
+    for (std::size_t b = 0; b < 8; ++b)
+      o1.forward(x1.data() + b * 256, y1r.data() + b * 6 * 256);
+    o1.backward(x1.data(), gy1.data(), 8, gw1.data(), gb1.data(), nullptr);
+    for (std::size_t b = 0; b < 8; ++b)
+      o2.forward(x2.data() + b * 6 * 64, y2r.data() + b * 12 * 64);
+    o2.backward(x2.data(), gy2.data(), 8, gw2.data(), gb2.data(),
+                gx2r.data());
+  };
+  const auto [ref_usec, layer_usec] =
+      run.timer.time_usec_pair(oracles, layers);
+  run.record("layer", "paper_cnn_conv", {{"backend", "oracle"}}, ref_usec,
+             1e6 / ref_usec, "runs/s");
+  run.record("layer", "paper_cnn_conv", {{"backend", "tiled"}}, layer_usec,
+             1e6 / layer_usec, "runs/s");
+  run.record("speedup", "paper_cnn_conv", {{"backend", "layer_vs_oracle"}},
+             layer_usec, ref_usec / layer_usec, "x");
+}
+
 // End-to-end: one client-round = sample a batch, forward, loss, backward,
 // flatten the gradient — exactly fl::Client::compute_gradient_into.
 void bench_client_round(Run& run, const std::string& name, fl::Workload w) {
@@ -183,11 +232,12 @@ void train_suite(Run& run) {
     bench_gemm_set(run, "gemm_nn_" + std::to_string(d),
                    {{nn::gemm_nn, oracle::gemm_nn, d, d, d, false, false,
                      false}});
-  // The CNN workload's conv GEMMs (make_small_cnn(16): conv1 6 channels
-  // over a 16x16 map from 1 input channel, conv2 12 over 8x8 from 6) for
-  // one sample of its batch-8 client round: forward y = W cols, backward
-  // gW += gy cols^T, and conv2's input gradient W^T gy (conv1, the first
-  // layer, skips it).
+  // The five per-sample products the paper CNN's convs once lowered to
+  // (make_small_cnn(16): conv1 6 channels over a 16x16 map from 1 input
+  // channel, conv2 12 over 8x8 from 6): forward y = W cols, backward
+  // gW += gy cols^T, and conv2's input gradient W^T gy. The layers no
+  // longer call them; the set stays as the guard on the GEMM's partial
+  // tiles, short k and skinny-NT swap at small shapes.
   bench_gemm_set(
       run, "cnn_conv",
       {{nn::gemm_nn, oracle::gemm_nn, 6, 256, 9, false, false, false},
@@ -203,6 +253,7 @@ void train_suite(Run& run) {
       {{nn::gemm_nt, oracle::gemm_nt, 8, 1300, 768, false, true, false},
        {nn::gemm_tn, oracle::gemm_tn, 1300, 768, 8, true, false, true}});
   bench_layers(run);
+  bench_paper_cnn_conv(run);
   const auto workload = [](fl::WorkloadKind kind, fl::ModelProfile profile) {
     return fl::make_workload(kind, profile, fl::Scale::kSmoke);
   };

@@ -3,18 +3,27 @@
 // two-conv residual block (the "ResNet-18-like" ingredient of the CIFAR
 // stand-in model). Activations are [B, C, H, W] row-major tensors.
 //
-// Conv2d lowers to GEMM: forward im2cols each sample into a packed
-// [IC*9 x H*W] column buffer and multiplies by the [OC x IC*9] weight
-// matrix; backward re-lowers the borrowed input for the weight gradient
-// and col2im-sums the column gradient back to the input. Both lowerings
-// go through an (H+2) x (W+2) bordered map of one channel whose zero
-// border is the padding, so every tap row is a plain W-float copy (or
-// add) with no range check: im2col copies the channel into the map's
-// interior and reads padding taps from the border as literal +0.0f;
-// col2im accumulates into a map started at +0.0f, each element in k
-// order as a range-checked scatter would, and copies the interior out. The single-sample column buffers and the map
-// come from the Workspace arena, so steady-state training allocates
-// nothing and eval-sized batches don't balloon the arena.
+// Conv2d runs three register-tiled loops, one per product, on tiles of
+// eight accumulator rows of eight floats (gemm.cc's vector row type and
+// AVX2 clone). They read each sample from IC zero-bordered (H+2) x
+// (W+2) planes, one per input channel, whose border is the padding, so
+// no tap read needs a range check and no column panel is built:
+//   - forward: rows are up to 8 output channels, lanes 8 pixels of one
+//     output row, k the IC*9 taps ascending; the bias is added last;
+//   - weight gradient: rows are one input channel's 9 taps, lanes 8
+//     output channels (gy packed pixel-major), k the pixels ascending;
+//     each tile starts from gW, so samples also add in order;
+//   - input gradient: tap by tap, each tap's column gradient over every
+//     pixel (rows 8 pixel vectors, k the output channels) is added into
+//     a bordered map started at +0.0f, whose interior is then copied to
+//     grad_in.
+// Every output element keeps the add sequence of the im2col -> GEMM ->
+// col2im lowering this replaced, so the results are bit-identical to it
+// (tests/oracles.h ConvOracle), and gemm_flops bills those products.
+// Scratch — one sample's planes, the weight pack, the gy pack and one
+// gradient map — comes from the Workspace arena and is never batch-sized,
+// so steady-state training allocates nothing and eval-sized batches
+// don't balloon the arena.
 //
 // MaxPool2 keeps the first strict maximum of each window scanned (0,0),
 // (0,1), (1,0), (1,1) — ties keep the earlier slot, a NaN after the
@@ -42,16 +51,19 @@ class Conv2d : public Layer {
   static constexpr std::size_t kKernel = 3;
 
  private:
+  // Both backwards: parameter gradients, and the input gradient into gx
+  // unless it is null.
+  void backward_into(const Tensor& grad_out, float* gx, Workspace& ws);
+
   std::size_t in_ch_, out_ch_;
   std::vector<float> w_, b_, gw_, gb_;  // w: [OC, IC, 3, 3] == [OC x IC*9]
-  // Forward lowers one sample at a time into a single [IC*9 x H*W]
-  // workspace panel and backward re-lowers from the borrowed input, so
-  // no batch-sized panel is ever retained — an evaluation-sized forward
-  // would otherwise pin megabytes per layer in the never-shrinking arena.
+  // Every product reads the input one sample at a time, so backward
+  // reads the borrowed input again rather than keeping anything.
   const Tensor* cached_input_ = nullptr;  // borrowed; valid until backward
 };
 
-// 2x2 max pooling with stride 2. H and W must be even.
+// 2x2 max pooling with stride 2 over each [H, W] plane: an odd last
+// row or column is dropped (floor).
 class MaxPool2 : public Layer {
  public:
   void forward(const Tensor& x, Tensor& y, Workspace& ws) override;

@@ -273,30 +273,11 @@ void add_bias_rows(float* c, std::size_t m, std::size_t n, std::size_t ldc,
   }
 }
 
-void add_bias_cols(float* c, std::size_t m, std::size_t n, std::size_t ldc,
-                   const float* bias) {
-  for (std::size_t i = 0; i < m; ++i) {
-    float* row = c + i * ldc;
-    const float bv = bias[i];
-    for (std::size_t j = 0; j < n; ++j) row[j] += bv;
-  }
-}
-
 void add_col_sums(const float* a, std::size_t m, std::size_t n,
                   std::size_t lda, float* out) {
   for (std::size_t i = 0; i < m; ++i) {
     const float* row = a + i * lda;
     for (std::size_t j = 0; j < n; ++j) out[j] += row[j];
-  }
-}
-
-void add_row_sums(const float* a, std::size_t m, std::size_t n,
-                  std::size_t lda, float* out) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* row = a + i * lda;
-    float acc = out[i];
-    for (std::size_t j = 0; j < n; ++j) acc += row[j];
-    out[i] = acc;
   }
 }
 

@@ -1,9 +1,9 @@
 #pragma once
-// Single-precision GEMM kernels behind the NN layers (Linear, im2col
-// Conv2d, per-timestep RNN matmuls), plus the small broadcast/reduction
-// helpers those layers need. All matrices are row-major with explicit
-// leading dimensions, so strided views (a timestep slice of a [B, T, E]
-// tensor, a sample block of a packed im2col buffer) feed the kernels
+// Single-precision GEMM kernels behind the NN layers (Linear, the
+// per-timestep RNN matmuls) and the Gram products of the aggregation
+// rules, plus the small broadcast/reduction helpers Linear needs. All
+// matrices are row-major with explicit leading dimensions, so strided
+// views (a timestep slice of a [B, T, E] tensor) feed the kernels
 // directly — no col-major conversion, no staging copies.
 //
 // Numeric contract: for every output element C[i][j], the kernels
@@ -68,16 +68,8 @@ void gram_upper(std::size_t n, std::size_t k, const float* g,
 void add_bias_rows(float* c, std::size_t m, std::size_t n, std::size_t ldc,
                    const float* bias);
 
-// Per-row bias broadcast: c[i][j] += bias[i] (conv output channels).
-void add_bias_cols(float* c, std::size_t m, std::size_t n, std::size_t ldc,
-                   const float* bias);
-
 // out[j] += sum_i a[i][j] (bias gradient of a [batch x out] grad block).
 void add_col_sums(const float* a, std::size_t m, std::size_t n,
-                  std::size_t lda, float* out);
-
-// out[i] += sum_j a[i][j] (bias gradient of a [channels x hw] grad block).
-void add_row_sums(const float* a, std::size_t m, std::size_t n,
                   std::size_t lda, float* out);
 
 }  // namespace signguard::nn

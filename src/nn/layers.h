@@ -41,17 +41,21 @@ class Layer {
 
   // Backward for the model's first parameterized layer: nothing below it
   // consumes dL/d(input), so layers that can skip producing it override
-  // this (Linear drops one GEMM, Conv2d drops the col2im scatter and its
-  // GEMM). Default: full backward into a workspace sink. Parameter
-  // gradients are identical to backward()'s.
+  // this (Linear drops one GEMM, Conv2d its input-gradient loop).
+  // Default: full backward into a workspace sink. Parameter gradients are
+  // identical to backward()'s.
   virtual void backward_params_only(const Tensor& grad_out, Workspace& ws) {
     Tensor& sink = ws.take({});
     backward(grad_out, sink, ws);
   }
 
-  // Views over every learnable blob (empty for stateless layers).
+  // Views over every learnable blob (empty for stateless layers). A Model
+  // takes them once and keeps them, so they must stay valid as long as
+  // the layer lives.
   virtual std::vector<ParamView> params() { return {}; }
-  virtual void zero_grad();
+  // Zeroes every params() gradient (Model::zero_gradients does the same
+  // through its kept views).
+  void zero_grad();
 
   virtual std::string name() const = 0;
 };

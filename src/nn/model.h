@@ -39,7 +39,8 @@ class Model {
 
   Workspace& workspace() { return ws_; }
 
-  // Non-const because they traverse Layer::params() views.
+  // Non-const because they traverse Layer::params() views. None of the
+  // parameter walks allocates, except the two that return a vector.
   std::size_t parameter_count();
 
   // Flat copies across every layer, in layer order then blob order.
@@ -63,9 +64,14 @@ class Model {
  private:
   static constexpr std::size_t kFirstParamUnknown = ~std::size_t(0);
 
+  // Every layer's params() in layer order, built on first use after the
+  // last add(): the parameter walks below then allocate nothing.
+  const std::vector<ParamView>& param_views();
+
   std::vector<std::unique_ptr<Layer>> layers_;
   Workspace ws_;
-  // Lowest layer index with parameters (computed lazily; layers_.size()
+  std::vector<ParamView> views_;
+  // Lowest layer index with parameters (set with views_; layers_.size()
   // when no layer has any). backward() stops its gradient chain there.
   std::size_t first_param_layer_ = kFirstParamUnknown;
 };

@@ -8,12 +8,12 @@
 // Ownership rules:
 //  - activation(i) / grad_buffer(i) are stable, indexed slots the Model
 //    uses for the layer-chain outputs and the backward ping-pong.
-//  - take(shape) is a cursor arena for layer-internal scratch (im2col
-//    columns, RNN hidden states, residual-branch temporaries). The
-//    cursor resets at the start of every forward pass (begin_pass) and
-//    keeps advancing through backward, so a buffer taken in forward —
-//    e.g. a cached im2col panel — stays untouched until the *next*
-//    forward pass. A fixed pass structure therefore maps every take()
+//  - take(shape) is a cursor arena for layer-internal scratch (conv
+//    input planes and packs, RNN hidden states, residual-branch
+//    temporaries). The cursor resets at the start of every forward pass
+//    (begin_pass) and keeps advancing through backward, so a buffer
+//    taken in forward — e.g. the RNN's hidden states — stays untouched
+//    until the *next* forward pass. A fixed pass structure therefore maps every take()
 //    to the same slot each batch.
 //  - Slots live in deques: references and pointers into them remain
 //    valid as the arena grows, so layers may cache borrowed pointers to

@@ -8,13 +8,24 @@
 //   gemm_nn / gemm_nt / gemm_tn   the per-element triple loop. nn::gemm_*
 //                                 must match it bitwise at every shape
 //                                 and thread count (test_nn_kernels).
-//   maxpool2 / maxpool2_backward  the per-window branchy scan: the first
-//                                 strict maximum over (0,0), (0,1),
-//                                 (1,0), (1,1) and its flat index; the
-//                                 backward adds each pooled gradient to
-//                                 +0.0 at that index. nn::MaxPool2 must
-//                                 match both bitwise, NaNs and signed
-//                                 zeros included (test_nn_kernels).
+//   ConvOracle                    the 3x3 same-padding convolution as
+//                                 per-element loops in the im2col ->
+//                                 GEMM -> col2im order: k = (c*3 +
+//                                 ky)*3 + kx ascending, padding taps
+//                                 reading literal zeros. nn::Conv2d's
+//                                 forward and both backwards must match
+//                                 it bitwise (test_nn_kernels); the
+//                                 microbench train suite times the layer
+//                                 against it.
+//   maxpool2 / maxpool2_backward  the per-window branchy scan over each
+//                                 plane's floor(H/2) x floor(W/2)
+//                                 windows: the first strict maximum over
+//                                 (0,0), (0,1), (1,0), (1,1) and its
+//                                 flat index; the backward adds each
+//                                 pooled gradient to +0.0 at that index.
+//                                 nn::MaxPool2 must match both bitwise,
+//                                 NaNs and signed zeros included
+//                                 (test_nn_kernels).
 //   pairwise_dist2 / pairwise_dot the direct per-pair loops over vec::dist2
 //   pairwise_dist2_packed         and vec::dot, one double accumulator per
 //                                 entry. The Gram kernels agree within a
@@ -105,10 +116,87 @@ inline void gemm_tn(std::size_t m, std::size_t n, std::size_t k,
                accumulate);
 }
 
+// ---- 3x3 same-padding convolution ------------------------------------------
+
+// Conv2d with ic input and oc output channels over [h, w] maps, weights
+// wt [oc][ic*9] and bias [oc]. Every output element is one float
+// accumulator over k = (c*3 + ky)*3 + kx ascending with out-of-range taps
+// contributing literal zeros — the per-element sequence of the im2col ->
+// GEMM -> col2im lowering.
+struct ConvOracle {
+  std::size_t ic, oc, h, w;
+  const float* wt;
+  const float* bias;
+
+  // Tap k of output pixel p: x[c][y + ky - 1][x + kx - 1], or 0.
+  float col(const float* x, std::size_t k, std::size_t p) const {
+    const std::size_t c = k / 9;
+    const std::ptrdiff_t yy = std::ptrdiff_t(p / w + (k % 9) / 3) - 1;
+    const std::ptrdiff_t xx = std::ptrdiff_t(p % w + k % 3) - 1;
+    if (yy < 0 || yy >= std::ptrdiff_t(h) || xx < 0 ||
+        xx >= std::ptrdiff_t(w))
+      return 0.0f;
+    return x[(c * h + std::size_t(yy)) * w + std::size_t(xx)];
+  }
+
+  // y[oc][p] for one sample: the product from +0.0f, then the bias.
+  void forward(const float* x, float* y) const {
+    const std::size_t kk = ic * 9, hw = h * w;
+    for (std::size_t o = 0; o < oc; ++o)
+      for (std::size_t p = 0; p < hw; ++p) {
+        float acc = 0.0f;
+        for (std::size_t k = 0; k < kk; ++k)
+          acc += wt[o * kk + k] * col(x, k, p);
+        y[o * hw + p] = acc + bias[o];
+      }
+  }
+
+  // One batch's backward, samples in order: gb and gw accumulate onto
+  // their values (gb[o] += pixels ascending; gw[o][k] += gy[o][p] *
+  // tap, p ascending), and gx, unless null, gets each sample's input
+  // gradient: per element, +0.0f plus every in-range tap's column
+  // gradient (sum of W[o][k] * gy[o][p], o ascending from +0.0f) in k
+  // order.
+  void backward(const float* x, const float* gy, std::size_t batch,
+                float* gw, float* gb, float* gx) const {
+    const std::size_t kk = ic * 9, hw = h * w;
+    for (std::size_t b = 0; b < batch; ++b, x += ic * hw, gy += oc * hw) {
+      for (std::size_t o = 0; o < oc; ++o) {
+        float acc = gb[o];
+        for (std::size_t p = 0; p < hw; ++p) acc += gy[o * hw + p];
+        gb[o] = acc;
+      }
+      for (std::size_t o = 0; o < oc; ++o)
+        for (std::size_t k = 0; k < kk; ++k) {
+          float acc = gw[o * kk + k];
+          for (std::size_t p = 0; p < hw; ++p)
+            acc += gy[o * hw + p] * col(x, k, p);
+          gw[o * kk + k] = acc;
+        }
+      if (gx == nullptr) continue;
+      float* gxb = gx + b * ic * hw;
+      std::fill_n(gxb, ic * hw, 0.0f);
+      for (std::size_t k = 0; k < kk; ++k)
+        for (std::size_t p = 0; p < hw; ++p) {
+          const std::ptrdiff_t yy = std::ptrdiff_t(p / w + (k % 9) / 3) - 1;
+          const std::ptrdiff_t xx = std::ptrdiff_t(p % w + k % 3) - 1;
+          if (yy < 0 || yy >= std::ptrdiff_t(h) || xx < 0 ||
+              xx >= std::ptrdiff_t(w))
+            continue;
+          float acc = 0.0f;
+          for (std::size_t o = 0; o < oc; ++o)
+            acc += wt[o * kk + k] * gy[o * hw + p];
+          gxb[(k / 9 * h + std::size_t(yy)) * w + std::size_t(xx)] += acc;
+        }
+    }
+  }
+};
+
 // ---- 2x2 max pooling -------------------------------------------------------
 
-// MaxPool2's forward over `planes` [H, W] maps (H, W even), one output
-// per 2x2 window: the window's first value, replaced by each later one
+// MaxPool2's forward over `planes` [H, W] maps, one output per 2x2
+// window of the floor(H/2) x floor(W/2) grid (an odd last row or column
+// is never read): the window's first value, replaced by each later one
 // only if strictly greater, so ties keep the earlier slot and a NaN
 // after the first slot is skipped. `argmax` gets the flat input index
 // of the kept slot.

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <new>
+#include <utility>
 
 #include "aggregators/baselines.h"
 #include "attacks/byzmean.h"
@@ -21,8 +25,57 @@
 #include "fl/trainer.h"
 #include "nn/models.h"
 
+// Every global operator new of this binary is counted while
+// `g_count_news` is set, so a test can assert that a code path allocates
+// nothing. Each plain form is replaced, so that a sanitizer runtime's own
+// new never meets this free.
+namespace {
+std::atomic<bool> g_count_news{false};
+std::atomic<std::size_t> g_news{0};
+
+void* counted_malloc(std::size_t n) noexcept {
+  if (g_count_news.load(std::memory_order_relaxed))
+    g_news.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+
+// Out of line, so GCC does not pair an inlined free with an inlined
+// operator new and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = counted_malloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  release(p);
+}
+
 namespace signguard::fl {
 namespace {
+
+// The operator news `op` makes.
+template <class F>
+std::size_t news_during(F&& op) {
+  g_news = 0;
+  g_count_news = true;
+  op();
+  g_count_news = false;
+  return g_news;
+}
 
 data::TrainTest tiny_data(std::uint64_t seed = 5) {
   data::SynthImageConfig cfg;
@@ -89,6 +142,40 @@ TEST(Client, WeightDecayShiftsGradient) {
   const auto params = model.parameters();
   for (std::size_t j = 0; j < 20; ++j)
     EXPECT_NEAR(g1[j] - g0[j], 0.1f * params[j], 1e-4);
+}
+
+// After warm-up, a client step and a parameter load allocate nothing,
+// for every model the workloads build (docs/ARCHITECTURE.md "Workspace
+// ownership").
+TEST(Client, SteadyStateStepAllocatesNothing) {
+  const std::pair<WorkloadKind, ModelProfile> kModels[] = {
+      {WorkloadKind::kMnistLike, ModelProfile::kGrid},
+      {WorkloadKind::kMnistLike, ModelProfile::kPaper},
+      {WorkloadKind::kCifarLike, ModelProfile::kGrid},
+      {WorkloadKind::kCifarLike, ModelProfile::kPaper},
+      {WorkloadKind::kAgNewsLike, ModelProfile::kGrid},
+      {WorkloadKind::kAgNewsLike, ModelProfile::kPaper}};
+  for (const auto& [kind, profile] : kModels) {
+    const Workload w = make_workload(kind, profile, Scale::kSmoke);
+    nn::Model model = w.model_factory(3);
+    std::vector<std::size_t> shard(w.data.train.size());
+    for (std::size_t i = 0; i < shard.size(); ++i) shard[i] = i;
+    Client client(&w.data.train, std::move(shard), 7);
+    std::vector<float> grad(model.parameter_count());
+    const std::vector<float> params = model.parameters();
+    const auto step = [&] {
+      client.compute_gradient_into(grad, model, w.config.batch_size,
+                                   w.config.weight_decay, false);
+    };
+    step();  // warm-up: the arena and the client's scratch reach size
+    EXPECT_EQ(news_during([&] {
+                for (int i = 0; i < 20; ++i) step();
+              }),
+              0u)
+        << w.name << " " << to_string(profile);
+    EXPECT_EQ(news_during([&] { model.set_parameters(params); }), 0u)
+        << w.name << " " << to_string(profile);
+  }
 }
 
 TEST(Metrics, SelectionStatsRunningAverage) {

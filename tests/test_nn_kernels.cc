@@ -1,11 +1,11 @@
-// GEMM / im2col / pooling execution-path tests. The tiled GEMM's
+// GEMM / convolution / pooling execution-path tests. The tiled GEMM's
 // determinism contract is bitwise: per output element, one float
 // accumulator and a strictly ascending k loop, regardless of tile
 // boundaries or thread count. These tests pin that contract — against
-// the plain-loop oracle (tests/oracles.h) over awkward shapes, against a
-// direct-convolution oracle for the im2col path, against the branchy
-// window scan for max pooling, and against workspace growth across
-// identical rounds.
+// the plain-loop oracles (tests/oracles.h): the triple loop over awkward
+// shapes, the direct convolution loops for Conv2d, the branchy window
+// scan for max pooling — and against workspace growth across identical
+// rounds.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,7 @@
 #include "nn/models.h"
 #include "nn/tensor.h"
 #include "nn/workspace.h"
+#include "obs/metrics.h"
 #include "oracles.h"
 
 namespace signguard::nn {
@@ -205,116 +206,56 @@ TEST(GemmBitwise, ThreadCountInvariant) {
 }
 
 TEST(GemmHelpers, BiasBroadcastsAndSums) {
-  std::vector<float> c = {0, 0, 0, 0, 0, 0};  // 2x3
+  std::vector<float> c = {0, 0, 0, 0, 10, 20};  // 2x3
   const std::vector<float> row_bias = {1, 2, 3};
   add_bias_rows(c.data(), 2, 3, 3, row_bias.data());
-  EXPECT_EQ(c, (std::vector<float>{1, 2, 3, 1, 2, 3}));
-  const std::vector<float> col_bias = {10, 20};
-  add_bias_cols(c.data(), 2, 3, 3, col_bias.data());
-  EXPECT_EQ(c, (std::vector<float>{11, 12, 13, 21, 22, 23}));
-  std::vector<float> cols(3, 0.0f), rows(2, 100.0f);
+  EXPECT_EQ(c, (std::vector<float>{1, 2, 3, 1, 12, 23}));
+  std::vector<float> cols(3, 100.0f);
   add_col_sums(c.data(), 2, 3, 3, cols.data());
-  EXPECT_EQ(cols, (std::vector<float>{32, 34, 36}));
-  add_row_sums(c.data(), 2, 3, 3, rows.data());
-  EXPECT_EQ(rows, (std::vector<float>{136, 166}));
+  EXPECT_EQ(cols, (std::vector<float>{102, 114, 126}));
 }
 
 // ---------------------------------------------------------------- Conv2d
-
-// Direct 3x3 same-padding convolution oracle that mirrors the im2col
-// semantics exactly: per output element one float accumulator over
-// k = (ic*3 + ky+1)*3 + (kx+1) ascending, with out-of-range taps
-// contributing literal zeros — so layer output must match bitwise.
-struct ConvOracle {
-  std::size_t ic, oc, h, w;
-  const std::vector<float>& wt;  // [OC][IC*9]
-  const std::vector<float>& bias;
-
-  float col(const float* x, std::size_t k, std::size_t p) const {
-    const std::size_t c = k / 9;
-    const std::ptrdiff_t ky = std::ptrdiff_t((k % 9) / 3) - 1;
-    const std::ptrdiff_t kx = std::ptrdiff_t(k % 3) - 1;
-    const std::ptrdiff_t yy = std::ptrdiff_t(p / w) + ky;
-    const std::ptrdiff_t xx = std::ptrdiff_t(p % w) + kx;
-    if (yy < 0 || yy >= std::ptrdiff_t(h) || xx < 0 ||
-        xx >= std::ptrdiff_t(w))
-      return 0.0f;
-    return x[(c * h + std::size_t(yy)) * w + std::size_t(xx)];
-  }
-
-  // y[oc][p] for one sample.
-  void forward(const float* x, float* y) const {
-    const std::size_t kk = ic * 9, hw = h * w;
-    for (std::size_t o = 0; o < oc; ++o)
-      for (std::size_t p = 0; p < hw; ++p) {
-        float acc = 0.0f;
-        for (std::size_t k = 0; k < kk; ++k)
-          acc += wt[o * kk + k] * col(x, k, p);
-        y[o * hw + p] = acc + bias[o];
-      }
-  }
-
-  // Accumulation-order-faithful backward for one batch: sample-major like
-  // the layer (b outer), gemm-shaped loops inside.
-  void backward(const std::vector<const float*>& xs,
-                const std::vector<const float*>& gys, std::vector<float>& gw,
-                std::vector<float>& gb, std::vector<float>& gx) const {
-    const std::size_t kk = ic * 9, hw = h * w;
-    std::vector<float> dcols(kk * hw);
-    for (std::size_t b = 0; b < xs.size(); ++b) {
-      const float* gy = gys[b];
-      for (std::size_t o = 0; o < oc; ++o) {
-        float acc = gb[o];
-        for (std::size_t p = 0; p < hw; ++p) acc += gy[o * hw + p];
-        gb[o] = acc;
-      }
-      for (std::size_t o = 0; o < oc; ++o)
-        for (std::size_t k = 0; k < kk; ++k) {
-          float acc = gw[o * kk + k];
-          for (std::size_t p = 0; p < hw; ++p)
-            acc += gy[o * hw + p] * col(xs[b], k, p);
-          gw[o * kk + k] = acc;
-        }
-      for (std::size_t k = 0; k < kk; ++k)
-        for (std::size_t p = 0; p < hw; ++p) {
-          float acc = 0.0f;
-          for (std::size_t o = 0; o < oc; ++o)
-            acc += wt[o * kk + k] * gy[o * hw + p];
-          dcols[k * hw + p] = acc;
-        }
-      // col2im scatter in the layer's k-then-row-major order.
-      float* gxb = gx.data() + b * ic * hw;
-      for (std::size_t k = 0; k < kk; ++k) {
-        const std::size_t c = k / 9;
-        const std::ptrdiff_t ky = std::ptrdiff_t((k % 9) / 3) - 1;
-        const std::ptrdiff_t kx = std::ptrdiff_t(k % 3) - 1;
-        for (std::size_t p = 0; p < hw; ++p) {
-          const std::ptrdiff_t yy = std::ptrdiff_t(p / w) + ky;
-          const std::ptrdiff_t xx = std::ptrdiff_t(p % w) + kx;
-          if (yy < 0 || yy >= std::ptrdiff_t(h) || xx < 0 ||
-              xx >= std::ptrdiff_t(w))
-            continue;
-          gxb[(c * h + std::size_t(yy)) * w + std::size_t(xx)] +=
-              dcols[k * hw + p];
-        }
-      }
-    }
-  }
-};
 
 // One conv layer shape: batch, input and output channels, map size.
 struct ConvShape {
   std::size_t batch, ic, oc, h, w;
 };
 
-// A small odd shape, the paper CNN's two convs at its client batch of 8
-// (make_small_cnn(16)), and maps narrower than the kernel in one
-// dimension or both, where every tap row is mostly padding.
-constexpr ConvShape kConvShapes[] = {{2, 2, 3, 5, 6},   {8, 1, 6, 16, 16},
-                                     {8, 6, 12, 8, 8},  {2, 2, 3, 1, 7},
-                                     {2, 2, 3, 3, 1},   {2, 2, 3, 2, 2}};
+// A small odd shape; every conv the models build at their client batch
+// of 8: the paper CNN's two (make_small_cnn(16)) and the residual CNN's
+// stem and block convs (make_color_cnn(16)); widths one lane past a full
+// vector (9, 17) with an output-channel group of one lane and a second
+// strip of rows; maps narrower than the kernel in one dimension or both,
+// where every tap row is mostly padding, down to 1x1.
+constexpr ConvShape kConvShapes[] = {
+    {2, 2, 3, 5, 6},  {8, 1, 6, 16, 16}, {8, 6, 12, 8, 8},
+    {8, 3, 8, 16, 16}, {8, 8, 8, 8, 8},   {2, 3, 5, 4, 9},
+    {2, 2, 9, 10, 17}, {2, 2, 3, 1, 7},  {2, 2, 3, 3, 1},
+    {2, 2, 3, 2, 2},  {2, 2, 3, 1, 1}};
 
-TEST(ConvIm2col, BitwiseMatchesDirectReferenceForwardBackward) {
+// gemm_flops billed while `op` runs, summed over stages.
+template <class F>
+std::uint64_t billed_flops(F&& op) {
+  obs::MetricsRegistry reg(false);
+  {
+    obs::ScopedMetrics scope(&reg);
+    reg.begin_round(0);
+    op();
+    reg.end_round();
+  }
+  std::uint64_t flops = 0;
+  for (const auto& stage : reg.totals().counters)
+    flops += stage[std::size_t(obs::Counter::kGemmFlops)];
+  return flops;
+}
+
+// Conv2d against the direct loops of oracle::ConvOracle, byte for byte:
+// the forward, both backwards' parameter gradients and the input
+// gradient. Each product bills gemm_flops as the per-sample GEMM it
+// replaced did, 2 * OC * H*W * IC*9 per sample: the forward one product,
+// backward two, backward_params_only one.
+TEST(Conv2d, BitwiseMatchesDirectReferenceForwardBackward) {
   // The NaN that inf - inf yields at run time on this platform (volatile
   // keeps the compiler from folding it to another pattern): +inf and
   // -inf below can meet in a weight-gradient sum, and when two NaNs meet
@@ -337,10 +278,11 @@ TEST(ConvIm2col, BitwiseMatchesDirectReferenceForwardBackward) {
     last[0] = nan;
     last[ic * hw / 2] = inf;
     last[ic * hw - 1] = -inf;
+    const std::uint64_t product = 2 * batch * oc * hw * ic * 9;
     Workspace ws;
     ws.begin_pass();
     Tensor y;
-    conv.forward(x, y, ws);
+    EXPECT_EQ(billed_flops([&] { conv.forward(x, y, ws); }), product);
     ASSERT_EQ(y.shape(), (std::vector<std::size_t>{batch, oc, h, w}));
 
     auto params = conv.params();
@@ -348,7 +290,7 @@ TEST(ConvIm2col, BitwiseMatchesDirectReferenceForwardBackward) {
                                 params[0].value.end());
     const std::vector<float> bias(params[1].value.begin(),
                                   params[1].value.end());
-    const ConvOracle oracle{ic, oc, h, w, wt, bias};
+    const oracle::ConvOracle oracle{ic, oc, h, w, wt.data(), bias.data()};
     std::vector<float> y_ref(oc * hw);
     for (std::size_t b = 0; b < batch; ++b) {
       oracle.forward(x.data() + b * ic * hw, y_ref.data());
@@ -364,16 +306,12 @@ TEST(ConvIm2col, BitwiseMatchesDirectReferenceForwardBackward) {
     // every element of it.
     Tensor gx({batch, ic, h, w});
     for (auto& v : gx.flat()) v = nan;
-    conv.backward(gy, gx, ws);
+    EXPECT_EQ(billed_flops([&] { conv.backward(gy, gx, ws); }), 2 * product);
 
     std::vector<float> gw_ref(wt.size(), 0.0f), gb_ref(oc, 0.0f),
-        gx_ref(batch * ic * hw, 0.0f);
-    std::vector<const float*> xs, gys;
-    for (std::size_t b = 0; b < batch; ++b) {
-      xs.push_back(x.data() + b * ic * hw);
-      gys.push_back(gy.data() + b * oc * hw);
-    }
-    oracle.backward(xs, gys, gw_ref, gb_ref, gx_ref);
+        gx_ref(batch * ic * hw);
+    oracle.backward(x.data(), gy.data(), batch, gw_ref.data(), gb_ref.data(),
+                    gx_ref.data());
 
     params = conv.params();
     ASSERT_EQ(0, std::memcmp(gw_ref.data(), params[0].grad.data(),
@@ -387,7 +325,8 @@ TEST(ConvIm2col, BitwiseMatchesDirectReferenceForwardBackward) {
     // The first layer's backward skips the input gradient; its
     // parameter gradients must be the same bytes.
     conv.zero_grad();
-    conv.backward_params_only(gy, ws);
+    EXPECT_EQ(billed_flops([&] { conv.backward_params_only(gy, ws); }),
+              product);
     params = conv.params();
     ASSERT_EQ(0, std::memcmp(gw_ref.data(), params[0].grad.data(),
                              gw_ref.size() * sizeof(float)));
@@ -408,14 +347,17 @@ TEST(MaxPool, BitwiseMatchesBranchyReferenceForwardBackward) {
   struct Shape {
     std::size_t b, c, h, w;
   };
-  constexpr Shape kShapes[] = {
-      {1, 1, 2, 2}, {3, 5, 4, 6}, {8, 6, 16, 16}, {8, 12, 8, 8}};
+  // The paper CNN's two pools, and odd heights or widths, whose last row
+  // or column no window reads: pooling must floor per plane.
+  constexpr Shape kShapes[] = {{1, 1, 2, 2},  {3, 5, 4, 6}, {8, 6, 16, 16},
+                               {8, 12, 8, 8}, {1, 2, 5, 4}, {2, 3, 7, 7},
+                               {1, 1, 3, 3}};
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
   Rng rng(12);
   for (const Shape& s : kShapes) {
     const std::size_t planes = s.b * s.c, n_in = planes * s.h * s.w,
-                      n_out = n_in / 4, ow = s.w / 2;
+                      ow = s.w / 2, n_out = planes * (s.h / 2) * ow;
     for (std::size_t pass = 0; pass < 8; ++pass) {
       SCOPED_TRACE(::testing::Message()
                    << "shape " << s.b << "x" << s.c << "x" << s.h << "x"
