@@ -32,11 +32,12 @@ namespace signguard::microbench {
 namespace {
 
 // Times the layer's forward on a rotation of inputs, then its backward
-// on the last one. Distinct inputs keep the branch predictor from
-// learning a data-dependent kernel (max pooling's argmax) from one
-// input it sees over and over.
+// on the last one: backward_params_only with `first`, the only backward
+// a model's first parameterized layer runs. Distinct inputs keep the
+// branch predictor from learning a data-dependent kernel (max pooling's
+// argmax) from one input it sees over and over.
 void bench_layer(Run& run, const std::string& name, nn::Layer& layer,
-                 const std::vector<nn::Tensor>& xs) {
+                 const std::vector<nn::Tensor>& xs, bool first = false) {
   nn::Workspace ws;
   nn::Tensor y, gy, gx;
   ws.begin_pass();
@@ -57,8 +58,10 @@ void bench_layer(Run& run, const std::string& name, nn::Layer& layer,
   const std::size_t after_fwd = ws.mark();
   const double bwd = run.timer.time_usec([&] {
     ws.rewind(after_fwd);
-    layer.zero_grad();
-    layer.backward(gy, gx, ws);
+    if (first)
+      layer.backward_params_only(gy, ws);
+    else
+      layer.backward(gy, gx, ws);
   });
   run.record("layer", name + "_bwd", {{"backend", "tiled"}}, bwd, 1e6 / bwd,
              "runs/s");
@@ -93,10 +96,11 @@ void bench_layers(Run& run) {
                 inputs(rng, {8, 6, 16, 16}));
   }
   // The paper CNN (make_small_cnn(16)) at its client batch of 8: its two
-  // convs and the max pooling after each.
+  // convs and the max pooling after each. conv1 is the first layer.
   {
     nn::Conv2d conv(1, 6, rng);
-    bench_layer(run, "conv_8x1x16x16_oc6", conv, inputs(rng, {8, 1, 16, 16}));
+    bench_layer(run, "conv_8x1x16x16_oc6", conv, inputs(rng, {8, 1, 16, 16}),
+                /*first=*/true);
   }
   {
     nn::Conv2d conv(6, 12, rng);
@@ -111,7 +115,7 @@ void bench_layers(Run& run) {
     bench_layer(run, "maxpool_8x12x8x8", pool, inputs(rng, {8, 12, 8, 8}));
   }
   {
-    nn::RnnTanh rnn(16, 32, rng, nn::RnnOutput::kMeanPool);
+    nn::RnnTanh rnn(16, 32, rng);
     bench_layer(run, "rnn_8x16_e16_h32", rnn, inputs(rng, {8, 16, 16}));
   }
 }
@@ -247,11 +251,11 @@ void train_suite(Run& run) {
        {nn::gemm_tn, oracle::gemm_tn, 54, 64, 12, true, false, false}});
   // The flagship client step's two large products, in the 768-1300-10
   // MLP's wide layer at batch 8: the forward x W^T (the skinny-NT operand
-  // swap reads W in place) and the weight gradient gW += gy^T x.
+  // swap reads W in place) and the weight gradient gW = gy^T x.
   bench_gemm_set(
       run, "flagship_mlp",
       {{nn::gemm_nt, oracle::gemm_nt, 8, 1300, 768, false, true, false},
-       {nn::gemm_tn, oracle::gemm_tn, 1300, 768, 8, true, false, true}});
+       {nn::gemm_tn, oracle::gemm_tn, 1300, 768, 8, true, false, false}});
   bench_layers(run);
   bench_paper_cnn_conv(run);
   const auto workload = [](fl::WorkloadKind kind, fl::ModelProfile profile) {

@@ -30,7 +30,6 @@ void Client::compute_gradient_into(std::span<float> out, nn::Model& model,
   // Forward/backward run inside the model's workspace arena; the logits
   // reference and the layers' borrowed input pointers stay valid until
   // the next forward pass.
-  model.zero_gradients();
   const nn::Tensor& logits = model.forward(batch_);
   nn::softmax_cross_entropy_into(logits, labels_, loss_);
   model.backward(loss_.dlogits);

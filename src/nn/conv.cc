@@ -231,6 +231,9 @@ void Conv2d::backward_into(const Tensor& grad_out, float* gx,
   // Billed as the gy * cols^T and W^T * gy products per sample.
   obs::count(obs::Counter::kGemmFlops,
              (gx ? 4 : 2) * batch * out_ch_ * hw * kk);
+  // The samples add into gW and gb, which start at +0.0f.
+  std::fill(gw_.begin(), gw_.end(), 0.0f);
+  std::fill(gb_.begin(), gb_.end(), 0.0f);
   float* maps = take_zeroed(ws, in_ch_ * plane + kLanes);
   const std::size_t groups = (out_ch_ + kLanes - 1) / kLanes;
   float* gyp = take_zeroed(ws, groups * hw * kLanes);
@@ -337,42 +340,23 @@ void ResidualConvBlock::forward(const Tensor& x, Tensor& y, Workspace& ws) {
   Tensor& s = ws.take(x.shape());
   conv2_.forward(h2, s, ws);
   assert(s.same_shape(x));
-  const std::size_t n = s.numel();
   {
     float* __restrict sp = s.data();
     const float* __restrict xp = x.data();
+    const std::size_t n = s.numel();
     for (std::size_t i = 0; i < n; ++i) sp[i] += xp[i];
   }
-  cached_sum_ = &s;
-  y.resize(s.shape());
-  {
-    const float* __restrict sp = s.data();
-    float* __restrict yp = y.data();
-    for (std::size_t i = 0; i < n; ++i)
-      yp[i] = sp[i] > 0.0f ? sp[i] : 0.0f;
-  }
+  relu_out_.forward(s, y, ws);
 }
 
 void ResidualConvBlock::backward(const Tensor& grad_out, Tensor& grad_in,
                                  Workspace& ws) {
-  assert(cached_sum_ != nullptr);
-  const Tensor& s = *cached_sum_;
-  // Through the output ReLU.
-  Tensor& ds = ws.take(s.shape());
-  {
-    const float* __restrict sp = s.data();
-    const float* __restrict gp = grad_out.data();
-    float* __restrict dp = ds.data();
-    const std::size_t n = s.numel();
-    for (std::size_t i = 0; i < n; ++i) {
-      const float g = gp[i];  // unconditional load -> vector blend
-      dp[i] = sp[i] > 0.0f ? g : 0.0f;
-    }
-  }
+  Tensor& ds = ws.take(grad_out.shape());
+  relu_out_.backward(grad_out, ds, ws);
   // Main branch: conv2 -> mid ReLU -> conv1; skip branch adds ds directly.
-  Tensor& g2 = ws.take(s.shape());
+  Tensor& g2 = ws.take(ds.shape());
   conv2_.backward(ds, g2, ws);
-  Tensor& g3 = ws.take(s.shape());
+  Tensor& g3 = ws.take(ds.shape());
   relu_mid_.backward(g2, g3, ws);
   conv1_.backward(g3, grad_in, ws);
   {

@@ -12,7 +12,8 @@
 //     output row, k the IC*9 taps ascending; the bias is added last;
 //   - weight gradient: rows are one input channel's 9 taps, lanes 8
 //     output channels (gy packed pixel-major), k the pixels ascending;
-//     each tile starts from gW, so samples also add in order;
+//     gW starts at +0.0f and each tile starts from it, so samples also
+//     add in order;
 //   - input gradient: tap by tap, each tap's column gradient over every
 //     pixel (rows 8 pixel vectors, k the output channels) is added into
 //     a bordered map started at +0.0f, whose interior is then copied to
@@ -90,8 +91,7 @@ class ResidualConvBlock : public Layer {
 
  private:
   Conv2d conv1_, conv2_;
-  ReLU relu_mid_;
-  const Tensor* cached_sum_ = nullptr;  // pre-activation of the output ReLU
+  ReLU relu_mid_, relu_out_;
 };
 
 }  // namespace signguard::nn

@@ -1,16 +1,12 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
 #include "nn/gemm.h"
 
 namespace signguard::nn {
-
-void Layer::zero_grad() {
-  for (auto& p : params())
-    for (auto& g : p.grad) g = 0.0f;
-}
 
 // ---------------------------------------------------------------- Linear
 
@@ -36,21 +32,15 @@ void Linear::forward(const Tensor& x, Tensor& y, Workspace&) {
   add_bias_rows(y.data(), batch, out_, out_, b_.data());
 }
 
-void Linear::backward(const Tensor& grad_out, Tensor& grad_in, Workspace&) {
+void Linear::backward(const Tensor& grad_out, Tensor& grad_in,
+                      Workspace& ws) {
   assert(cached_input_ != nullptr);
-  const Tensor& x = *cached_input_;
-  const std::size_t batch = x.dim(0);
-  assert(grad_out.ndim() == 2 && grad_out.dim(0) == batch &&
-         grad_out.dim(1) == out_);
+  const std::size_t batch = cached_input_->dim(0);
   grad_in.resize({batch, in_});
   // dx = gy W
   gemm_nn(batch, in_, out_, grad_out.data(), out_, w_.data(), in_,
           grad_in.data(), in_, /*accumulate=*/false);
-  // gW += gy^T x
-  gemm_tn(out_, in_, batch, grad_out.data(), out_, x.data(), in_, gw_.data(),
-          in_, /*accumulate=*/true);
-  // gb += column sums of gy
-  add_col_sums(grad_out.data(), batch, out_, out_, gb_.data());
+  backward_params_only(grad_out, ws);
 }
 
 void Linear::backward_params_only(const Tensor& grad_out, Workspace&) {
@@ -59,8 +49,11 @@ void Linear::backward_params_only(const Tensor& grad_out, Workspace&) {
   const std::size_t batch = x.dim(0);
   assert(grad_out.ndim() == 2 && grad_out.dim(0) == batch &&
          grad_out.dim(1) == out_);
+  // gW = gy^T x: the non-accumulating product starts every element at
+  // +0.0f, and gb = the column sums of gy from +0.0f.
   gemm_tn(out_, in_, batch, grad_out.data(), out_, x.data(), in_, gw_.data(),
-          in_, /*accumulate=*/true);
+          in_, /*accumulate=*/false);
+  std::fill(gb_.begin(), gb_.end(), 0.0f);
   add_col_sums(grad_out.data(), batch, out_, out_, gb_.data());
 }
 
@@ -172,6 +165,8 @@ void Embedding::backward(const Tensor& grad_out, Tensor& grad_in,
 
 void Embedding::backward_params_only(const Tensor& grad_out, Workspace&) {
   assert(grad_out.numel() == cached_ids_.size() * dim_);
+  // Each token adds its row gradient to its id's row, from +0.0f.
+  std::fill(gw_.begin(), gw_.end(), 0.0f);
   for (std::size_t i = 0; i < cached_ids_.size(); ++i) {
     float* grow = gw_.data() + std::size_t(cached_ids_[i]) * dim_;
     const float* g = grad_out.data() + i * dim_;

@@ -6,13 +6,14 @@
 // caller-provided tensor y (resizing it, capacity-reusing) and may cache
 // a borrowed pointer to x — the caller (Model) guarantees x outlives the
 // matching backward() call, so layers never deep-copy activations.
-// backward(grad_out, grad_in, ws) receives dL/d(output), accumulates
-// parameter gradients in place, and writes dL/d(input) into grad_in.
+// backward(grad_out, grad_in, ws) receives dL/d(output), writes this
+// batch's parameter gradients and writes dL/d(input) into grad_in.
+// Every element of every parameter gradient is written, so nothing
+// carries over from an earlier backward(): a layer whose gradient sums
+// over samples, timesteps or tokens starts its own blob at +0.0f. The
+// Model gathers the gradients into one flat buffer for the FL layer.
 // Layer-internal scratch comes from the Workspace arena (ws.take), so a
 // fixed pass structure allocates nothing after the first batch.
-// Parameter gradients accumulate across backward() calls until
-// zero_grad(); the Model gathers them into one flat buffer for the FL
-// layer.
 
 #include <memory>
 #include <span>
@@ -53,9 +54,6 @@ class Layer {
   // takes them once and keeps them, so they must stay valid as long as
   // the layer lives.
   virtual std::vector<ParamView> params() { return {}; }
-  // Zeroes every params() gradient (Model::zero_gradients does the same
-  // through its kept views).
-  void zero_grad();
 
   virtual std::string name() const = 0;
 };

@@ -105,9 +105,4 @@ void Model::set_parameters(std::span<const float> flat) {
   assert(off == flat.size());
 }
 
-void Model::zero_gradients() {
-  for (const auto& p : param_views())
-    std::fill(p.grad.begin(), p.grad.end(), 0.0f);
-}
-
 }  // namespace signguard::nn

@@ -34,7 +34,9 @@ class Model {
   // by the layers and must outlive the matching backward().
   const Tensor& forward(const Tensor& x);
 
-  // Propagates dL/d(logits) through the stack, accumulating param grads.
+  // Propagates dL/d(logits) through the stack. Every layer writes this
+  // batch's parameter gradients, so nothing carries over from an earlier
+  // backward(), whichever batch or client it ran for.
   void backward(const Tensor& dlogits);
 
   Workspace& workspace() { return ws_; }
@@ -56,7 +58,6 @@ class Model {
   void gradients_into(std::span<float> out, double weight_decay);
 
   void set_parameters(std::span<const float> flat);
-  void zero_gradients();
 
   std::size_t num_layers() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_[i]; }

@@ -63,8 +63,8 @@ Model make_text_rnn(std::size_t vocab, std::size_t embed_dim,
   // sequence, and pooling gives every token gradient signal (the bi-LSTM
   // in the paper's TextRNN reads both directions for the same reason).
   m.add(std::make_unique<Embedding>(vocab, embed_dim, rng))
-      .add(std::make_unique<RnnTanh>(embed_dim, hidden_dim, rng,
-                                     RnnOutput::kMeanPool))
+      .add(std::make_unique<RnnTanh>(embed_dim, hidden_dim, rng))
+      .add(std::make_unique<MeanPoolTime>())
       .add(std::make_unique<Linear>(hidden_dim, classes, rng));
   return m;
 }

@@ -6,8 +6,8 @@
 //   - ColorCnn   : 3-channel CNN with a residual block, the "ResNet-18 on
 //                  CIFAR-10" family (≈50/50 positive/negative gradient sign
 //                  balance, the property the paper calls out in Table II)
-//   - TextRnn    : embedding + tanh RNN + linear head, the "TextRNN on
-//                  AG-News" family
+//   - TextRnn    : embedding + tanh RNN + mean-pool over time + linear
+//                  head, the "TextRNN on AG-News" family
 //   - EmbedBagText: embedding + mean-pool + linear, a cheap text model for
 //                  large sweeps
 

@@ -14,13 +14,4 @@ void SgdMomentum::step(std::span<float> params, std::span<const float> grad) {
   }
 }
 
-void add_weight_decay(std::span<float> grad, std::span<const float> params,
-                      double weight_decay) {
-  assert(grad.size() == params.size());
-  if (weight_decay == 0.0) return;
-  for (std::size_t i = 0; i < grad.size(); ++i)
-    grad[i] =
-        static_cast<float>(double(grad[i]) + weight_decay * double(params[i]));
-}
-
 }  // namespace signguard::nn

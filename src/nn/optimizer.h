@@ -1,6 +1,7 @@
 #pragma once
-// SGD with momentum over flat parameter buffers, plus the weight-decay
-// helper clients apply when forming their gradient message.
+// SGD with momentum over flat parameter buffers. Weight decay is not
+// applied here: Model::gradients_into folds it into each client's
+// gradient row.
 //
 // Placement note (docs/ARCHITECTURE.md, "Substitutions"): with one local
 // iteration and full participation (the paper's §V-C setting), every
@@ -31,9 +32,5 @@ class SgdMomentum {
   double momentum_;
   std::vector<float> velocity_;
 };
-
-// grad += weight_decay * params (L2 regularization contribution).
-void add_weight_decay(std::span<float> grad, std::span<const float> params,
-                      double weight_decay);
 
 }  // namespace signguard::nn

@@ -8,11 +8,9 @@
 
 namespace signguard::nn {
 
-RnnTanh::RnnTanh(std::size_t input_dim, std::size_t hidden_dim, Rng& rng,
-                 RnnOutput output_mode)
+RnnTanh::RnnTanh(std::size_t input_dim, std::size_t hidden_dim, Rng& rng)
     : in_(input_dim),
       hid_(hidden_dim),
-      output_mode_(output_mode),
       wxh_(hidden_dim * input_dim),
       whh_(hidden_dim * hidden_dim),
       bh_(hidden_dim, 0.0f),
@@ -30,10 +28,9 @@ void RnnTanh::forward(const Tensor& x, Tensor& y, Workspace& ws) {
   assert(x.ndim() == 3 && x.dim(2) == in_);
   cached_input_ = &x;
   const std::size_t batch = x.dim(0), time = x.dim(1);
-  Tensor& hidden = ws.take({batch, time, hid_});
-  hidden_states_ = &hidden;
+  y.resize({batch, time, hid_});
+  cached_output_ = &y;
   Tensor& pre = ws.take({batch, hid_});
-  y.resize({batch, hid_});
   // A fixed-t slice of a [B, T, *] tensor is a strided [B, *] matrix:
   // row b lives at base + t*width + b*(T*width), i.e. ld = T*width.
   const std::size_t x_stride = time * in_, h_stride = time * hid_;
@@ -45,54 +42,37 @@ void RnnTanh::forward(const Tensor& x, Tensor& y, Workspace& ws) {
     gemm_nt(batch, hid_, in_, x.data() + t * in_, x_stride, wxh_.data(), in_,
             p, hid_, /*accumulate=*/true);
     if (t > 0)
-      gemm_nt(batch, hid_, hid_, hidden.data() + (t - 1) * hid_, h_stride,
+      gemm_nt(batch, hid_, hid_, y.data() + (t - 1) * hid_, h_stride,
               whh_.data(), hid_, p, hid_, /*accumulate=*/true);
-    float* ht = hidden.data() + t * hid_;
+    float* ht = y.data() + t * hid_;
     for (std::size_t b = 0; b < batch; ++b) {
       const float* pb = p + b * hid_;
       float* hb = ht + b * h_stride;
       for (std::size_t k = 0; k < hid_; ++k) hb[k] = std::tanh(pb[k]);
     }
   }
-  if (output_mode_ == RnnOutput::kLastHidden) {
-    for (std::size_t b = 0; b < batch; ++b) {
-      const float* h_last = hidden.data() + (b * time + time - 1) * hid_;
-      std::copy(h_last, h_last + hid_, y.data() + b * hid_);
-    }
-  } else {
-    y.zero();
-    for (std::size_t b = 0; b < batch; ++b) {
-      float* yb = y.data() + b * hid_;
-      for (std::size_t t = 0; t < time; ++t) {
-        const float* ht = hidden.data() + (b * time + t) * hid_;
-        for (std::size_t k = 0; k < hid_; ++k) yb[k] += ht[k];
-      }
-      for (std::size_t k = 0; k < hid_; ++k) yb[k] /= float(time);
-    }
-  }
 }
 
 void RnnTanh::backward(const Tensor& grad_out, Tensor& grad_in,
                        Workspace& ws) {
-  assert(cached_input_ != nullptr && hidden_states_ != nullptr);
+  assert(cached_input_ != nullptr && cached_output_ != nullptr);
   const Tensor& x = *cached_input_;
-  const Tensor& hidden = *hidden_states_;
+  const Tensor& hidden = *cached_output_;
   const std::size_t batch = x.dim(0), time = x.dim(1);
-  assert(grad_out.ndim() == 2 && grad_out.dim(1) == hid_);
+  assert(grad_out.same_shape(hidden));
   grad_in.resize({batch, time, in_});
+  // The timesteps add into the parameter gradients, which start at +0.0f.
+  std::fill(gwxh_.begin(), gwxh_.end(), 0.0f);
+  std::fill(gwhh_.begin(), gwhh_.end(), 0.0f);
+  std::fill(gbh_.begin(), gbh_.end(), 0.0f);
   Tensor& dh = ws.take({batch, hid_});
   Tensor& dpre = ws.take({batch, hid_});
-  // Under mean pooling every step receives gy/T directly, in addition to
-  // the recurrent gradient flowing back from later steps.
-  const float pool_w =
-      output_mode_ == RnnOutput::kMeanPool ? 1.0f / float(time) : 0.0f;
-  const float* gy = grad_out.data();
-  {
-    const float seed_w = output_mode_ == RnnOutput::kLastHidden ? 1.0f
-                                                                : pool_w;
-    for (std::size_t i = 0; i < batch * hid_; ++i) dh[i] = gy[i] * seed_w;
-  }
   const std::size_t x_stride = time * in_, h_stride = time * hid_;
+  // dh = dL/dh_t: at the last step the output's gradient alone.
+  const float* gy = grad_out.data();
+  for (std::size_t b = 0; b < batch; ++b)
+    std::copy_n(gy + b * h_stride + (time - 1) * hid_, hid_,
+                dh.data() + b * hid_);
   for (std::size_t t = time; t-- > 0;) {
     // dpre = dh * (1 - h_t^2): gradient at the pre-activation.
     const float* ht = hidden.data() + t * hid_;
@@ -113,14 +93,15 @@ void RnnTanh::backward(const Tensor& grad_out, Tensor& grad_in,
       gemm_tn(hid_, hid_, batch, dpre.data(), hid_,
               hidden.data() + (t - 1) * hid_, h_stride, gwhh_.data(), hid_,
               /*accumulate=*/true);
-      // dh for the previous step: recurrent flow through W_hh plus the
-      // direct mean-pool contribution (zero in last-hidden mode). Not
-      // needed after the t == 0 step — there is no previous step.
+      // dh for the previous step: the recurrent flow through W_hh, then
+      // that step's output gradient. Not needed after the t == 0 step —
+      // there is no previous step.
       gemm_nn(batch, hid_, hid_, dpre.data(), hid_, whh_.data(), hid_,
               dh.data(), hid_, /*accumulate=*/false);
-      if (pool_w != 0.0f)
-        for (std::size_t i = 0; i < batch * hid_; ++i)
-          dh[i] += pool_w * gy[i];
+      const float* gyp = gy + (t - 1) * hid_;
+      for (std::size_t b = 0; b < batch; ++b)
+        for (std::size_t k = 0; k < hid_; ++k)
+          dh[b * hid_ + k] += gyp[b * h_stride + k];
     }
   }
 }

@@ -9,12 +9,12 @@
 //  - activation(i) / grad_buffer(i) are stable, indexed slots the Model
 //    uses for the layer-chain outputs and the backward ping-pong.
 //  - take(shape) is a cursor arena for layer-internal scratch (conv
-//    input planes and packs, RNN hidden states, residual-branch
+//    input planes and packs, the RNN's per-step buffers, residual-branch
 //    temporaries). The cursor resets at the start of every forward pass
 //    (begin_pass) and keeps advancing through backward, so a buffer
-//    taken in forward — e.g. the RNN's hidden states — stays untouched
-//    until the *next* forward pass. A fixed pass structure therefore maps every take()
-//    to the same slot each batch.
+//    taken in forward — e.g. the residual block's pre-activation sum —
+//    stays untouched until the *next* forward pass. A fixed pass
+//    structure therefore maps every take() to the same slot each batch.
 //  - Slots live in deques: references and pointers into them remain
 //    valid as the arena grows, so layers may cache borrowed pointers to
 //    activations/scratch between forward and backward instead of deep

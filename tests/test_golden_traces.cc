@@ -13,9 +13,10 @@
 //                          counters ("obs" blocks) on, so stage
 //                          attribution and byte billing are pinned too.
 //   paper_sweep.jsonl      the paper-profile models (the CNN on
-//                          MNIST-like, the residual CNN on CIFAR-like):
-//                          the only set whose clients train Conv2d and
-//                          MaxPool2 layers, with counters on.
+//                          MNIST-like, the residual CNN on CIFAR-like,
+//                          the text RNN on AGNews-like): the only set
+//                          whose clients train Conv2d, MaxPool2 and
+//                          RnnTanh layers, with counters on.
 //
 // Each set pins rounds, client count and seed explicitly, so the traces
 // are independent of SIGNGUARD_SCALE and SIGNGUARD_THREADS. Any change to
@@ -189,12 +190,13 @@ std::vector<ScenarioSpec> feature_scenarios() {
   return specs;
 }
 
-// The paper-profile set: both image workloads on their paper models,
-// three attack regimes against three GAR families, iid — 18 scenarios,
+// The paper-profile set: the three workloads on their paper models,
+// three attack regimes against three GAR families, iid — 27 scenarios,
 // each pinned to 4 rounds of 10 clients.
 std::vector<ScenarioSpec> paper_scenarios() {
   SweepGrid grid;
-  grid.workloads = {WorkloadKind::kMnistLike, WorkloadKind::kCifarLike};
+  grid.workloads = {WorkloadKind::kMnistLike, WorkloadKind::kCifarLike,
+                    WorkloadKind::kAgNewsLike};
   grid.profile = ModelProfile::kPaper;
   grid.attacks = {"NoAttack", "LIE", "ByzMean"};
   grid.gars = {"Mean", "Median", "SignGuard"};

@@ -301,9 +301,13 @@ TEST(Conv2d, BitwiseMatchesDirectReferenceForwardBackward) {
 
     Tensor gy({batch, oc, h, w});
     for (auto& v : gy.flat()) v = static_cast<float>(rng.normal());
-    conv.zero_grad();
-    // A reused gradient buffer holds stale values; backward must write
-    // every element of it.
+    // Reused gradient buffers hold stale values; backward must write
+    // every element of gW, gb and gx.
+    const auto stale_params = [&] {
+      for (const ParamView& p : conv.params())
+        std::fill(p.grad.begin(), p.grad.end(), nan);
+    };
+    stale_params();
     Tensor gx({batch, ic, h, w});
     for (auto& v : gx.flat()) v = nan;
     EXPECT_EQ(billed_flops([&] { conv.backward(gy, gx, ws); }), 2 * product);
@@ -324,7 +328,7 @@ TEST(Conv2d, BitwiseMatchesDirectReferenceForwardBackward) {
 
     // The first layer's backward skips the input gradient; its
     // parameter gradients must be the same bytes.
-    conv.zero_grad();
+    stale_params();
     EXPECT_EQ(billed_flops([&] { conv.backward_params_only(gy, ws); }),
               product);
     params = conv.params();
@@ -423,7 +427,6 @@ TEST(Workspace, IdenticalRoundsIdenticalGradientsNoGrowth) {
   const std::vector<int> labels = {0, 1, 2, 3};
 
   auto round = [&]() {
-    m.zero_gradients();
     const Tensor& logits = m.forward(x);
     const LossResult r = softmax_cross_entropy(logits, labels);
     m.backward(r.dlogits);
