@@ -85,7 +85,6 @@ class NoneCodec final : public Codec {
  public:
   using Codec::Codec;
   CodecKind kind() const override { return CodecKind::kNone; }
-  const char* name() const override { return "none"; }
 
   std::size_t chunk_payload_size(std::size_t len) const override {
     return len * 4;
@@ -99,29 +98,19 @@ class NoneCodec final : public Codec {
     });
   }
 
-  bool decode_chunk(std::span<const std::uint8_t> in,
-                    std::span<float> out) const override {
-    std::memcpy(out.data(), in.data(), out.size() * 4);
+  bool decode_chunk(std::span<const std::uint8_t> in, std::size_t len,
+                    float* out) const override {
     // Even the identity transport refuses to deliver non-finite
     // coordinates: an accepted uplink always decodes to finite rows.
     // Exponent-field scan with an OR-accumulator (no early exit) so the
     // loop vectorizes.
-    std::uint32_t bad = 0;
-    for (const float v : out) {
-      const std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
-      bad |= static_cast<std::uint32_t>((bits & 0x7f800000u) == 0x7f800000u);
-    }
-    return bad == 0;
-  }
-
-  bool validate_chunk(std::span<const std::uint8_t> in,
-                      std::size_t len) const override {
     std::uint32_t bad = 0;
     for (std::size_t j = 0; j < len; ++j) {
       const std::uint32_t bits =
           std::bit_cast<std::uint32_t>(get_f32(in.data() + j * 4));
       bad |= static_cast<std::uint32_t>((bits & 0x7f800000u) == 0x7f800000u);
     }
+    if (out != nullptr) std::memcpy(out, in.data(), len * 4);
     return bad == 0;
   }
 
@@ -155,7 +144,6 @@ class Sign1Codec final : public Codec {
  public:
   using Codec::Codec;
   CodecKind kind() const override { return CodecKind::kSign1; }
-  const char* name() const override { return "sign1"; }
 
   std::size_t chunk_payload_size(std::size_t len) const override {
     return 4 + (len + 7) / 8;
@@ -220,15 +208,15 @@ class Sign1Codec final : public Codec {
       bits[full] = sign_byte(x + full * 8, len % 8);
   }
 
-  bool decode_chunk(std::span<const std::uint8_t> in,
-                    std::span<float> out) const override {
+  bool decode_chunk(std::span<const std::uint8_t> in, std::size_t len,
+                    float* out) const override {
     const float scale = get_f32(in.data());
     if (!valid_scale(scale)) return false;
+    if (out == nullptr) return true;
     const std::uint8_t* bits = in.data() + 4;
     // Branchless two-entry select, eight coordinates per sign byte: the
     // wire-to-row hot path of the 1 GB/s single-thread decode guarantee.
     const float vals[2] = {-scale, scale};
-    const std::size_t len = out.size();
     const std::size_t full = len & ~std::size_t{7};
     for (std::size_t j = 0; j < full; j += 8) {
       const std::uint8_t b = bits[j >> 3];
@@ -244,11 +232,6 @@ class Sign1Codec final : public Codec {
     for (std::size_t j = full; j < len; ++j)
       out[j] = vals[(bits[j >> 3] >> (j & 7u)) & 1u];
     return true;
-  }
-
-  bool validate_chunk(std::span<const std::uint8_t> in,
-                      std::size_t) const override {
-    return valid_scale(get_f32(in.data()));
   }
 
   void chunk_norm2(std::span<const std::uint8_t* const> payloads,
@@ -326,7 +309,6 @@ class Int8Codec final : public Codec {
  public:
   using Codec::Codec;
   CodecKind kind() const override { return CodecKind::kInt8; }
-  const char* name() const override { return "int8"; }
 
   std::size_t chunk_payload_size(std::size_t len) const override {
     return 2 + len;
@@ -377,35 +359,26 @@ class Int8Codec final : public Codec {
     }
   }
 
-  bool decode_chunk(std::span<const std::uint8_t> in,
-                    std::span<float> out) const override {
+  bool decode_chunk(std::span<const std::uint8_t> in, std::size_t len,
+                    float* out) const override {
     const int e = static_cast<std::int16_t>(get_u16(in.data()));
     if (e < kInt8MinExp || e > kInt8MaxExp) return false;
     const std::uint8_t* codes = in.data() + 2;
     // One exact ldexp per possible code byte, then the chunk is a pure
     // table gather; the 0x80 sentinel (-128, unreachable by encode) is
-    // flagged with an OR-accumulator so the loop stays branchless.
+    // flagged with an OR-accumulator so the loop stays branchless. A
+    // check-only call builds no table and gathers nothing.
     float table[256];
-    for (int b = 0; b < 256; ++b)
-      table[b] = std::ldexp(
-          static_cast<float>(static_cast<std::int8_t>(b)), e);  // exact
+    if (out != nullptr)
+      for (int b = 0; b < 256; ++b)
+        table[b] = std::ldexp(
+            static_cast<float>(static_cast<std::int8_t>(b)), e);  // exact
     std::uint32_t bad = 0;
-    for (std::size_t j = 0; j < out.size(); ++j) {
+    for (std::size_t j = 0; j < len; ++j) {
       const std::uint8_t c = codes[j];
       bad |= static_cast<std::uint32_t>(c == 0x80u);
-      out[j] = table[c];
+      if (out != nullptr) out[j] = table[c];
     }
-    return bad == 0;
-  }
-
-  bool validate_chunk(std::span<const std::uint8_t> in,
-                      std::size_t len) const override {
-    const int e = static_cast<std::int16_t>(get_u16(in.data()));
-    if (e < kInt8MinExp || e > kInt8MaxExp) return false;
-    const std::uint8_t* codes = in.data() + 2;
-    std::uint32_t bad = 0;
-    for (std::size_t j = 0; j < len; ++j)
-      bad |= static_cast<std::uint32_t>(codes[j] == 0x80u);
     return bad == 0;
   }
 
@@ -460,7 +433,6 @@ class TopKCodec final : public Codec {
   TopKCodec(std::size_t chunk, double k_fraction)
       : Codec(chunk), k_fraction_(k_fraction) {}
   CodecKind kind() const override { return CodecKind::kTopK; }
-  const char* name() const override { return "topk"; }
 
   // Kept entries for a chunk of `len`: round(k_fraction * len), at least
   // one, never more than the chunk — and never more than the u16 count
@@ -530,12 +502,11 @@ class TopKCodec final : public Codec {
     }
   }
 
-  bool decode_chunk(std::span<const std::uint8_t> in,
-                    std::span<float> out) const override {
-    const std::size_t len = out.size();
+  bool decode_chunk(std::span<const std::uint8_t> in, std::size_t len,
+                    float* out) const override {
     const std::size_t k = keep_count(len);
     if (get_u16(in.data()) != k) return false;
-    std::fill(out.begin(), out.end(), 0.0f);
+    if (out != nullptr) std::fill_n(out, len, 0.0f);
     const std::uint8_t* values = in.data() + 2;
     const std::uint8_t* deltas = in.data() + 2 + k * 4;
     std::size_t idx = 0;
@@ -548,25 +519,7 @@ class TopKCodec final : public Codec {
       if (idx >= len) return false;
       const float v = get_f32(values + j * 4);
       if (!std::isfinite(v)) return false;
-      out[idx] = v;
-    }
-    return true;
-  }
-
-  bool validate_chunk(std::span<const std::uint8_t> in,
-                      std::size_t len) const override {
-    // Same walk as decode_chunk minus the zero-fill and scatter.
-    const std::size_t k = keep_count(len);
-    if (get_u16(in.data()) != k) return false;
-    const std::uint8_t* values = in.data() + 2;
-    const std::uint8_t* deltas = in.data() + 2 + k * 4;
-    std::size_t idx = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::size_t step = get_u16(deltas + j * 2);
-      if (j > 0 && step == 0) return false;
-      idx += step;
-      if (idx >= len) return false;
-      if (!std::isfinite(get_f32(values + j * 4))) return false;
+      if (out != nullptr) out[idx] = v;
     }
     return true;
   }
@@ -631,6 +584,8 @@ std::size_t topk_keep_count(double k_fraction, std::size_t len) {
       std::nearbyint(k_fraction * static_cast<double>(len)));
   return std::min({len, std::max<std::size_t>(1, k), std::size_t{0xffff}});
 }
+
+const char* Codec::name() const { return codec_name(kind()); }
 
 const char* codec_name(CodecKind kind) {
   switch (kind) {

@@ -21,7 +21,10 @@
 //     client controls its own payload — and rejects any chunk that a
 //     legitimate encoder could not have produced (non-finite scales,
 //     out-of-range codes, non-monotone sparse indices), so corrupt
-//     uplinks cannot inject NaN/inf into the aggregation pipeline.
+//     uplinks cannot inject NaN/inf into the aggregation pipeline. It
+//     is each codec's one statement of that rule: called without an
+//     output it only checks, which is how comm::validate accepts
+//     exactly the payloads comm::decode_into does.
 //
 // Codecs (kind byte is the on-wire id; never renumber):
 //   none  raw little-endian float32 — the identity transport.
@@ -103,7 +106,8 @@ class Codec {
   virtual ~Codec() = default;
 
   virtual CodecKind kind() const = 0;
-  virtual const char* name() const = 0;
+  // The canonical lowercase name, codec_name(kind()).
+  const char* name() const;
 
   // Coordinates per wire chunk (every chunk but the row's tail).
   std::size_t chunk() const { return chunk_; }
@@ -122,26 +126,23 @@ class Codec {
                              std::span<std::uint8_t* const> payloads,
                              CodecScratch& scratch) const = 0;
 
-  // Inverse of encode_chunks for one chunk; writes every coordinate of
-  // `out`. `in` has already been length-checked against
-  // chunk_payload_size(out.size()); returns false when the payload's
-  // internals are malformed (the wire layer surfaces that as
-  // DecodeStatus::kMalformedChunk).
+  // Inverse of encode_chunks for one chunk of `len` coordinates: returns
+  // false when the payload's internals are malformed (the wire layer
+  // surfaces that as DecodeStatus::kMalformedChunk). `in` has already
+  // been length-checked against chunk_payload_size(len). With `out`, an
+  // accepted payload writes all of out[0, len); with out == nullptr the
+  // call only checks and writes nothing. Either way the verdict is the
+  // same, since both run the one rejection rule.
   virtual bool decode_chunk(std::span<const std::uint8_t> in,
-                            std::span<float> out) const = 0;
+                            std::size_t len, float* out) const = 0;
 
   // --- compressed-domain statistics (the SignGuard wire path) ---
-  // The three hooks below let the server run SignGuard's filters on wire
+  // The two hooks below let the server run SignGuard's filters on wire
   // bytes without materializing floats. Each consumes a payload of
-  // exactly chunk_payload_size(len) bytes and is bitwise-equivalent to
-  // the corresponding scan of the decoded chunk; the equivalence is what
+  // exactly chunk_payload_size(len) bytes that decode_chunk accepts (the
+  // contracts hold for no other), and is bitwise-equivalent to the
+  // corresponding scan of the decoded chunk; the equivalence is what
   // tests/test_comm.cc's CommStats suite pins down per codec.
-
-  // True iff decode_chunk would accept the payload — same acceptance
-  // predicate, no output writes. Runs BEFORE any statistics hook: the
-  // stats contracts below only hold for validated payloads.
-  virtual bool validate_chunk(std::span<const std::uint8_t> in,
-                              std::size_t len) const = 0;
 
   // Continues the squared-norm chains of payloads.size() (1..kChainWidth)
   // rows over one chunk position: payloads[r] is row r's payload of

@@ -53,7 +53,6 @@ std::vector<double> wire_row_norms(const WireRound& wire) {
   assert(wire.codec != nullptr);
   obs::Span span("wire/row_norms", std::int64_t(wire.uplinks.size()));
   const Codec& codec = *wire.codec;
-  const std::size_t chunk = codec.chunk();
   const WireLayout l = wire_layout(codec, wire.d);
   const std::size_t n = wire.uplinks.size();
   std::vector<double> out(n, 0.0);
@@ -67,13 +66,11 @@ std::vector<double> wire_row_norms(const WireRound& wire) {
         const std::span<double> acc(out.data() + r0, rows);
         const std::uint8_t* payloads[kChainWidth];
         for (std::size_t c = 0; c < l.n_chunks; ++c) {
-          const std::size_t len = c + 1 == l.n_chunks ? l.tail_len : chunk;
           for (std::size_t r = 0; r < rows; ++r) {
             assert(wire.uplinks[r0 + r].size() == l.total);  // validated
-            payloads[r] = wire.uplinks[r0 + r].data() + kWireHeaderSize +
-                          c * l.full_record + 4;
+            payloads[r] = l.payload(wire.uplinks[r0 + r], c).data();
           }
-          codec.chunk_norm2({payloads, rows}, len, acc);
+          codec.chunk_norm2({payloads, rows}, l.len(c), acc);
         }
         for (double& a : acc) a = std::sqrt(a);
       });
@@ -85,7 +82,6 @@ std::vector<SignStats> wire_sign_stats(const WireRound& wire,
   assert(wire.codec != nullptr);
   obs::Span span("wire/sign_stats", std::int64_t(wire.uplinks.size()));
   const Codec& codec = *wire.codec;
-  const std::size_t chunk = codec.chunk();
   const WireLayout l = wire_layout(codec, wire.d);
   assert(mask.n_chunks() == l.n_chunks);
   std::vector<SignStats> out(wire.uplinks.size());
@@ -93,14 +89,9 @@ std::vector<SignStats> wire_sign_stats(const WireRound& wire,
     const std::vector<std::uint8_t>& buf = wire.uplinks[i];
     assert(buf.size() == l.total);  // validated upstream
     std::size_t counts[3] = {0, 0, 0};
-    for (std::size_t c = 0; c < l.n_chunks; ++c) {
-      const std::size_t len = c + 1 == l.n_chunks ? l.tail_len : chunk;
-      const std::size_t psize = codec.chunk_payload_size(len);
-      const std::uint8_t* rec =
-          buf.data() + kWireHeaderSize + c * l.full_record;
-      codec.chunk_sign_counts({rec + 4, psize}, len, mask.chunk_coords(c),
-                              counts);
-    }
+    for (std::size_t c = 0; c < l.n_chunks; ++c)
+      codec.chunk_sign_counts(l.payload(buf, c), l.len(c),
+                              mask.chunk_coords(c), counts);
     if (mask.n_coords() == 0) return;  // sign_statistics' empty-coords case
     const double n = double(mask.n_coords());
     out[i].pos = double(counts[0]) / n;

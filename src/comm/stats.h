@@ -7,6 +7,11 @@
 //          --> norm + sign-cluster filters --> decode ONLY the trusted
 //          set, chunk by chunk, into the weighted mean
 //
+// validate() is decode_into's own walk with no output row (comm/wire.h),
+// so the statistics below see only payloads a decode would accept. They
+// reach chunk c's payload through WireLayout::payload, like every other
+// reader of wire records.
+//
 // Per-codec statistic sources (the per-chunk hooks in comm/codec.h):
 //   sign1  norms from the 4-byte per-chunk scales alone; sign counts as
 //          a masked 64-bit popcount over the packed payload bits

@@ -29,13 +29,10 @@ inline std::uint64_t get_u64(const std::uint8_t* p) {
 }
 
 // Everything up to (but not including) the per-chunk codec decode:
-// header fields, record structure, and the payload checksum. Shared by
-// decode_into and validate so the two can never drift apart on which
-// buffers they accept.
+// header fields, record structure, and the payload checksum.
 DecodeStatus check_structure(const Codec& codec,
                              std::span<const std::uint8_t> buf, std::size_t d,
                              const WireLayout& l) {
-  const std::size_t chunk = codec.chunk();
   if (buf.size() < kWireHeaderSize) return DecodeStatus::kTruncated;
   const std::uint8_t* h = buf.data();
   if (h[0] != 'S' || h[1] != 'G' || h[2] != 'T' || h[3] != '1' || h[5] != 0 ||
@@ -44,7 +41,7 @@ DecodeStatus check_structure(const Codec& codec,
   if (h[4] != static_cast<std::uint8_t>(codec.kind()))
     return DecodeStatus::kCodecMismatch;
   if (get_u64(h + 8) != d) return DecodeStatus::kDimMismatch;
-  if (get_u32(h + 16) != chunk) return DecodeStatus::kChunkMismatch;
+  if (get_u32(h + 16) != l.chunk) return DecodeStatus::kChunkMismatch;
 
   // Structural walk before the checksum: a buffer cut short reports
   // kTruncated (the likely transport failure), while a size-consistent
@@ -52,8 +49,7 @@ DecodeStatus check_structure(const Codec& codec,
   std::size_t off = kWireHeaderSize;
   for (std::size_t c = 0; c < l.n_chunks; ++c) {
     if (buf.size() - off < 4) return DecodeStatus::kTruncated;
-    const std::size_t len = c + 1 == l.n_chunks ? l.tail_len : chunk;
-    const std::size_t psize = codec.chunk_payload_size(len);
+    const std::size_t psize = codec.chunk_payload_size(l.len(c));
     if (get_u32(buf.data() + off) != psize)
       return DecodeStatus::kBadChunkLength;
     if (buf.size() - off - 4 < psize) return DecodeStatus::kTruncated;
@@ -66,15 +62,37 @@ DecodeStatus check_structure(const Codec& codec,
   return DecodeStatus::kOk;
 }
 
+// The one acceptance walk behind decode_into (row = the output row) and
+// validate (row == nullptr): check_structure, then every chunk through
+// Codec::decode_chunk, so the two accept exactly the same buffers with
+// the same status. Every record's offset and length is verified before
+// the chunks fan out over the pool into disjoint coordinate ranges.
+DecodeStatus decode_chunks(const Codec& codec,
+                           std::span<const std::uint8_t> buf, std::size_t d,
+                           float* row) {
+  const WireLayout l = wire_layout(codec, d);
+  const DecodeStatus st = check_structure(codec, buf, d, l);
+  if (st != DecodeStatus::kOk) return st;
+  std::atomic<bool> ok{true};
+  common::parallel_chunks(
+      l.n_chunks, [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t c = begin; c < end && ok.load(); ++c)
+          if (!codec.decode_chunk(l.payload(buf, c), l.len(c),
+                                  row == nullptr ? nullptr : row + c * l.chunk))
+            ok.store(false);
+      });
+  return ok.load() ? DecodeStatus::kOk : DecodeStatus::kMalformedChunk;
+}
+
 }  // namespace
 
 WireLayout wire_layout(const Codec& codec, std::size_t d) {
   WireLayout l;
-  const std::size_t chunk = codec.chunk();
+  l.chunk = codec.chunk();
   if (d == 0) return l;
-  l.n_chunks = (d + chunk - 1) / chunk;
-  l.tail_len = d - (l.n_chunks - 1) * chunk;
-  l.full_record = 4 + codec.chunk_payload_size(chunk);
+  l.n_chunks = (d + l.chunk - 1) / l.chunk;
+  l.tail_len = d - (l.n_chunks - 1) * l.chunk;
+  l.full_record = 4 + codec.chunk_payload_size(l.chunk);
   l.total = kWireHeaderSize + (l.n_chunks - 1) * l.full_record + 4 +
             codec.chunk_payload_size(l.tail_len);
   return l;
@@ -119,7 +137,6 @@ void encode_into(const Codec& codec, std::span<const float> row,
                  std::vector<std::uint8_t>& out,
                  std::vector<CodecScratch>& scratch) {
   const std::size_t d = row.size();
-  const std::size_t chunk = codec.chunk();
   const WireLayout l = wire_layout(codec, d);
   out.resize(l.total);
 
@@ -131,7 +148,7 @@ void encode_into(const Codec& codec, std::span<const float> row,
   h[4] = static_cast<std::uint8_t>(codec.kind());
   h[5] = h[6] = h[7] = 0;
   put_u64(h + 8, d);
-  put_u32(h + 16, static_cast<std::uint32_t>(chunk));
+  put_u32(h + 16, static_cast<std::uint32_t>(l.chunk));
 
   if (scratch.size() < common::thread_count())
     scratch.resize(common::thread_count());
@@ -139,26 +156,22 @@ void encode_into(const Codec& codec, std::span<const float> row,
   // disjoint byte ranges — bitwise thread-invariant by construction. A
   // worker hands its chunks to the codec in runs of up to kChainWidth
   // chunks of one length (the row's short tail chunk runs alone).
-  const auto len_of = [&](std::size_t c) {
-    return c + 1 == l.n_chunks ? l.tail_len : chunk;
-  };
   common::parallel_chunks(
       l.n_chunks,
       [&](std::size_t begin, std::size_t end, std::size_t worker) {
         CodecScratch& s = scratch[worker];
         std::uint8_t* payloads[kChainWidth];
         for (std::size_t c = begin; c < end;) {
-          const std::size_t len = len_of(c);
-          const std::size_t psize = codec.chunk_payload_size(len);
+          const std::size_t len = l.len(c);
           std::size_t k = 0;
           do {
-            std::uint8_t* rec =
-                out.data() + kWireHeaderSize + (c + k) * l.full_record;
-            put_u32(rec, static_cast<std::uint32_t>(psize));
-            payloads[k++] = rec + 4;
-          } while (k < kChainWidth && c + k < end && len_of(c + k) == len);
-          codec.encode_chunks(row.subspan(c * chunk, k * len), {payloads, k},
-                              s);
+            const std::span<std::uint8_t> p = l.payload(out, c + k);
+            put_u32(p.data() - 4,  // the record's length prefix
+                    static_cast<std::uint32_t>(p.size()));
+            payloads[k++] = p.data();
+          } while (k < kChainWidth && c + k < end && l.len(c + k) == len);
+          codec.encode_chunks(row.subspan(c * l.chunk, k * len),
+                              {payloads, k}, s);
           c += k;
         }
       });
@@ -169,49 +182,12 @@ void encode_into(const Codec& codec, std::span<const float> row,
 DecodeStatus decode_into(const Codec& codec,
                          std::span<const std::uint8_t> buf,
                          std::span<float> row) {
-  const std::size_t d = row.size();
-  const std::size_t chunk = codec.chunk();
-  const WireLayout l = wire_layout(codec, d);
-  const DecodeStatus st = check_structure(codec, buf, d, l);
-  if (st != DecodeStatus::kOk) return st;
-
-  // Every record's offset and length is now verified; decode the chunks
-  // concurrently into disjoint coordinate ranges of the row.
-  std::atomic<bool> ok{true};
-  common::parallel_chunks(
-      l.n_chunks, [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t c = begin; c < end && ok.load(); ++c) {
-          const std::size_t len = c + 1 == l.n_chunks ? l.tail_len : chunk;
-          const std::size_t psize = codec.chunk_payload_size(len);
-          const std::uint8_t* rec =
-              buf.data() + kWireHeaderSize + c * l.full_record;
-          if (!codec.decode_chunk({rec + 4, psize},
-                                  row.subspan(c * chunk, len)))
-            ok.store(false);
-        }
-      });
-  return ok.load() ? DecodeStatus::kOk : DecodeStatus::kMalformedChunk;
+  return decode_chunks(codec, buf, row.size(), row.data());
 }
 
 DecodeStatus validate(const Codec& codec, std::span<const std::uint8_t> buf,
                       std::size_t d) {
-  const std::size_t chunk = codec.chunk();
-  const WireLayout l = wire_layout(codec, d);
-  const DecodeStatus st = check_structure(codec, buf, d, l);
-  if (st != DecodeStatus::kOk) return st;
-
-  std::atomic<bool> ok{true};
-  common::parallel_chunks(
-      l.n_chunks, [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t c = begin; c < end && ok.load(); ++c) {
-          const std::size_t len = c + 1 == l.n_chunks ? l.tail_len : chunk;
-          const std::size_t psize = codec.chunk_payload_size(len);
-          const std::uint8_t* rec =
-              buf.data() + kWireHeaderSize + c * l.full_record;
-          if (!codec.validate_chunk({rec + 4, psize}, len)) ok.store(false);
-        }
-      });
-  return ok.load() ? DecodeStatus::kOk : DecodeStatus::kMalformedChunk;
+  return decode_chunks(codec, buf, d, nullptr);
 }
 
 }  // namespace signguard::comm

@@ -17,14 +17,16 @@
 // chunk length (comm/codec.h contract), all record offsets are known up
 // front: encode and decode fan chunks out over the common/parallel pool
 // into disjoint byte/coordinate ranges, so the bytes and the decoded
-// floats are bitwise identical for any SIGNGUARD_THREADS.
+// floats are bitwise identical for any SIGNGUARD_THREADS. WireLayout is
+// the one place that turns a chunk index into its record's bytes; every
+// reader and writer of records goes through it.
 //
 // decode_into trusts nothing — a Byzantine client controls its own
 // bytes. Every read is bounds-checked, every structural field is
 // validated against the server's configured codec, and failures come
 // back as a typed DecodeStatus (no asserts, no exceptions on the decode
 // path, no out-of-bounds access). An accepted buffer always decodes to
-// all-finite rows.
+// all-finite rows. validate runs the same walk without an output row.
 
 #include <cstddef>
 #include <cstdint>
@@ -55,13 +57,30 @@ inline constexpr std::size_t kWireHeaderSize = 28;
 // Chunk geometry of a d-coordinate row under `codec`: record sizes are
 // fixed for every chunk but the tail, so record c starts at
 // kWireHeaderSize + c * full_record. Data-independent (the codec
-// contract), which is what lets the compressed-domain statistics pass
-// in comm/stats.h walk a validated buffer without re-deriving offsets.
+// contract), which is what lets encode, decode and the compressed-domain
+// statistics pass in comm/stats.h address chunk c through len(c) and
+// payload(buf, c) alone.
 struct WireLayout {
+  std::size_t chunk = 0;        // coords in every chunk but the last
   std::size_t n_chunks = 0;
   std::size_t tail_len = 0;     // coords in the last chunk
   std::size_t full_record = 0;  // bytes of a full chunk's record
   std::size_t total = kWireHeaderSize;
+
+  // Coordinates of chunk c; they start at coordinate c * chunk.
+  std::size_t len(std::size_t c) const {
+    return c + 1 == n_chunks ? tail_len : chunk;
+  }
+
+  // Chunk c's payload: the chunk_payload_size(len(c)) bytes after record
+  // c's u32 length prefix, as a span over `buf` (a vector or span of
+  // exactly `total` bytes; const-ness carries over).
+  template <class Bytes>
+  auto payload(Bytes& buf, std::size_t c) const {
+    const std::size_t begin = kWireHeaderSize + c * full_record + 4;
+    const std::size_t end = c + 1 == n_chunks ? total : begin - 4 + full_record;
+    return std::span(buf).subspan(begin, end - begin);
+  }
 };
 
 WireLayout wire_layout(const Codec& codec, std::size_t d);
@@ -92,13 +111,13 @@ DecodeStatus decode_into(const Codec& codec,
                          std::span<const std::uint8_t> buf,
                          std::span<float> row);
 
-// Full acceptance check without materializing a single float: identical
-// structural walk, checksum, and per-chunk codec validation, so
-// validate(...) == kOk  <=>  decode_into(...) == kOk (and the statuses
-// match on rejection too — the test suite pins this down over the
-// adversarial corpus). The compressed-domain statistics pass
-// (comm/stats.h) runs only on buffers this accepted, which is how
-// hostile bytes are rejected before any filter sees a statistic.
+// Full acceptance check without materializing a single float:
+// decode_into's own walk with no output row (the structural checks, the
+// checksum, then each chunk through Codec::decode_chunk check-only), so
+// it returns exactly the status decode_into would on every buffer. The
+// compressed-domain statistics pass (comm/stats.h) runs only on buffers
+// this accepted, which is how hostile bytes are rejected before any
+// filter sees a statistic.
 DecodeStatus validate(const Codec& codec, std::span<const std::uint8_t> buf,
                       std::size_t d);
 

@@ -83,15 +83,10 @@ struct WireSource {
             const std::size_t len = std::min(d, c1 * chunk) - j0;
             std::fill_n(acc.begin(), len, 0.0);
             for (std::size_t k = 0; k < selected.size(); ++k) {
-              const std::uint8_t* rec = wire.uplinks[selected[k]].data() +
-                                        comm::kWireHeaderSize +
-                                        c0 * l.full_record;
-              for (std::size_t c = c0; c < c1; ++c, rec += l.full_record) {
-                const std::size_t clen =
-                    c + 1 == l.n_chunks ? l.tail_len : chunk;
+              const std::vector<std::uint8_t>& buf = wire.uplinks[selected[k]];
+              for (std::size_t c = c0; c < c1; ++c) {
                 const bool ok = codec.decode_chunk(
-                    {rec + 4, codec.chunk_payload_size(clen)},
-                    {x.data() + (c - c0) * chunk, clen});
+                    l.payload(buf, c), l.len(c), x.data() + (c - c0) * chunk);
                 assert(ok);  // the caller validated every buffer
                 (void)ok;
               }

@@ -106,21 +106,11 @@ Workload make_workload(WorkloadKind kind, ModelProfile profile, Scale scale) {
   w.config.rounds = rounds_for(scale, 30, 100, 300);
 
   switch (kind) {
-    case WorkloadKind::kMnistLike: {
-      w.data = data::make_synth_image(data::mnist_like_config());
-      if (profile == ModelProfile::kGrid) {
-        w.model_factory = [](std::uint64_t seed) {
-          return nn::make_mlp(256, 32, 10, seed);
-        };
-      } else {
-        w.model_factory = [](std::uint64_t seed) {
-          return nn::make_small_cnn(16, 10, seed);
-        };
-      }
-      break;
-    }
+    case WorkloadKind::kMnistLike:
     case WorkloadKind::kFashionLike: {
-      w.data = data::make_synth_image(data::fashion_like_config());
+      w.data = data::make_synth_image(kind == WorkloadKind::kMnistLike
+                                          ? data::mnist_like_config()
+                                          : data::fashion_like_config());
       if (profile == ModelProfile::kGrid) {
         w.model_factory = [](std::uint64_t seed) {
           return nn::make_mlp(256, 32, 10, seed);

@@ -8,7 +8,6 @@
 #include <map>
 #include <mutex>
 #include <ostream>
-#include <set>
 
 namespace signguard::obs {
 
@@ -112,13 +111,6 @@ void trace_record(const char* name, std::uint64_t start_ns,
 }
 
 }  // namespace detail
-
-const char* intern_name(const std::string& s) {
-  static std::mutex mu;
-  static std::set<std::string>* pool = new std::set<std::string>;
-  std::lock_guard<std::mutex> lock(mu);
-  return pool->insert(s).first->c_str();  // node-based: pointer is stable
-}
 
 void trace_reset() {
   Collector& c = collector();

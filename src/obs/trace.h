@@ -10,10 +10,9 @@
 //
 // Cost model: with tracing disabled (the default), a Span is one relaxed
 // atomic load and a branch — the microbench obs suite pins the
-// disabled-path overhead of a fully instrumented SignGuard round at <= 2%. Tracing is
-// enabled by the SIGNGUARD_TRACE environment variable (any value but ""
-// or "0"), overridable via set_trace_enabled(); building with
-// -DSIGNGUARD_NO_TRACE compiles Span out entirely.
+// disabled-path overhead of a fully instrumented SignGuard round at
+// <= 2%. Tracing is enabled by the SIGNGUARD_TRACE environment variable
+// (any value but "" or "0"), overridable via set_trace_enabled().
 //
 // Exporters: chrome_trace_json() emits the Chrome trace_event format
 // (load the file in Perfetto / chrome://tracing; spans nest by
@@ -44,11 +43,6 @@ inline bool trace_enabled() {
 }
 void set_trace_enabled(bool on);
 
-// Interns a dynamic label (e.g. a scenario id) into process-lifetime
-// storage and returns a stable pointer for Span names. Deduplicated;
-// never freed.
-const char* intern_name(const std::string& s);
-
 // One completed span. `arg` < 0 means no argument; otherwise it is
 // exported as args.v (round number, shard index, ...).
 struct TraceEvent {
@@ -58,14 +52,6 @@ struct TraceEvent {
   std::int64_t arg = -1;
 };
 
-#if defined(SIGNGUARD_NO_TRACE)
-class Span {
- public:
-  explicit Span(const char*, std::int64_t = -1) {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-};
-#else
 class Span {
  public:
   explicit Span(const char* name, std::int64_t arg = -1)
@@ -83,7 +69,6 @@ class Span {
   std::int64_t arg_;
   std::uint64_t start_ns_ = 0;
 };
-#endif
 
 // Collector controls. reset only with no spans in flight (between runs).
 void trace_reset();

@@ -339,11 +339,16 @@ void fix_checksum(std::vector<std::uint8_t>& buf) {
     buf[20 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
 }
 
+// decode_into's verdict on `buf`, after requiring validate to return the
+// same one: every targeted rejection below is checked through both paths.
 DecodeStatus decode_status(const comm::Codec& codec,
                            const std::vector<std::uint8_t>& buf,
                            std::size_t d) {
   std::vector<float> out(d);
-  return comm::decode_into(codec, buf, out);
+  const DecodeStatus status = comm::decode_into(codec, buf, out);
+  EXPECT_EQ(comm::validate(codec, buf, d), status)
+      << codec.name() << " size=" << buf.size();
+  return status;
 }
 
 TEST(CommWire, AdversarialInputsReturnTypedErrors) {
@@ -529,10 +534,7 @@ TEST(CommWire, ValidateAgreesWithDecodeOnAdversarialCorpus) {
   for (const auto& spec : specs) {
     const auto codec = comm::make_codec(spec);
     const auto agree = [&](const std::vector<std::uint8_t>& buf) {
-      const DecodeStatus dec = decode_status(*codec, buf, d);
-      EXPECT_EQ(comm::validate(*codec, buf, d), dec)
-          << codec->name() << " size=" << buf.size();
-      return dec;
+      return decode_status(*codec, buf, d);  // checks validate agrees
     };
     for (int regime = 0; regime < 5; ++regime)
       EXPECT_EQ(agree(encode(*codec, make_row(d, regime, rng))),
@@ -572,9 +574,7 @@ TEST(CommWire, EverySingleBitFlipIsRejected) {
     for (std::size_t bit = 0; bit < 8 * buf.size(); ++bit) {
       const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
       buf[bit / 8] ^= mask;
-      const DecodeStatus dec = decode_status(*codec, buf, d);
-      EXPECT_NE(dec, DecodeStatus::kOk) << codec->name() << " bit=" << bit;
-      EXPECT_EQ(comm::validate(*codec, buf, d), dec)
+      EXPECT_NE(decode_status(*codec, buf, d), DecodeStatus::kOk)
           << codec->name() << " bit=" << bit;
       buf[bit / 8] ^= mask;
     }
